@@ -45,18 +45,26 @@ Rng::rademacher()
 std::vector<std::size_t>
 Rng::sample_without_replacement(std::size_t n, std::size_t k)
 {
+    std::vector<std::size_t> idx;
+    sample_without_replacement(n, k, idx);
+    return idx;
+}
+
+void
+Rng::sample_without_replacement(std::size_t n, std::size_t k,
+                                std::vector<std::size_t>& out)
+{
     CAFQA_REQUIRE(k <= n, "cannot sample more elements than population");
-    std::vector<std::size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    out.resize(n);
+    std::iota(out.begin(), out.end(), std::size_t{0});
     // Partial Fisher-Yates: only the first k positions need shuffling.
     for (std::size_t i = 0; i < k; ++i) {
         const auto j = static_cast<std::size_t>(
             uniform_int(static_cast<std::int64_t>(i),
                         static_cast<std::int64_t>(n - 1)));
-        std::swap(idx[i], idx[j]);
+        std::swap(out[i], out[j]);
     }
-    idx.resize(k);
-    return idx;
+    out.resize(k);
 }
 
 std::vector<std::size_t>

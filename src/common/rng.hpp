@@ -41,6 +41,10 @@ class Rng
     std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                         std::size_t k);
 
+    /** The same draws into `out` (resized to k), reusing its storage. */
+    void sample_without_replacement(std::size_t n, std::size_t k,
+                                    std::vector<std::size_t>& out);
+
     /** Fisher-Yates shuffle of an index vector [0, n). */
     std::vector<std::size_t> permutation(std::size_t n);
 

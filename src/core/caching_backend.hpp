@@ -12,7 +12,7 @@
  * point skips both the preparation and the measurement.
  *
  * Keys are canonical: discrete points key on the exact quarter-turn
- * step vector (the same identity `config_hash` uses for sample
+ * step vector (the same identity `ConfigSet` uses for sample
  * deduplication), continuous points on the parameter vector quantized
  * to `CacheOptions::resolution`; the observable is identified by a
  * structural hash over its terms. Storage is a sharded LRU — each

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -51,16 +50,17 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
     }
     OutcomeRecorder recorder(criteria, criteria.max_evaluations, progress);
 
-    std::vector<std::vector<int>> configs;
+    // `seen` owns each evaluated configuration once; `configs` points
+    // into it (set elements never move) in evaluation order.
+    ConfigSet seen;
+    std::vector<const std::vector<int>*> configs;
     std::vector<std::vector<double>> features;
     std::vector<double> values;
-    std::unordered_set<std::size_t> seen;
 
     auto record = [&](const std::vector<int>& config, double value) {
-        configs.push_back(config);
+        configs.push_back(&*seen.insert(config).first);
         features.push_back(to_features(config));
         values.push_back(value);
-        seen.insert(config_hash(config));
         recorder.record(config, value);
     };
 
@@ -78,7 +78,7 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
         for (const auto* seeds : {&options.seed_configs,
                                   &context.seed_configs}) {
             for (const auto& config : *seeds) {
-                if (seen.count(config_hash(config)) == 0) {
+                if (seen.count(config) == 0) {
                     evaluate(config);
                 }
             }
@@ -105,14 +105,14 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
             for (std::size_t w = 0; w < warmup; ++w) {
                 std::vector<int> config = random_config(space, rng);
                 for (int attempt = 0;
-                     attempt < 16 && seen.count(config_hash(config)) != 0;
+                     attempt < 16 && seen.count(config) != 0;
                      ++attempt) {
                     config = random_config(space, rng);
                 }
-                if (seen.count(config_hash(config)) != 0) {
+                if (seen.count(config) != 0) {
                     continue; // exhausted retries: already evaluated
                 }
-                seen.insert(config_hash(config));
+                seen.insert(config);
                 block.push_back(std::move(config));
             }
             const std::vector<double> block_values = batch(block);
@@ -125,11 +125,11 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
             for (std::size_t w = 0; w < warmup; ++w) {
                 std::vector<int> config = random_config(space, rng);
                 for (int attempt = 0;
-                     attempt < 16 && seen.count(config_hash(config)) != 0;
+                     attempt < 16 && seen.count(config) != 0;
                      ++attempt) {
                     config = random_config(space, rng);
                 }
-                if (seen.count(config_hash(config)) != 0) {
+                if (seen.count(config) != 0) {
                     continue; // exhausted retries: already evaluated
                 }
                 evaluate(config);
@@ -138,6 +138,7 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
 
         // ---- Model-guided search. ----
         RandomForest forest;
+        std::vector<double> row; // reused feature row for predictions
         std::size_t stall = 0;
         double best_at_last_improvement = recorder.best_value();
 
@@ -175,7 +176,7 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
                     const std::size_t parent =
                         order[static_cast<std::size_t>(rng.uniform_int(
                             0, static_cast<std::int64_t>(elites) - 1))];
-                    std::vector<int> child = configs[parent];
+                    std::vector<int> child = *configs[parent];
                     const int flips =
                         static_cast<int>(rng.uniform_int(1, 2));
                     for (int fidx = 0; fidx < flips; ++fidx) {
@@ -197,7 +198,7 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
             std::vector<int>* chosen = nullptr;
             if (rng.bernoulli(options.epsilon_random)) {
                 for (auto& candidate : pool) {
-                    if (seen.count(config_hash(candidate)) == 0) {
+                    if (seen.count(candidate) == 0) {
                         chosen = &candidate;
                         break;
                     }
@@ -205,11 +206,11 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
             } else {
                 double best_pred = 0.0;
                 for (auto& candidate : pool) {
-                    if (seen.count(config_hash(candidate)) != 0) {
+                    if (seen.count(candidate) != 0) {
                         continue;
                     }
-                    const double pred =
-                        forest.predict(to_features(candidate));
+                    row.assign(candidate.begin(), candidate.end());
+                    const double pred = forest.predict(row);
                     if (chosen == nullptr || pred < best_pred) {
                         best_pred = pred;
                         chosen = &candidate;

@@ -40,6 +40,17 @@ DiscreteSpace::log10_size() const
     return total;
 }
 
+std::vector<int>
+random_config(const DiscreteSpace& space, Rng& rng)
+{
+    std::vector<int> config(space.num_parameters());
+    for (std::size_t i = 0; i < config.size(); ++i) {
+        config[i] =
+            static_cast<int>(rng.uniform_int(0, space.cardinalities[i] - 1));
+    }
+    return config;
+}
+
 std::string_view
 to_string(StopReason reason)
 {
@@ -111,12 +122,12 @@ void
 OutcomeRecorder::record(const std::vector<int>& config, double value)
 {
     ++outcome_.evaluations;
-    // The guard lives here (not in note_point) so the default path
-    // skips both the hash and the set — an exhaustive enumeration would
-    // otherwise pay one set node per configuration for a disabled
-    // feature.
-    if (criteria_.unique_evaluations) {
-        note_point(config_hash(config));
+    // The default path skips the set entirely — an exhaustive
+    // enumeration would otherwise pay one set node per configuration
+    // for a disabled feature.
+    if (criteria_.unique_evaluations &&
+        seen_configs_.insert(config).second) {
+        ++outcome_.unique_evaluations;
     }
     const bool improved =
         outcome_.history.empty() || value < outcome_.best_value;

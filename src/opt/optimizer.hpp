@@ -29,6 +29,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "opt/discrete_sampling.hpp"
+
 namespace cafqa {
 
 /** A discrete configuration space: parameter i takes values
@@ -262,7 +264,8 @@ class OutcomeRecorder
 
   private:
     void after_record(double value, bool improved);
-    /** Count one point toward the unique tally (no-op on repeats). */
+    /** Count one continuous point toward the unique tally (no-op on
+     *  repeats). */
     void note_point(std::size_t point_hash);
     /** Evaluations charged against `max_evaluations_`. */
     std::size_t budget_consumed() const;
@@ -272,7 +275,9 @@ class OutcomeRecorder
     ProgressCallback progress_;
     std::chrono::steady_clock::time_point start_;
     std::size_t since_improvement_ = 0;
-    /** Hashes of recorded points (unique-evaluation accounting). */
+    /** Recorded configurations (unique-evaluation accounting). */
+    ConfigSet seen_configs_;
+    /** Hashes of recorded continuous points (likewise). */
     std::unordered_set<std::size_t> seen_points_;
     /** Probe calls counted via count_evaluation (never deduplicable). */
     std::size_t probe_evaluations_ = 0;

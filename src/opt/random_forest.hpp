@@ -8,6 +8,7 @@
 #ifndef CAFQA_OPT_RANDOM_FOREST_HPP
 #define CAFQA_OPT_RANDOM_FOREST_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "opt/decision_tree.hpp"
@@ -34,12 +35,14 @@ struct ForestPrediction
 class RandomForest
 {
   public:
-    /** Fit on rows x with targets y; deterministic given the seed. */
+    /** Fit on rows x with targets y; deterministic given the seed.
+     *  Throws std::invalid_argument on ragged rows or non-finite
+     *  features. */
     void fit(const std::vector<std::vector<double>>& x,
              const std::vector<double>& y, std::uint64_t seed,
              ForestOptions options = {});
 
-    /** Mean prediction. */
+    /** Mean prediction for one row of the fitted width. */
     double predict(const std::vector<double>& x) const;
 
     /** Mean and across-tree variance (a cheap uncertainty proxy). */
@@ -48,8 +51,12 @@ class RandomForest
 
     std::size_t num_trees() const { return trees_.size(); }
 
+    /** Total nodes over all trees (for tests). */
+    std::size_t node_count() const;
+
   private:
     std::vector<DecisionTree> trees_;
+    std::size_t num_features_ = 0;
 };
 
 } // namespace cafqa

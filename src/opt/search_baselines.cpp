@@ -1,7 +1,6 @@
 #include "opt/search_baselines.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -38,11 +37,11 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
     // materializes as one huge allocation.
     constexpr std::size_t kChunk = 4096;
 
-    std::unordered_set<std::size_t> seen;
+    ConfigSet seen;
     std::size_t dry_chunks = 0;
     try {
         for (const auto& config : context.seed_configs) {
-            if (seen.insert(config_hash(config)).second) {
+            if (seen.insert(config).second) {
                 recorder.record(config, objective(config));
             }
         }
@@ -70,16 +69,16 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
             for (std::size_t s = 0; s < chunk; ++s) {
                 std::vector<int> config = random_config(space, rng);
                 for (int attempt = 0;
-                     attempt < 16 && seen.count(config_hash(config)) != 0;
+                     attempt < 16 && seen.count(config) != 0;
                      ++attempt) {
                     config = random_config(space, rng);
                 }
                 ++drawn;
                 if (criteria.unique_evaluations &&
-                    seen.count(config_hash(config)) != 0) {
+                    seen.count(config) != 0) {
                     continue; // exhausted retries: already evaluated
                 }
-                seen.insert(config_hash(config));
+                seen.insert(config);
                 block.push_back(std::move(config));
             }
             if (block.empty()) {
@@ -130,11 +129,11 @@ ExhaustiveOptimizer::minimize(const DiscreteObjective& objective,
     try {
         // Seeds first (gives target-value exits a strong start), then an
         // ascending odometer scan skipping the already-evaluated seeds
-        // (same dedup hash as the sampling strategies; duplicate seeds
+        // (same dedup set as the sampling strategies; duplicate seeds
         // are evaluated once).
-        std::unordered_set<std::size_t> seen;
+        ConfigSet seen;
         for (const auto& config : context.seed_configs) {
-            if (seen.insert(config_hash(config)).second) {
+            if (seen.insert(config).second) {
                 recorder.record(config, objective(config));
             }
         }
@@ -142,7 +141,7 @@ ExhaustiveOptimizer::minimize(const DiscreteObjective& objective,
         std::vector<int> steps(space.num_parameters(), 0);
         bool done = false;
         while (!done) {
-            if (seen.count(config_hash(steps)) == 0) {
+            if (seen.count(steps) == 0) {
                 recorder.record(steps, objective(steps));
             }
             done = true;

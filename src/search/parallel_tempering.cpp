@@ -20,18 +20,6 @@ struct Replica
     explicit Replica(std::uint64_t seed) : rng(seed) {}
 };
 
-/** Uniform random configuration from `space`. */
-std::vector<int>
-random_config(const DiscreteSpace& space, Rng& rng)
-{
-    std::vector<int> config(space.num_parameters());
-    for (std::size_t i = 0; i < config.size(); ++i) {
-        config[i] =
-            static_cast<int>(rng.uniform_int(0, space.cardinalities[i] - 1));
-    }
-    return config;
-}
-
 /** Evaluate `block` through the batch hook when available, else
  *  serially — same values either way, only the fan-out differs. */
 std::vector<double>

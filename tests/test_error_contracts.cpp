@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "chem/basis.hpp"
 #include "chem/boys.hpp"
 #include "chem/mo_integrals.hpp"
@@ -203,6 +206,59 @@ TEST(ErrorContracts, OptimizerGuards)
         bayes_opt_minimize([](const std::vector<int>&) { return 0.0; },
                            zero_card, {}),
         std::invalid_argument);
+}
+
+/** Runs `call`, which must throw std::invalid_argument whose message
+ *  names the problem (`needle`). */
+template <class Call>
+void
+expect_named_error(Call&& call, const std::string& needle)
+{
+    try {
+        call();
+        FAIL() << "no error; expected one naming \"" << needle << '"';
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(ErrorContracts, ForestRejectsBadTrainingData)
+{
+    // A short row would be read out of bounds, and a NaN breaks the
+    // sort order the splits rely on. Both are refused by name, by the
+    // forest and by a lone tree.
+    const std::vector<std::vector<double>> ragged = {{0, 1}, {1}, {2, 3}};
+    const std::vector<std::vector<double>> long_row = {{0}, {1, 2}};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::vector<double>> with_nan = {{0, 1}, {1, nan}};
+    const std::vector<std::vector<double>> with_inf = {{-inf, 1}, {1, 0}};
+    RandomForest forest;
+    DecisionTree tree;
+    Rng rng(1);
+    for (const auto* x : {&ragged, &long_row}) {
+        const std::vector<double> y(x->size(), 0.0);
+        expect_named_error([&] { forest.fit(*x, y, 1); },
+                           "ragged training rows");
+        expect_named_error([&] { tree.fit(*x, y, rng); },
+                           "ragged training rows");
+    }
+    for (const auto* x : {&with_nan, &with_inf}) {
+        const std::vector<double> y(x->size(), 0.0);
+        expect_named_error([&] { forest.fit(*x, y, 1); },
+                           "non-finite training feature");
+        expect_named_error([&] { tree.fit(*x, y, rng); },
+                           "non-finite training feature");
+    }
+
+    // A fitted model predicts only rows of its fitted width.
+    forest.fit({{0, 1}, {1, 0}, {1, 1}}, {0, 1, 2}, 1);
+    EXPECT_THROW((void)forest.predict({1.0}), std::invalid_argument);
+    EXPECT_THROW((void)forest.predict({1.0, 0.0, 0.0}),
+                 std::invalid_argument);
+    tree.fit({{0}, {1}}, {0, 1}, rng);
+    EXPECT_THROW((void)tree.predict({}), std::invalid_argument);
 }
 
 TEST(ErrorContracts, OptimizerRegistryGuards)

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "opt/bayes_opt.hpp"
+#include "opt/discrete_sampling.hpp"
 #include "opt/nelder_mead.hpp"
 #include "opt/optimizer_registry.hpp"
 #include "opt/search_baselines.hpp"
@@ -374,6 +375,35 @@ TEST(ExhaustiveSearch, RefusesUnboundedHugeSpace)
     criteria.max_evaluations = 10;
     const OptimizeOutcome r = optimizer.minimize(f, space, criteria);
     EXPECT_EQ(r.evaluations, 10u);
+}
+
+TEST(ConfigSet, CollidingHashesStayDistinct)
+{
+    // Every dedup site keys on the configuration itself. With a hasher
+    // that sends every configuration to one bucket, the set must still
+    // tell all of them apart; a set of hashes would have kept one and
+    // silently skipped the other fifteen.
+    struct CollidingHasher
+    {
+        std::size_t operator()(const std::vector<int>&) const { return 42; }
+    };
+    BasicConfigSet<CollidingHasher> seen;
+    for (int a = 0; a < 4; ++a) {
+        for (int b = 0; b < 4; ++b) {
+            EXPECT_TRUE(seen.insert({a, b}).second) << a << "," << b;
+        }
+    }
+    EXPECT_EQ(seen.size(), 16u);
+    EXPECT_FALSE(seen.insert({2, 3}).second);
+    EXPECT_EQ(seen.count({3, 3}), 1u);
+    EXPECT_EQ(seen.count({3, 4}), 0u);
+    EXPECT_EQ(seen.count({3}), 0u);
+
+    // The shared default keys the same way.
+    ConfigSet configs;
+    EXPECT_TRUE(configs.insert({1, 2}).second);
+    EXPECT_TRUE(configs.insert({2, 1}).second);
+    EXPECT_FALSE(configs.insert({1, 2}).second);
 }
 
 TEST(RandomSearch, BatchPathMatchesSerial)
