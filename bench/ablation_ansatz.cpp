@@ -27,7 +27,10 @@ evaluate_variant(const std::string& label, const Circuit& ansatz,
     // so give them the same extra budget uniformly.
     options.warmup += 50;
     options.iterations += 50;
-    const CafqaResult result = run_cafqa(ansatz, objective, options);
+    const CafqaResult result =
+        CafqaPipeline({.ansatz = ansatz, .objective = objective,
+                       .search = options})
+            .run_clifford_search();
     table.add_row({label, std::to_string(ansatz.num_params()),
                    Table::sci(std::max(result.best_energy - exact, 1e-10),
                               2),

@@ -7,7 +7,7 @@
 //   2. Candidate batching — the CAFQA warm-up phase evaluated serially
 //      vs fanned out across the thread pool with per-worker backend
 //      clones (the path `CafqaPipeline` uses via
-//      `BayesOptOptions::warmup_batch`).
+//      `SearchContext::batch`).
 //
 // Prints speedup tables; the thread-pool numbers depend on the core
 // count of the machine (expect >1.5x at 4+ cores, ~1x on 1 core).

@@ -31,8 +31,10 @@ print_panel(const std::string& molecule, double bond, std::uint64_t seed)
     // (With the HF prior injected, the search instead discovers that a
     // *different determinant* — the bond-broken configuration — is
     // near-exact for this active space; see the summary rows.)
-    const CafqaResult cafqa = run_cafqa(
-        system.ansatz, objective, cafqa_budget(system.num_qubits, seed));
+    const CafqaResult cafqa =
+        CafqaPipeline({.ansatz = system.ansatz, .objective = objective,
+                       .search = cafqa_budget(system.num_qubits, seed)})
+            .run_clifford_search();
 
     CliffordEvaluator clifford(system.ansatz);
     clifford.prepare(cafqa.best_steps);

@@ -74,9 +74,11 @@ BM_CafqaSearchH2(benchmark::State& state)
     static const auto system = problems::make_molecular_system("H2", 2.0);
     static const VqaObjective objective = problems::make_objective(system);
     for (auto _ : state) {
-        const CafqaResult r = run_cafqa(
-            system.ansatz, objective,
-            {.warmup = 50, .iterations = 50, .seed = 1});
+        const CafqaResult r =
+            CafqaPipeline({.ansatz = system.ansatz, .objective = objective,
+                           .search = {.warmup = 50, .iterations = 50,
+                                      .seed = 1}})
+                .run_clifford_search();
         benchmark::DoNotOptimize(r.best_energy);
     }
 }

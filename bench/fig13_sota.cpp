@@ -95,9 +95,11 @@ BM_RelativeAccuracyPoint(benchmark::State& state)
     static const auto system = problems::make_molecular_system("H2", 2.5);
     static const VqaObjective objective = problems::make_objective(system);
     for (auto _ : state) {
-        const CafqaResult r = run_cafqa(
-            system.ansatz, objective,
-            {.warmup = 60, .iterations = 60, .seed = 3});
+        const CafqaResult r =
+            CafqaPipeline({.ansatz = system.ansatz, .objective = objective,
+                           .search = {.warmup = 60, .iterations = 60,
+                                      .seed = 3}})
+                .run_clifford_search();
         benchmark::DoNotOptimize(r.best_energy);
     }
 }

@@ -9,7 +9,6 @@
 #include "core/evaluator.hpp"
 #include "common/table.hpp"
 #include "core/clifford_ansatz.hpp"
-#include "core/vqa_tuner.hpp"
 
 namespace {
 
@@ -49,22 +48,28 @@ print_fig14()
         VqaTunerOptions ideal = tuner;
         ideal.seed = 11;
         runs.push_back({"CAFQA noise-free",
-                        tune_vqa(system.ansatz, objective, cafqa_init,
-                                 ideal)});
+                        CafqaPipeline({.ansatz = system.ansatz,
+                                       .objective = objective, .tuner = ideal})
+                            .run_vqa_tune(cafqa_init)});
         ideal.seed = 12;
         runs.push_back({"HF noise-free",
-                        tune_vqa(system.ansatz, objective, hf_init,
-                                 ideal)});
+                        CafqaPipeline({.ansatz = system.ansatz,
+                                       .objective = objective, .tuner = ideal})
+                            .run_vqa_tune(hf_init)});
         VqaTunerOptions noisy_opts = tuner;
         noisy_opts.noise = noisy;
         noisy_opts.seed = 13;
         runs.push_back({"CAFQA noisy",
-                        tune_vqa(system.ansatz, objective, cafqa_init,
-                                 noisy_opts)});
+                        CafqaPipeline({.ansatz = system.ansatz,
+                                       .objective = objective,
+                                       .tuner = noisy_opts})
+                            .run_vqa_tune(cafqa_init)});
         noisy_opts.seed = 14;
         runs.push_back({"HF noisy",
-                        tune_vqa(system.ansatz, objective, hf_init,
-                                 noisy_opts)});
+                        CafqaPipeline({.ansatz = system.ansatz,
+                                       .objective = objective,
+                                       .tuner = noisy_opts})
+                            .run_vqa_tune(hf_init)});
     }
 
     Table trace("Energy vs tuning iteration (Hartree)");

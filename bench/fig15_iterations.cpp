@@ -31,8 +31,9 @@ run_problem(const std::string& key, std::uint64_t seed)
 {
     const auto problem = problems::make_problem(key);
     const CafqaResult result =
-        run_cafqa(problem.ansatz, problem.objective,
-                  cafqa_budget(problem.num_qubits, seed));
+        CafqaPipeline({.ansatz = problem.ansatz, .objective = problem.objective,
+                       .search = cafqa_budget(problem.num_qubits, seed)})
+            .run_clifford_search();
     return ProblemRun{problem.name, result.num_parameters,
                       result.evaluations_to_best, result.best_energy};
 }
@@ -73,9 +74,11 @@ print_fig15()
     {
         const auto qaoa = problems::make_problem(
             "maxcut:ring-10?ansatz=qaoa&layers=2");
-        const CafqaResult result = run_cafqa(
-            qaoa.ansatz, qaoa.objective,
-            {.warmup = 32, .iterations = 64, .seed = seed + 2});
+        const CafqaResult result =
+            CafqaPipeline({.ansatz = qaoa.ansatz, .objective = qaoa.objective,
+                           .search = {.warmup = 32, .iterations = 64,
+                                      .seed = seed + 2}})
+                .run_clifford_search();
         runs.push_back(ProblemRun{"ring10-QAOA(p=2)",
                                   result.num_parameters,
                                   result.evaluations_to_best,

@@ -148,16 +148,15 @@ fit_sto_ng(int n, int l, int num_gaussians)
         return -overlap_for(log_alpha, nullptr);
     };
 
-    OptimizeResult best{};
+    OptimizeOutcome best{};
     for (int restart = 0; restart < 3; ++restart) {
         std::vector<double> x0 = start;
         for (auto& v : x0) {
             v += 0.4 * restart;
         }
-        OptimizeResult r = nelder_mead(
-            objective, x0,
+        OptimizeOutcome r = NelderMeadOptimizer(
             {.max_evaluations = 4000, .f_tolerance = 1e-13,
-             .initial_step = 0.4});
+             .initial_step = 0.4}).minimize(objective, x0);
         if (restart == 0 || r.best_value < best.best_value) {
             best = std::move(r);
         }

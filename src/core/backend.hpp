@@ -115,10 +115,6 @@ class ContinuousBackend : public Backend
     std::unique_ptr<ContinuousBackend> clone_continuous() const;
 };
 
-/** Deprecated pre-registry name for the continuous base, kept so older
- *  call sites (`ExpectationBackend`) continue to compile. */
-using ExpectationBackend = ContinuousBackend;
-
 } // namespace cafqa
 
 #endif // CAFQA_CORE_BACKEND_HPP

@@ -1,26 +1,20 @@
 /**
  * @file
- * CAFQA search result/option types and the legacy free-function entry
- * points (paper Section 3, red box of Fig. 4): Bayesian optimization
- * over the discrete Clifford parameter space, with every candidate
- * evaluated exactly and noise-free by the stabilizer simulator.
- *
- * The free functions below are thin deprecated shims over the
- * `CafqaPipeline` facade (`core/pipeline.hpp`), kept so existing call
- * sites keep working; new code should drive the pipeline directly (it
- * adds stage observers, backend selection through the registry, and
- * thread-pool batched candidate evaluation).
+ * CAFQA search option and result types (paper Section 3, red box of
+ * Fig. 4): the budget of the discrete Clifford search and the
+ * initializations it produces. The search itself runs through the
+ * `CafqaPipeline` facade (`core/pipeline.hpp`).
  */
 #ifndef CAFQA_CORE_CAFQA_DRIVER_HPP
 #define CAFQA_CORE_CAFQA_DRIVER_HPP
 
 #include "circuit/circuit.hpp"
-#include "core/objective.hpp"
-#include "opt/bayes_opt.hpp"
+#include "opt/optimizer.hpp"
 
 namespace cafqa {
 
-/** CAFQA search controls (forwarded to the Bayesian optimizer). */
+/** CAFQA search-stage controls. The algorithm knobs of the search
+ *  strategy live in `PipelineConfig::search_optimizer`. */
 struct CafqaOptions
 {
     /** Random warm-up evaluations (paper Fig. 7 uses 1000). */
@@ -34,9 +28,7 @@ struct CafqaOptions
      *  Seeding the Hartree-Fock point guarantees CAFQA never returns a
      *  state worse than the HF baseline — the paper's "equal to or
      *  better than" property. */
-    std::vector<std::vector<int>> seed_steps;
-    /** Forwarded knobs for the underlying optimizer. */
-    BayesOptOptions bayes;
+    std::vector<std::vector<int>> seed_steps{};
 };
 
 /** Search outcome: the Clifford initialization for subsequent VQA. */
@@ -80,49 +72,6 @@ struct TBoostResult
     /** The ansatz with the accepted T gates inserted. */
     Circuit circuit;
 };
-
-/**
- * Combined result of the legacy `run_cafqa_kt` shim: the Clifford-only
- * stage plus the T-boost stage. (The boost fields used to be duplicated
- * at the top level; they now live only in `boost`.)
- */
-struct CafqaKtResult
-{
-    /** Clifford-only stage outcome. */
-    CafqaResult base;
-    /** T-boost stage outcome (echoes the base point when empty). */
-    TBoostResult boost;
-};
-
-/**
- * Run the CAFQA Clifford search for an objective over an ansatz.
- * Deprecated shim over `CafqaPipeline::run_clifford_search`.
- */
-CafqaResult run_cafqa(const Circuit& ansatz, const VqaObjective& objective,
-                      const CafqaOptions& options = {});
-
-/**
- * Exhaustive enumeration of the 4^num_params Clifford space — tractable
- * for small ansatze (<= 12 parameters) and used to certify that the
- * Bayesian search found the true Clifford optimum. Fanned out across
- * the shared thread pool with per-worker backend clones; the result is
- * identical to a serial ascending scan (first code achieving the
- * minimum wins).
- */
-CafqaResult exhaustive_clifford_search(const Circuit& ansatz,
-                                       const VqaObjective& objective);
-
-/**
- * Clifford + k T-gates extension (paper Section 8 / Fig. 16): greedily
- * insert up to `max_t_gates` T gates after rotation slots, re-running a
- * (shorter) Clifford-parameter search for each accepted insertion. Each
- * candidate is evaluated with the exact branch decomposition.
- * Deprecated shim over `CafqaPipeline::run_t_boost`.
- */
-CafqaKtResult run_cafqa_kt(const Circuit& ansatz,
-                           const VqaObjective& objective,
-                           std::size_t max_t_gates,
-                           const CafqaOptions& options = {});
 
 } // namespace cafqa
 

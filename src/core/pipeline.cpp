@@ -102,14 +102,14 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
                                std::string_view stage)
 {
     // The stage budget knobs map onto the configured strategy: "bayes"
-    // consumes them as its warm-up/model split (bit-identical to the
-    // pre-registry path); every other strategy receives the same total
-    // evaluation budget through the stopping criteria.
+    // consumes them as its warm-up/model split (its other knobs stay as
+    // the caller set them in `search_optimizer.bayes`); every other
+    // strategy receives the same total evaluation budget through the
+    // stopping criteria.
     OptimizerConfig optimizer_config = config_.search_optimizer;
     if (optimizer_config.seed == 0) {
         optimizer_config.seed = options.seed;
     }
-    optimizer_config.bayes = options.bayes;
     optimizer_config.bayes.warmup = options.warmup;
     optimizer_config.bayes.iterations = options.iterations;
     optimizer_config.bayes.seed = options.seed;
@@ -229,7 +229,6 @@ t_round_options(const CafqaOptions& options,
     // Prior-inject the incumbent Clifford assignment so a T insertion
     // can only be accepted when it genuinely improves on it.
     reduced.seed_steps = {incumbent_steps};
-    reduced.bayes.seed_configs.clear();
     return reduced;
 }
 

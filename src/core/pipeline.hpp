@@ -86,17 +86,24 @@ struct PipelineEvent
 /** Observer callback; invoked synchronously from the running stage. */
 using PipelineObserver = std::function<void(const PipelineEvent&)>;
 
-/** Everything the pipeline needs up front. */
+/** Everything the pipeline needs up front. Every field after the
+ *  ansatz and objective has a default member initializer, so a
+ *  designated initializer names only what it sets:
+ *  `CafqaPipeline({.ansatz = a, .objective = o, .search = s})`. (The
+ *  string-holding option structs are initialized by a call rather than
+ *  by `{}`: GCC 12 reports a false -Wmaybe-uninitialized at callers
+ *  for the `{}` form.) */
 struct PipelineConfig
 {
     /** The parameterized (Clifford) ansatz circuit. */
     Circuit ansatz;
     /** Hamiltonian + constraint penalties. */
     VqaObjective objective;
-    /** Discrete-search budget (warm-up, iterations, seeds, ...). */
-    CafqaOptions search;
+    /** Discrete-search stage budget: warm-up, iterations, seed, stall
+     *  limit and prior seeds. */
+    CafqaOptions search{};
     /** Continuous-stage controls (SPSA budget, noise, backend kind). */
-    VqaTunerOptions tuner;
+    VqaTunerOptions tuner = VqaTunerOptions();
     /** Worker threads for batched candidate evaluation; 0 uses the
      *  process-wide shared pool (sized to the hardware). */
     std::size_t threads = 0;
@@ -105,11 +112,12 @@ struct PipelineConfig
     /** Discrete search strategy (any optimizer-registry kind that
      *  minimizes over a `DiscreteSpace`); "bayes" reproduces the
      *  paper. The stage budget (`search.warmup + search.iterations`)
-     *  and `search.seed` apply to every strategy. Note: the default
-     *  strategy's algorithm knobs live in `search.bayes` (this config's
-     *  own `bayes` field is replaced by it); the other option fields
-     *  (`anneal`, `random`, ...) are forwarded untouched. */
-    OptimizerConfig search_optimizer;
+     *  and `search.seed` apply to every strategy; "bayes" takes its
+     *  warm-up/model split, seed and stall limit from `search` and
+     *  every other knob (candidate pool, forest, ...) from
+     *  `search_optimizer.bayes`. The other option fields (`anneal`,
+     *  `random`, ...) are forwarded untouched. */
+    OptimizerConfig search_optimizer = optimizer_config("bayes");
     /** Continuous tuning strategy (any optimizer-registry kind that
      *  minimizes from an `x0`); "spsa" reproduces the paper. As above,
      *  the default strategy's knobs live in `tuner.spsa` (this config's
@@ -120,7 +128,7 @@ struct PipelineConfig
      *  early exit (e.g. exact energy + chemical accuracy), wall-clock
      *  budget, patience. A zero `max_evaluations` defers to the stage
      *  budgets above. */
-    StoppingCriteria stopping;
+    StoppingCriteria stopping{};
     /** Memoizing evaluation cache (`core/caching_backend.hpp`). When
      *  `cache.enabled`, every stage backend — discrete search, T-boost
      *  rounds, continuous tuner — is wrapped so re-visited points skip
@@ -130,7 +138,7 @@ struct PipelineConfig
      *  results are bit-identical to the uncached run; setting
      *  `unique_budget` additionally makes `stopping.max_evaluations`
      *  count unique points only. */
-    CacheOptions cache;
+    CacheOptions cache{};
     /**
      * Cross-run shared evaluation cache (the job server's process-wide
      * cache). When set, every stage backend is wrapped over this cache
@@ -142,7 +150,7 @@ struct PipelineConfig
      * StageEnd cache stats then report the shared cache's global
      * counters.
      */
-    std::shared_ptr<EvaluationCache> shared_cache;
+    std::shared_ptr<EvaluationCache> shared_cache{};
 };
 
 /**

@@ -2,22 +2,7 @@
 
 #include <algorithm>
 
-#include "core/pipeline.hpp"
-
 namespace cafqa {
-
-VqaTuneResult
-tune_vqa(const Circuit& ansatz, const VqaObjective& objective,
-         const std::vector<double>& initial_params,
-         const VqaTunerOptions& options)
-{
-    PipelineConfig config;
-    config.ansatz = ansatz;
-    config.objective = objective;
-    config.tuner = options;
-    CafqaPipeline pipeline(std::move(config));
-    return pipeline.run_vqa_tune(initial_params);
-}
 
 std::size_t
 iterations_to_converge(const std::vector<double>& trace, double tolerance)

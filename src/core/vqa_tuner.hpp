@@ -59,14 +59,6 @@ struct VqaTuneResult
 };
 
 /**
- * Tune the ansatz parameters starting from `initial_params`.
- * Deprecated shim over `CafqaPipeline::run_vqa_tune`.
- */
-VqaTuneResult tune_vqa(const Circuit& ansatz, const VqaObjective& objective,
-                       const std::vector<double>& initial_params,
-                       const VqaTunerOptions& options = {});
-
-/**
  * Convergence metric for Fig. 14: the number of tuning steps until the
  * trace value is within `tolerance` of the eventual best. `trace[0]`
  * is the start point (0 steps), so an initialization already within

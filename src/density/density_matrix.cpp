@@ -11,17 +11,6 @@ namespace {
 
 constexpr std::size_t max_density_qubits = 12;
 
-std::complex<double>
-i_power(std::uint8_t k)
-{
-    switch (k & 3) {
-      case 0: return {1.0, 0.0};
-      case 1: return {0.0, 1.0};
-      case 2: return {-1.0, 0.0};
-      default: return {0.0, -1.0};
-    }
-}
-
 } // namespace
 
 DensityMatrix::DensityMatrix(std::size_t num_qubits)
@@ -156,7 +145,7 @@ DensityMatrix::conjugate_pauli(const PauliString& pauli)
                                                      : pauli.z_words()[0];
     auto weight = [&](std::uint64_t b) -> std::complex<double> {
         const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
-        return i_power(pauli.phase_exponent()) * sign;
+        return PauliString::i_power(pauli.phase_exponent()) * sign;
     };
     std::vector<std::complex<double>> out(rho_.size());
     for (std::size_t r = 0; r < dim_; ++r) {
@@ -256,7 +245,7 @@ DensityMatrix::expectation(const PauliString& pauli) const
         const double sign = (std::popcount(k & zm) & 1) ? -1.0 : 1.0;
         total += sign * rho_[k * dim_ + (k ^ xm)];
     }
-    return i_power(pauli.phase_exponent()) * total;
+    return PauliString::i_power(pauli.phase_exponent()) * total;
 }
 
 double

@@ -31,24 +31,11 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
                          const SearchContext& context)
 {
     validate_space(space);
-    validate_seed_configs(options_.seed_configs, space);
     validate_seed_configs(context.seed_configs, space);
     const BayesOptOptions& options = options_;
     Rng rng(options.seed);
-
-    ProgressCallback progress;
-    if (options.progress || context.progress) {
-        progress = [&options, &context](std::size_t evaluation,
-                                        double best) {
-            if (options.progress) {
-                options.progress(evaluation, best);
-            }
-            if (context.progress) {
-                context.progress(evaluation, best);
-            }
-        };
-    }
-    OutcomeRecorder recorder(criteria, criteria.max_evaluations, progress);
+    OutcomeRecorder recorder(criteria, criteria.max_evaluations,
+                             context.progress);
 
     // `seen` owns each evaluated configuration once; `configs` points
     // into it (set elements never move) in evaluation order.
@@ -68,19 +55,13 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
         record(config, objective(config));
     };
 
-    const DiscreteBatchEvaluator& batch =
-        context.batch ? context.batch : options.warmup_batch;
-
     StopReason reason = StopReason::BudgetExhausted;
     try {
         // ---- Prior injection: caller-provided configurations first
-        //      (the options' own seeds, then the context's). ----
-        for (const auto* seeds : {&options.seed_configs,
-                                  &context.seed_configs}) {
-            for (const auto& config : *seeds) {
-                if (seen.count(config) == 0) {
-                    evaluate(config);
-                }
+        //      (duplicates evaluated once). ----
+        for (const auto& config : context.seed_configs) {
+            if (seen.count(config) == 0) {
+                evaluate(config);
             }
         }
 
@@ -95,7 +76,7 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
         //      unchanged. ----
         const std::size_t warmup =
             std::min(options.warmup, recorder.remaining_budget());
-        if (batch && warmup > 0) {
+        if (context.batch && warmup > 0) {
             // Batched path: generate the whole block first (same
             // RNG/dedup draws as the serial loop — each config is marked
             // seen before the next is drawn), evaluate it in one call,
@@ -115,9 +96,9 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
                 seen.insert(config);
                 block.push_back(std::move(config));
             }
-            const std::vector<double> block_values = batch(block);
+            const std::vector<double> block_values = context.batch(block);
             CAFQA_REQUIRE(block_values.size() == block.size(),
-                          "warmup_batch returned wrong value count");
+                          "batch evaluator returned wrong value count");
             for (std::size_t w = 0; w < block.size(); ++w) {
                 record(block[w], block_values[w]);
             }
@@ -236,14 +217,6 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
     }
 
     return recorder.finish(reason);
-}
-
-BayesOptResult
-bayes_opt_minimize(
-    const std::function<double(const std::vector<int>&)>& objective,
-    const DiscreteSpace& space, const BayesOptOptions& options)
-{
-    return BayesOptimizer(options).minimize(objective, space);
 }
 
 } // namespace cafqa

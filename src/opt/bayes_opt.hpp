@@ -10,12 +10,15 @@
  * period").
  *
  * `BayesOptimizer` is the `DiscreteOptimizer` implementation (registry
- * key "bayes"); `bayes_opt_minimize` remains as a thin shim.
+ * key "bayes"). Prior seeds, progress reporting and the batched warm-up
+ * evaluator arrive through `SearchContext`: the warm-up block is
+ * generated with the same RNG/dedup draws as the serial path and
+ * recorded in generation order, so fanning it out through
+ * `SearchContext::batch` leaves the trajectory bit-identical.
  */
 #ifndef CAFQA_OPT_BAYES_OPT_HPP
 #define CAFQA_OPT_BAYES_OPT_HPP
 
-#include <functional>
 #include <vector>
 
 #include "opt/optimizer.hpp"
@@ -42,37 +45,10 @@ struct BayesOptOptions
     double epsilon_random = 0.05;
     /** Forest refit cadence (1 = every iteration). */
     std::size_t refit_every = 1;
-    ForestOptions forest;
+    ForestOptions forest{};
     /** Stop early after this many non-improving iterations (0 = off). */
     std::size_t stall_limit = 0;
-    /** Configurations evaluated before the random warm-up (prior
-     *  injection — e.g. the Hartree-Fock point, which guarantees the
-     *  search result never falls behind the HF baseline). Merged with
-     *  `SearchContext::seed_configs` (options first, duplicates
-     *  skipped). */
-    std::vector<std::vector<int>> seed_configs;
-    /** Optional progress callback (evaluation index, current best);
-     *  invoked in addition to `SearchContext::progress`. */
-    std::function<void(std::size_t, double)> progress;
-    /**
-     * Optional batched evaluator for the warm-up phase: given a block of
-     * configurations, return their objective values in order. The warm-up
-     * configurations are generated up front with the same RNG/dedup
-     * sequence as the serial path and the results are recorded in
-     * generation order, so the search trajectory is bit-identical to the
-     * serial path — but the block can be fanned out across a thread pool
-     * (the objective must then be safe to evaluate concurrently, e.g. on
-     * per-thread backend clones). `SearchContext::batch` takes
-     * precedence when both are set.
-     */
-    std::function<std::vector<double>(const std::vector<std::vector<int>>&)>
-        warmup_batch;
 };
-
-/** Deprecated alias kept for one release; use `OptimizeOutcome`.
- *  (`best_config`, `best_value`, `history`, `best_trace` and
- *  `evaluations_to_best` carry over unchanged.) */
-using BayesOptResult = OptimizeOutcome;
 
 /** Random-forest Bayesian optimization (registry key "bayes"). */
 class BayesOptimizer final : public DiscreteOptimizer
@@ -90,12 +66,6 @@ class BayesOptimizer final : public DiscreteOptimizer
   private:
     BayesOptOptions options_;
 };
-
-/** Minimize `objective` over the discrete space. Deprecated shim over
- *  `BayesOptimizer`. */
-BayesOptResult bayes_opt_minimize(
-    const std::function<double(const std::vector<int>&)>& objective,
-    const DiscreteSpace& space, const BayesOptOptions& options = {});
 
 } // namespace cafqa
 

@@ -116,11 +116,4 @@ NelderMeadOptimizer::minimize(const ContinuousObjective& objective,
     return recorder.finish(reason);
 }
 
-OptimizeResult
-nelder_mead(const std::function<double(const std::vector<double>&)>& objective,
-            std::vector<double> x0, const NelderMeadOptions& options)
-{
-    return NelderMeadOptimizer(options).minimize(objective, std::move(x0));
-}
-
 } // namespace cafqa

@@ -7,7 +7,6 @@
 #ifndef CAFQA_OPT_NELDER_MEAD_HPP
 #define CAFQA_OPT_NELDER_MEAD_HPP
 
-#include <functional>
 #include <vector>
 
 #include "opt/optimizer.hpp"
@@ -25,10 +24,6 @@ struct NelderMeadOptions
     double initial_step = 0.5;
 };
 
-/** Deprecated alias kept for one release; use `OptimizeOutcome`
- *  (`x` -> `best_x`, `f` -> `best_value`). */
-using OptimizeResult = OptimizeOutcome;
-
 /** Downhill simplex minimization (registry key "nelder-mead"). */
 class NelderMeadOptimizer final : public ContinuousOptimizer
 {
@@ -45,12 +40,6 @@ class NelderMeadOptimizer final : public ContinuousOptimizer
   private:
     NelderMeadOptions options_;
 };
-
-/** Minimize `objective` starting from `x0`. Deprecated shim over
- *  `NelderMeadOptimizer`. */
-OptimizeResult
-nelder_mead(const std::function<double(const std::vector<double>&)>& objective,
-            std::vector<double> x0, const NelderMeadOptions& options = {});
 
 } // namespace cafqa
 

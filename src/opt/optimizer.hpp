@@ -168,20 +168,20 @@ using DiscreteBatchEvaluator =
 struct SearchContext
 {
     /** Invoked after every recorded evaluation. */
-    ProgressCallback progress;
+    ProgressCallback progress{};
     /** Discrete configurations evaluated before the strategy's own
      *  exploration (prior injection, e.g. the Hartree-Fock point). */
-    std::vector<std::vector<int>> seed_configs;
+    std::vector<std::vector<int>> seed_configs{};
     /** Batched evaluator for block-generated candidates (Bayesian
-     *  warm-up, random search); the trajectory must stay identical to
-     *  the serial path, only the fan-out changes. */
-    DiscreteBatchEvaluator batch;
+     *  warm-up, random search, exhaustive scan); the trajectory must
+     *  stay identical to the serial path, only the fan-out changes. */
+    DiscreteBatchEvaluator batch{};
     /** Mints an independent, thread-safe equivalent of the objective
      *  (the pipeline returns one wrapping a `clone()`d backend, so
      *  clones share the memoizing cache). Lets concurrent strategies
      *  (`search/portfolio.hpp`) evaluate in parallel; without it they
      *  serialize calls to the plain objective. */
-    std::function<DiscreteObjective()> objective_factory;
+    std::function<DiscreteObjective()> objective_factory{};
 };
 
 /** Root of the optimizer hierarchy (see the registry for keys). */

@@ -8,6 +8,35 @@
 
 namespace cafqa {
 
+namespace {
+
+/** Candidates generated (and batch-evaluated) per block: bounds the
+ *  block allocation on huge budgets and spaces. */
+constexpr std::size_t kChunk = 4096;
+
+/** Record `block` in order, evaluated through `context.batch` when set
+ *  (values must come back in block order) or serially otherwise. */
+void
+record_block(const std::vector<std::vector<int>>& block,
+             const DiscreteObjective& objective, const SearchContext& context,
+             OutcomeRecorder& recorder)
+{
+    if (context.batch) {
+        const std::vector<double> values = context.batch(block);
+        CAFQA_REQUIRE(values.size() == block.size(),
+                      "batch evaluator returned wrong value count");
+        for (std::size_t s = 0; s < block.size(); ++s) {
+            recorder.record(block[s], values[s]);
+        }
+    } else {
+        for (const auto& config : block) {
+            recorder.record(config, objective(config));
+        }
+    }
+}
+
+} // namespace
+
 RandomSearchOptimizer::RandomSearchOptimizer(RandomSearchOptions options)
     : options_(options)
 {
@@ -35,8 +64,6 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
     // evaluated serially or through `context.batch`, so the trajectory
     // is identical either way — and a huge evaluation budget never
     // materializes as one huge allocation.
-    constexpr std::size_t kChunk = 4096;
-
     ConfigSet seen;
     std::size_t dry_chunks = 0;
     try {
@@ -86,18 +113,7 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
                 continue;
             }
             dry_chunks = 0;
-            if (context.batch) {
-                const std::vector<double> values = context.batch(block);
-                CAFQA_REQUIRE(values.size() == block.size(),
-                              "batch evaluator returned wrong value count");
-                for (std::size_t s = 0; s < block.size(); ++s) {
-                    recorder.record(block[s], values[s]);
-                }
-            } else {
-                for (const auto& config : block) {
-                    recorder.record(config, objective(config));
-                }
-            }
+            record_block(block, objective, context, recorder);
         }
     } catch (const OutcomeRecorder::EarlyStop&) {
         // A stopping criterion fired; the recorder holds the reason.
@@ -128,9 +144,12 @@ ExhaustiveOptimizer::minimize(const DiscreteObjective& objective,
 
     try {
         // Seeds first (gives target-value exits a strong start), then an
-        // ascending odometer scan skipping the already-evaluated seeds
-        // (same dedup set as the sampling strategies; duplicate seeds
-        // are evaluated once).
+        // ascending odometer scan (coordinate 0 fastest) skipping the
+        // already-evaluated seeds (same dedup set as the sampling
+        // strategies; duplicate seeds are evaluated once). The scan runs
+        // in bounded chunks recorded in scan order, so fanning a chunk
+        // out through `context.batch` changes neither the trajectory nor
+        // the first-minimum tie-break.
         ConfigSet seen;
         for (const auto& config : context.seed_configs) {
             if (seen.insert(config).second) {
@@ -139,19 +158,26 @@ ExhaustiveOptimizer::minimize(const DiscreteObjective& objective,
         }
 
         std::vector<int> steps(space.num_parameters(), 0);
+        std::vector<std::vector<int>> block;
         bool done = false;
         while (!done) {
-            if (seen.count(steps) == 0) {
-                recorder.record(steps, objective(steps));
-            }
-            done = true;
-            for (std::size_t i = 0; i < steps.size(); ++i) {
-                if (++steps[i] < space.cardinalities[i]) {
-                    done = false;
-                    break;
+            block.clear();
+            const std::size_t chunk =
+                std::min(recorder.remaining_budget(), kChunk);
+            while (!done && block.size() < chunk) {
+                if (seen.count(steps) == 0) {
+                    block.push_back(steps);
                 }
-                steps[i] = 0;
+                done = true;
+                for (std::size_t i = 0; i < steps.size(); ++i) {
+                    if (++steps[i] < space.cardinalities[i]) {
+                        done = false;
+                        break;
+                    }
+                    steps[i] = 0;
+                }
             }
+            record_block(block, objective, context, recorder);
         }
     } catch (const OutcomeRecorder::EarlyStop&) {
         // A stopping criterion fired; the recorder holds the reason.

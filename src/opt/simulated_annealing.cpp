@@ -100,12 +100,4 @@ SimulatedAnnealingOptimizer::minimize(const DiscreteObjective& objective,
     return recorder.finish(StopReason::BudgetExhausted);
 }
 
-OptimizeOutcome
-simulated_annealing_minimize(
-    const std::function<double(const std::vector<int>&)>& objective,
-    const DiscreteSpace& space, const AnnealingOptions& options)
-{
-    return SimulatedAnnealingOptimizer(options).minimize(objective, space);
-}
-
 } // namespace cafqa

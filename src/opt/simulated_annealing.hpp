@@ -6,13 +6,11 @@
  * (Section 5).
  *
  * `SimulatedAnnealingOptimizer` is the `DiscreteOptimizer`
- * implementation (registry key "anneal"); the free function remains as
- * a thin shim.
+ * implementation (registry key "anneal").
  */
 #ifndef CAFQA_OPT_SIMULATED_ANNEALING_HPP
 #define CAFQA_OPT_SIMULATED_ANNEALING_HPP
 
-#include <functional>
 
 #include "opt/optimizer.hpp"
 
@@ -50,16 +48,6 @@ class SimulatedAnnealingOptimizer final : public DiscreteOptimizer
   private:
     AnnealingOptions options_;
 };
-
-/**
- * Minimize `objective` over a discrete space with geometric-cooling
- * Metropolis annealing. Deprecated shim over
- * `SimulatedAnnealingOptimizer`; returns the shared `OptimizeOutcome`
- * so the strategies stay directly comparable.
- */
-OptimizeOutcome simulated_annealing_minimize(
-    const std::function<double(const std::vector<int>&)>& objective,
-    const DiscreteSpace& space, const AnnealingOptions& options = {});
 
 } // namespace cafqa
 

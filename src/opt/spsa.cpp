@@ -66,11 +66,4 @@ SpsaOptimizer::minimize(const ContinuousObjective& objective,
     return recorder.finish(StopReason::BudgetExhausted);
 }
 
-SpsaResult
-spsa_minimize(const std::function<double(const std::vector<double>&)>& objective,
-              std::vector<double> x0, const SpsaOptions& options)
-{
-    return SpsaOptimizer(options).minimize(objective, std::move(x0));
-}
-
 } // namespace cafqa

@@ -13,7 +13,6 @@
 #define CAFQA_OPT_SPSA_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "opt/optimizer.hpp"
@@ -31,11 +30,6 @@ struct SpsaOptions
     double stability = 10.0; ///< A in a_k = a / (k + 1 + A)^alpha
     std::uint64_t seed = 1234;
 };
-
-/** Deprecated alias kept for one release; use `OptimizeOutcome`
- *  (`x` -> `best_x`, `f` -> `best_value`; the per-iteration trace is
- *  `history`, whose first entry is the start-point value). */
-using SpsaResult = OptimizeOutcome;
 
 /**
  * SPSA minimization (registry key "spsa"). Each iteration makes three
@@ -58,12 +52,6 @@ class SpsaOptimizer final : public ContinuousOptimizer
   private:
     SpsaOptions options_;
 };
-
-/** Minimize a (possibly stochastic) objective from `x0`. Deprecated
- *  shim over `SpsaOptimizer`. */
-SpsaResult
-spsa_minimize(const std::function<double(const std::vector<double>&)>& objective,
-              std::vector<double> x0, const SpsaOptions& options = {});
 
 } // namespace cafqa
 

@@ -14,17 +14,6 @@ word_count(std::size_t num_qubits)
     return (num_qubits + 63) / 64;
 }
 
-std::complex<double>
-i_power(std::uint8_t k)
-{
-    switch (k & 3) {
-      case 0: return {1.0, 0.0};
-      case 1: return {0.0, 1.0};
-      case 2: return {-1.0, 0.0};
-      default: return {0.0, -1.0};
-    }
-}
-
 std::size_t
 popcount_and(const std::vector<std::uint64_t>& a,
              const std::vector<std::uint64_t>& b)

@@ -57,6 +57,17 @@ class PauliString
     void set_phase_exponent(std::uint8_t k) { phase_ = k & 3; }
     /** Multiply the global phase by i^k. */
     void mul_phase(std::uint8_t k) { phase_ = (phase_ + k) & 3; }
+    /** i^k as a complex number (k taken mod 4), e.g.
+     *  `i_power(p.phase_exponent())` is the phase factor of `p`. */
+    static std::complex<double> i_power(std::uint8_t k)
+    {
+        switch (k & 3) {
+          case 0: return {1.0, 0.0};
+          case 1: return {0.0, 1.0};
+          case 2: return {-1.0, 0.0};
+          default: return {0.0, -1.0};
+        }
+    }
 
     /** Number of non-identity letters. */
     std::size_t weight() const;

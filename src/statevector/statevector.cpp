@@ -12,17 +12,6 @@ namespace {
 
 constexpr std::size_t max_statevector_qubits = 28;
 
-Complex
-i_power(std::uint8_t k)
-{
-    switch (k & 3) {
-      case 0: return {1.0, 0.0};
-      case 1: return {0.0, 1.0};
-      case 2: return {-1.0, 0.0};
-      default: return {0.0, -1.0};
-    }
-}
-
 std::uint64_t
 first_word_mask(const std::vector<std::uint64_t>& words)
 {
@@ -198,7 +187,7 @@ Statevector::apply_pauli(const PauliString& pauli)
                   "operator qubit count mismatch");
     const std::uint64_t xm = first_word_mask(pauli.x_words());
     const std::uint64_t zm = first_word_mask(pauli.z_words());
-    const Complex phase = i_power(pauli.phase_exponent());
+    const Complex phase = PauliString::i_power(pauli.phase_exponent());
 
     auto z_sign = [zm](std::uint64_t b) {
         return (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
@@ -229,7 +218,7 @@ Statevector::expectation(const PauliString& pauli) const
                   "operator qubit count mismatch");
     const std::uint64_t xm = first_word_mask(pauli.x_words());
     const std::uint64_t zm = first_word_mask(pauli.z_words());
-    const Complex phase = i_power(pauli.phase_exponent());
+    const Complex phase = PauliString::i_power(pauli.phase_exponent());
 
     Complex total{0.0, 0.0};
     for (std::uint64_t b = 0; b < amplitudes_.size(); ++b) {
@@ -292,7 +281,8 @@ accumulate_apply(const PauliSum& op, const std::vector<Complex>& x,
         const std::uint64_t xm = first_word_mask(term.string.x_words());
         const std::uint64_t zm = first_word_mask(term.string.z_words());
         const Complex w =
-            term.coefficient * i_power(term.string.phase_exponent());
+            term.coefficient *
+            PauliString::i_power(term.string.phase_exponent());
         for (std::uint64_t b = 0; b < x.size(); ++b) {
             const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
             y[b ^ xm] += w * sign * x[b];

@@ -7,11 +7,11 @@
 
 #include "circuit/efficient_su2.hpp"
 #include "common/rng.hpp"
-#include "core/cafqa_driver.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/evaluator.hpp"
 #include "core/hartree_fock_baseline.hpp"
-#include "core/vqa_tuner.hpp"
+#include "core/pipeline.hpp"
+#include "exhaustive_search.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/molecule_factory.hpp"
 #include "statevector/lanczos.hpp"
@@ -74,9 +74,10 @@ TEST(CafqaDriver, SolvesXxMicrobenchmark)
     // The 1-parameter Fig. 5 problem: 4 Clifford points, minimum -1.
     VqaObjective objective;
     objective.hamiltonian = PauliSum::from_terms(2, {{1.0, "XX"}});
-    const CafqaResult result = run_cafqa(
-        make_microbenchmark_ansatz(), objective,
-        {.warmup = 4, .iterations = 4, .seed = 1});
+    const CafqaResult result = CafqaPipeline(
+        {.ansatz = make_microbenchmark_ansatz(), .objective = objective,
+         .search = {.warmup = 4, .iterations = 4, .seed = 1}})
+        .run_clifford_search();
     EXPECT_NEAR(result.best_energy, -1.0, 1e-12);
     EXPECT_EQ(result.best_steps.size(), 1u);
     EXPECT_EQ(result.best_steps[0], 3);
@@ -88,9 +89,10 @@ TEST(CafqaDriver, H2BeatsOrMatchesHartreeFock)
     for (const double bond : {0.74, 2.2}) {
         const auto system = make_molecular_system("H2", bond);
         const VqaObjective objective = problems::make_objective(system);
-        const CafqaResult result = run_cafqa(
-            system.ansatz, objective,
-            {.warmup = 120, .iterations = 120, .seed = 7});
+        const CafqaResult result = CafqaPipeline(
+            {.ansatz = system.ansatz, .objective = objective,
+             .search = {.warmup = 120, .iterations = 120, .seed = 7}})
+            .run_clifford_search();
 
         EXPECT_LE(result.best_energy, system.hf_energy + 1e-9)
             << "bond " << bond;
@@ -120,8 +122,10 @@ TEST(CafqaDriver, CationSectorWithNumberConstraint)
     EXPECT_EQ(h2p.n_beta, 0);
 
     const VqaObjective objective = problems::make_objective(h2p, 4.0, 4.0);
-    const CafqaResult result = run_cafqa(
-        h2p.ansatz, objective, {.warmup = 100, .iterations = 100, .seed = 3});
+    const CafqaResult result = CafqaPipeline(
+        {.ansatz = h2p.ansatz, .objective = objective,
+         .search = {.warmup = 100, .iterations = 100, .seed = 3}})
+        .run_clifford_search();
 
     // The cation must sit above the neutral ground state (H2 does not
     // spontaneously ionize, paper Section 7.1.1).
@@ -145,8 +149,9 @@ TEST(CafqaDriver, HfSeedGuaranteesNoWorseThanHartreeFock)
     CafqaOptions options{.warmup = 10, .iterations = 10, .seed = 1};
     options.seed_steps.push_back(efficient_su2_bitstring_steps(
         system.num_qubits, system.hf_bits));
-    const CafqaResult result =
-        run_cafqa(system.ansatz, objective, options);
+    const CafqaResult result = CafqaPipeline(
+        {.ansatz = system.ansatz, .objective = objective, .search = options})
+        .run_clifford_search();
     EXPECT_LE(result.best_energy, system.hf_energy + 1e-9);
 }
 
@@ -156,10 +161,11 @@ TEST(CafqaDriver, BayesianSearchMatchesExhaustiveOptimumOnH2)
     const auto system = problems::make_molecular_system("H2", 2.2);
     const VqaObjective objective = problems::make_objective(system);
     const CafqaResult exhaustive =
-        exhaustive_clifford_search(system.ansatz, objective);
-    const CafqaResult searched = run_cafqa(
-        system.ansatz, objective,
-        {.warmup = 150, .iterations = 250, .seed = 7});
+        exhaustive_search(system.ansatz, objective);
+    const CafqaResult searched = CafqaPipeline(
+        {.ansatz = system.ansatz, .objective = objective,
+         .search = {.warmup = 150, .iterations = 250, .seed = 7}})
+        .run_clifford_search();
     EXPECT_NEAR(searched.best_objective, exhaustive.best_objective, 1e-9);
 }
 
@@ -264,15 +270,15 @@ TEST(CafqaKt, TGatesDoNotHurtAndCanHelp)
     // a single T gate can reduce (paper Fig. 16a).
     const auto system = problems::make_molecular_system("H2", 1.8);
     const VqaObjective objective = problems::make_objective(system);
-    const CafqaOptions options{.warmup = 80, .iterations = 80, .seed = 5};
-
-    const CafqaKtResult kt = run_cafqa_kt(system.ansatz, objective, 1,
-                                          options);
-    EXPECT_LE(kt.boost.best_energy, kt.base.best_energy + 1e-9);
-    EXPECT_LE(kt.boost.t_positions.size(), 1u);
+    CafqaPipeline pipeline(
+        {.ansatz = system.ansatz, .objective = objective,
+         .search = {.warmup = 80, .iterations = 80, .seed = 5}});
+    const TBoostResult& boost = pipeline.run_t_boost(1);
+    EXPECT_LE(boost.best_energy, pipeline.clifford_result().best_energy + 1e-9);
+    EXPECT_LE(boost.t_positions.size(), 1u);
 
     const GroundState exact = lanczos_ground_state(system.hamiltonian);
-    EXPECT_GE(kt.boost.best_energy, exact.energy - 1e-9);
+    EXPECT_GE(boost.best_energy, exact.energy - 1e-9);
 }
 
 TEST(VqaTuner, IdealTuningReachesExactFromCafqaInit)
@@ -281,15 +287,18 @@ TEST(VqaTuner, IdealTuningReachesExactFromCafqaInit)
     VqaObjective objective;
     objective.hamiltonian = system.hamiltonian;
 
-    const CafqaResult cafqa = run_cafqa(
-        system.ansatz, objective, {.warmup = 80, .iterations = 80, .seed = 2});
+    const CafqaResult cafqa = CafqaPipeline(
+        {.ansatz = system.ansatz, .objective = objective,
+         .search = {.warmup = 80, .iterations = 80, .seed = 2}})
+        .run_clifford_search();
     const GroundState exact = lanczos_ground_state(system.hamiltonian);
 
     VqaTunerOptions tuner;
     tuner.iterations = 400;
     tuner.seed = 9;
-    const VqaTuneResult tuned = tune_vqa(
-        system.ansatz, objective, steps_to_angles(cafqa.best_steps), tuner);
+    const VqaTuneResult tuned = CafqaPipeline(
+        {.ansatz = system.ansatz, .objective = objective, .tuner = tuner})
+        .run_vqa_tune(steps_to_angles(cafqa.best_steps));
 
     EXPECT_LE(tuned.final_value, cafqa.best_energy + 1e-9);
     EXPECT_NEAR(tuned.final_value, exact.energy, 5e-3);
@@ -349,8 +358,10 @@ TEST(MaxCut, CafqaSolvesMaxCutExactly)
     VqaObjective objective;
     objective.hamiltonian = ring.hamiltonian;
     const Circuit ansatz = make_efficient_su2(6);
-    const CafqaResult result = run_cafqa(
-        ansatz, objective, {.warmup = 200, .iterations = 400, .seed = 13});
+    const CafqaResult result = CafqaPipeline(
+        {.ansatz = ansatz, .objective = objective,
+         .search = {.warmup = 200, .iterations = 400, .seed = 13}})
+        .run_clifford_search();
     EXPECT_NEAR(result.best_energy, -ring.optimal_cut(), 1e-9);
 }
 

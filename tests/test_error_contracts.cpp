@@ -12,10 +12,10 @@
 #include "chem/mo_integrals.hpp"
 #include "chem/molecule.hpp"
 #include "core/backend_registry.hpp"
-#include "core/cafqa_driver.hpp"
 #include "core/caching_backend.hpp"
 #include "core/evaluator.hpp"
 #include "core/hartree_fock_baseline.hpp"
+#include "core/pipeline.hpp"
 #include "core/sampled_evaluator.hpp"
 #include "density/density_matrix.hpp"
 #include "mapping/encoding.hpp"
@@ -183,12 +183,12 @@ TEST(ErrorContracts, Z2ReductionGuards)
 
 TEST(ErrorContracts, OptimizerGuards)
 {
-    EXPECT_THROW(
-        nelder_mead([](const std::vector<double>&) { return 0.0; }, {}),
-        std::invalid_argument);
-    EXPECT_THROW(
-        spsa_minimize([](const std::vector<double>&) { return 0.0; }, {}),
-        std::invalid_argument);
+    EXPECT_THROW(NelderMeadOptimizer().minimize(
+                     [](const std::vector<double>&) { return 0.0; }, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(SpsaOptimizer().minimize(
+                     [](const std::vector<double>&) { return 0.0; }, {}),
+                 std::invalid_argument);
 
     DecisionTree tree;
     EXPECT_THROW((void)tree.predict({1.0}), std::invalid_argument);
@@ -196,16 +196,14 @@ TEST(ErrorContracts, OptimizerGuards)
     EXPECT_THROW((void)forest.predict({1.0}), std::invalid_argument);
 
     DiscreteSpace empty;
-    EXPECT_THROW(
-        bayes_opt_minimize([](const std::vector<int>&) { return 0.0; },
-                           empty, {}),
-        std::invalid_argument);
+    EXPECT_THROW(BayesOptimizer().minimize(
+                     [](const std::vector<int>&) { return 0.0; }, empty),
+                 std::invalid_argument);
     DiscreteSpace zero_card;
     zero_card.cardinalities = {4, 0};
-    EXPECT_THROW(
-        bayes_opt_minimize([](const std::vector<int>&) { return 0.0; },
-                           zero_card, {}),
-        std::invalid_argument);
+    EXPECT_THROW(BayesOptimizer().minimize(
+                     [](const std::vector<int>&) { return 0.0; }, zero_card),
+                 std::invalid_argument);
 }
 
 /** Runs `call`, which must throw std::invalid_argument whose message
@@ -499,16 +497,11 @@ TEST(ErrorContracts, DriverGuards)
     ansatz.ry_param(0);
     VqaObjective objective;
     objective.hamiltonian = PauliSum::from_terms(3, {{1.0, "ZZZ"}});
-    EXPECT_THROW(run_cafqa(ansatz, objective), std::invalid_argument);
+    EXPECT_THROW(CafqaPipeline({.ansatz = ansatz, .objective = objective}),
+                 std::invalid_argument);
 
-    Circuit big(2);
-    for (int i = 0; i < 13; ++i) {
-        big.ry_param(0);
-    }
     VqaObjective ok;
     ok.hamiltonian = PauliSum::from_terms(2, {{1.0, "ZZ"}});
-    EXPECT_THROW(exhaustive_clifford_search(big, ok),
-                 std::invalid_argument);
 
     EXPECT_THROW(
         basis_state_expectation(ok.hamiltonian, {1, 0, 1}),

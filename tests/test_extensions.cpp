@@ -6,8 +6,8 @@
 #include <numbers>
 
 #include "common/rng.hpp"
-#include "core/cafqa_driver.hpp"
 #include "core/sampled_evaluator.hpp"
+#include "exhaustive_search.hpp"
 #include "pauli/grouping.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/molecule_factory.hpp"
@@ -98,10 +98,11 @@ TEST(Qaoa, CafqaSearchOverQaoaSpace)
     objective.hamiltonian = ring.hamiltonian;
     const Circuit qaoa = problems::make_qaoa_ansatz(ring, 2);
 
-    const CafqaResult exhaustive =
-        exhaustive_clifford_search(qaoa, objective);
-    const CafqaResult searched = run_cafqa(
-        qaoa, objective, {.warmup = 60, .iterations = 80, .seed = 3});
+    const CafqaResult exhaustive = exhaustive_search(qaoa, objective);
+    const CafqaResult searched =
+        CafqaPipeline({.ansatz = qaoa, .objective = objective,
+                       .search = {.warmup = 60, .iterations = 80, .seed = 3}})
+            .run_clifford_search();
     EXPECT_NEAR(searched.best_objective, exhaustive.best_objective, 1e-9);
     // |+> state gives <ZZ> = 0 per edge -> energy -E/2 = -3; the best
     // Clifford point can only improve on that.

@@ -29,7 +29,7 @@ TEST(NelderMead, Quadratic)
     auto f = [](const std::vector<double>& x) {
         return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0);
     };
-    const OptimizeResult r = nelder_mead(f, {0.0, 0.0});
+    const OptimizeOutcome r = NelderMeadOptimizer().minimize(f, {0.0, 0.0});
     EXPECT_NEAR(r.best_x[0], 1.0, 1e-5);
     EXPECT_NEAR(r.best_x[1], -2.0, 1e-5);
     EXPECT_LT(r.best_value, 1e-9);
@@ -43,9 +43,9 @@ TEST(NelderMead, Rosenbrock)
         const double b = x[1] - x[0] * x[0];
         return a * a + 100.0 * b * b;
     };
-    const OptimizeResult r = nelder_mead(
-        f, {-1.2, 1.0}, {.max_evaluations = 5000, .f_tolerance = 1e-14,
-                         .initial_step = 0.5});
+    const OptimizeOutcome r = NelderMeadOptimizer(
+        {.max_evaluations = 5000, .f_tolerance = 1e-14, .initial_step = 0.5})
+        .minimize(f, {-1.2, 1.0});
     EXPECT_NEAR(r.best_x[0], 1.0, 1e-3);
     EXPECT_NEAR(r.best_x[1], 1.0, 1e-3);
 }
@@ -59,14 +59,14 @@ TEST(Spsa, NoiselessQuadratic)
         }
         return s;
     };
-    const SpsaResult r = spsa_minimize(f, {3.0, -2.0, 1.0},
-                                       {.iterations = 800,
-                                        .a = 0.5,
-                                        .c = 0.1,
-                                        .alpha = 0.602,
-                                        .gamma = 0.101,
-                                        .stability = 10.0,
-                                        .seed = 5});
+    const OptimizeOutcome r = SpsaOptimizer({.iterations = 800,
+                                             .a = 0.5,
+                                             .c = 0.1,
+                                             .alpha = 0.602,
+                                             .gamma = 0.101,
+                                             .stability = 10.0,
+                                             .seed = 5})
+                                  .minimize(f, {3.0, -2.0, 1.0});
     EXPECT_LT(r.best_value, 1e-2);
     // Start-point value plus one recorded value per iteration; the +/-
     // probes are counted but not recorded.
@@ -84,7 +84,7 @@ TEST(Spsa, NoisyObjectiveStillDescends)
         }
         return s + noise.normal(0.0, 0.01);
     };
-    const SpsaResult r = spsa_minimize(f, {2.0, 2.0}, {.iterations = 500});
+    const auto r = SpsaOptimizer({.iterations = 500}).minimize(f, {2.0, 2.0});
     EXPECT_LT(r.best_value, 0.5);
 }
 
@@ -171,8 +171,8 @@ TEST(BayesOpt, FindsDiscreteOptimum)
     };
     DiscreteSpace space;
     space.cardinalities.assign(6, 4);
-    const BayesOptResult r = bayes_opt_minimize(
-        f, space, {.warmup = 40, .iterations = 120, .seed = 3});
+    const auto r = BayesOptimizer({.warmup = 40, .iterations = 120, .seed = 3})
+                       .minimize(f, space);
     EXPECT_EQ(r.best_value, 0.0);
     for (const int v : r.best_config) {
         EXPECT_EQ(v, 2);
@@ -186,8 +186,8 @@ TEST(BayesOpt, TraceIsMonotoneAndConsistent)
     };
     DiscreteSpace space;
     space.cardinalities = {4, 4};
-    const BayesOptResult r = bayes_opt_minimize(
-        f, space, {.warmup = 8, .iterations = 20, .seed = 1});
+    const auto r = BayesOptimizer({.warmup = 8, .iterations = 20, .seed = 1})
+                       .minimize(f, space);
     ASSERT_EQ(r.best_trace.size(), r.history.size());
     for (std::size_t i = 1; i < r.best_trace.size(); ++i) {
         EXPECT_LE(r.best_trace[i], r.best_trace[i - 1] + 1e-15);
@@ -215,10 +215,12 @@ TEST(BayesOpt, BeatsShortRandomSearchOnStructuredProblem)
     DiscreteSpace space;
     space.cardinalities.assign(10, 4);
 
-    const BayesOptResult guided = bayes_opt_minimize(
-        f, space, {.warmup = 60, .iterations = 240, .seed = 11});
-    const BayesOptResult random_only = bayes_opt_minimize(
-        f, space, {.warmup = 300, .iterations = 0, .seed = 11});
+    const auto guided =
+        BayesOptimizer({.warmup = 60, .iterations = 240, .seed = 11})
+            .minimize(f, space);
+    const auto random_only =
+        BayesOptimizer({.warmup = 300, .iterations = 0, .seed = 11})
+            .minimize(f, space);
     EXPECT_LT(guided.best_value, random_only.best_value + 1e-12);
 }
 
@@ -229,9 +231,9 @@ TEST(BayesOpt, StallLimitStopsEarly)
     };
     DiscreteSpace space;
     space.cardinalities = {2};
-    const BayesOptResult r = bayes_opt_minimize(
-        f, space,
-        {.warmup = 2, .iterations = 500, .seed = 1, .stall_limit = 5});
+    const auto r = BayesOptimizer({.warmup = 2, .iterations = 500, .seed = 1,
+                                   .stall_limit = 5})
+                       .minimize(f, space);
     EXPECT_LT(r.history.size(), 60u);
     EXPECT_EQ(r.best_value, 0.0);
     EXPECT_EQ(r.stop_reason, StopReason::Stalled);
@@ -244,9 +246,9 @@ TEST(BayesOpt, SeedConfigsAreEvaluatedFirst)
     };
     DiscreteSpace space;
     space.cardinalities = {4, 4};
-    BayesOptOptions options{.warmup = 5, .iterations = 5, .seed = 2};
-    options.seed_configs = {{0, 0}};
-    const BayesOptResult r = bayes_opt_minimize(f, space, options);
+    const SearchContext context{.seed_configs = {{0, 0}}};
+    const auto r = BayesOptimizer({.warmup = 5, .iterations = 5, .seed = 2})
+                       .minimize(f, space, {}, context);
     EXPECT_EQ(r.best_value, 0.0);
     EXPECT_EQ(r.evaluations_to_best, 1u);
     EXPECT_NEAR(r.history.front(), 0.0, 1e-15);
@@ -257,9 +259,9 @@ TEST(BayesOpt, SeedConfigValidation)
     auto f = [](const std::vector<int>&) { return 0.0; };
     DiscreteSpace space;
     space.cardinalities = {4, 4};
-    BayesOptOptions options{.warmup = 2, .iterations = 2, .seed = 2};
-    options.seed_configs = {{0, 9}};
-    EXPECT_THROW(bayes_opt_minimize(f, space, options),
+    const SearchContext context{.seed_configs = {{0, 9}}};
+    EXPECT_THROW(BayesOptimizer({.warmup = 2, .iterations = 2, .seed = 2})
+                     .minimize(f, space, {}, context),
                  std::invalid_argument);
 }
 
@@ -326,10 +328,10 @@ TEST(SimulatedAnnealing, FindsDiscreteOptimum)
     };
     DiscreteSpace space;
     space.cardinalities.assign(6, 4);
-    const OptimizeOutcome r = simulated_annealing_minimize(
-        f, space,
+    const OptimizeOutcome r = SimulatedAnnealingOptimizer(
         {.iterations = 2000, .initial_temperature = 2.0,
-         .final_temperature = 1e-3, .seed = 4, .mutations_per_step = 1});
+         .final_temperature = 1e-3, .seed = 4, .mutations_per_step = 1})
+        .minimize(f, space);
     EXPECT_EQ(r.best_value, 0.0);
     EXPECT_EQ(r.history.size(), 2000u);
     // Trace is a running minimum.
@@ -370,6 +372,9 @@ TEST(ExhaustiveSearch, RefusesUnboundedHugeSpace)
     ExhaustiveOptimizer optimizer;
     auto f = [](const std::vector<int>&) { return 0.0; };
     EXPECT_THROW(optimizer.minimize(f, space), std::invalid_argument);
+    // 4^13 is the smallest cardinality-4 space past the limit.
+    EXPECT_THROW(optimizer.minimize(f, {std::vector<int>(13, 4)}),
+                 std::invalid_argument);
     // A budget makes the same space legal.
     StoppingCriteria criteria;
     criteria.max_evaluations = 10;

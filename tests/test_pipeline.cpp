@@ -1,15 +1,13 @@
-// Tests for the CafqaPipeline facade: parity with the legacy free
-// functions and with a hand-rolled serial search, determinism across
-// thread counts, observer events, staged execution, and the
-// exhaustive-search fan-out.
+// Tests for the CafqaPipeline facade: parity with a serial Bayesian
+// search, determinism across thread counts, observer events, staged
+// execution, and the exhaustive-search fan-out.
 
 #include <gtest/gtest.h>
 
-#include "circuit/efficient_su2.hpp"
-#include "core/cafqa_driver.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
+#include "exhaustive_search.hpp"
 #include "problems/molecule_factory.hpp"
 #include "statevector/lanczos.hpp"
 
@@ -34,18 +32,18 @@ TEST(CafqaPipeline, BatchedWarmupMatchesSerialBayesOpt)
     const VqaObjective objective = problems::make_objective(system);
     const CafqaOptions options = small_budget(19);
 
-    // Serial reference: no warmup_batch hook, plain evaluator loop.
+    // Serial reference: no batch hook, plain evaluator loop.
     CliffordEvaluator evaluator(system.ansatz);
-    BayesOptOptions bayes = options.bayes;
-    bayes.warmup = options.warmup;
-    bayes.iterations = options.iterations;
-    bayes.seed = options.seed;
-    const BayesOptResult reference = bayes_opt_minimize(
-        [&](const std::vector<int>& steps) {
-            evaluator.prepare(steps);
-            return objective.evaluate(evaluator);
-        },
-        clifford_search_space(system.ansatz), bayes);
+    const OptimizeOutcome reference =
+        BayesOptimizer({.warmup = options.warmup,
+                        .iterations = options.iterations,
+                        .seed = options.seed})
+            .minimize(
+                [&](const std::vector<int>& steps) {
+                    evaluator.prepare(steps);
+                    return objective.evaluate(evaluator);
+                },
+                clifford_search_space(system.ansatz));
 
     // Pipeline with a 3-worker pool.
     PipelineConfig config;
@@ -83,28 +81,6 @@ TEST(CafqaPipeline, DeterministicAcrossThreadCounts)
     }
     EXPECT_EQ(results[0].best_steps, results[1].best_steps);
     EXPECT_EQ(results[0].history, results[1].history);
-}
-
-TEST(CafqaPipeline, MatchesLegacyFreeFunctionOnH2)
-{
-    const auto system = problems::make_molecular_system("H2", 2.2);
-    const VqaObjective objective = problems::make_objective(system);
-    const CafqaOptions options = small_budget(23);
-
-    const CafqaResult legacy =
-        run_cafqa(system.ansatz, objective, options);
-
-    PipelineConfig config;
-    config.ansatz = system.ansatz;
-    config.objective = objective;
-    config.search = options;
-    CafqaPipeline pipeline(std::move(config));
-    const CafqaResult& modern = pipeline.run_clifford_search();
-
-    EXPECT_EQ(modern.best_steps, legacy.best_steps);
-    EXPECT_DOUBLE_EQ(modern.best_energy, legacy.best_energy);
-    EXPECT_DOUBLE_EQ(modern.best_objective, legacy.best_objective);
-    EXPECT_EQ(modern.history, legacy.history);
 }
 
 TEST(CafqaPipeline, ObserverSeesStagesAndProgress)
@@ -347,8 +323,9 @@ TEST(CafqaPipeline, TargetValueStopsTunerEarly)
 TEST(ExhaustiveSearch, ParallelScanMatchesSerialReference)
 {
     // 4 parameters -> 256 configurations: cheap enough to enumerate
-    // twice. The thread-pool fan-out must reproduce the serial scan
-    // exactly, including the first-winner tie-breaking.
+    // three times. The pipeline's "exhaustive" kind must reproduce the
+    // serial scan exactly at any thread count, including the
+    // first-winner tie-breaking.
     Circuit ansatz(2);
     ansatz.ry_param(0);
     ansatz.ry_param(1);
@@ -362,6 +339,7 @@ TEST(ExhaustiveSearch, ParallelScanMatchesSerialReference)
 
     CliffordEvaluator evaluator(ansatz);
     std::vector<int> steps(ansatz.num_params(), 0);
+    std::vector<double> history;
     double best_value = 0.0;
     std::vector<int> best_steps;
     std::size_t best_code = 0;
@@ -375,6 +353,7 @@ TEST(ExhaustiveSearch, ParallelScanMatchesSerialReference)
         }
         evaluator.prepare(steps);
         const double value = objective.evaluate(evaluator);
+        history.push_back(value);
         if (code == 0 || value < best_value) {
             best_value = value;
             best_steps = steps;
@@ -382,23 +361,16 @@ TEST(ExhaustiveSearch, ParallelScanMatchesSerialReference)
         }
     }
 
-    const CafqaResult result =
-        exhaustive_clifford_search(ansatz, objective);
-    EXPECT_EQ(result.best_steps, best_steps);
-    EXPECT_DOUBLE_EQ(result.best_objective, best_value);
-    EXPECT_EQ(result.evaluations_to_best, best_code + 1);
-}
-
-TEST(LegacyShims, RunCafqaKtSplitsBaseAndBoost)
-{
-    const auto system = problems::make_molecular_system("H2", 1.8);
-    const VqaObjective objective = problems::make_objective(system);
-
-    const CafqaKtResult kt =
-        run_cafqa_kt(system.ansatz, objective, 1, small_budget(31));
-    EXPECT_LE(kt.boost.best_objective, kt.base.best_objective + 1e-9);
-    EXPECT_EQ(kt.boost.circuit.count(GateKind::T),
-              kt.boost.t_positions.size());
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const CafqaResult result =
+            exhaustive_search(ansatz, objective, threads);
+        EXPECT_EQ(result.stop_reason, StopReason::SpaceExhausted);
+        EXPECT_EQ(result.best_steps, best_steps);
+        EXPECT_DOUBLE_EQ(result.best_objective, best_value);
+        EXPECT_EQ(result.evaluations_to_best, best_code + 1);
+        EXPECT_EQ(result.history, history);
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "core/clifford_ansatz.hpp"
 #include "core/pipeline.hpp"
+#include "exhaustive_search.hpp"
 #include "problems/molecule_factory.hpp"
 #include "problems/problem.hpp"
 #include "problems/spin_chains.hpp"
@@ -275,7 +276,7 @@ TEST(SpinChains, CliffordSearchReachesStabilizerOptimum)
     // Clifford space must hit the exact energy.
     const Problem problem = make_problem("tfim:chain-2?j=0&h=1");
     const CafqaResult result =
-        exhaustive_clifford_search(problem.ansatz, problem.objective);
+        exhaustive_search(problem.ansatz, problem.objective);
     EXPECT_NEAR(result.best_energy, -2.0, 1e-9);
     ASSERT_TRUE(problem.exact_energy().has_value());
     EXPECT_NEAR(*problem.exact_energy(), -2.0, 1e-9);
