@@ -22,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../tests/reference_tableau.hpp"
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -30,10 +31,11 @@
 #include "stabilizer/circuit_replay.hpp"
 #include "stabilizer/expectation_engine.hpp"
 #include "stabilizer/symplectic_tableau.hpp"
-#include "stabilizer/tableau.hpp"
 
 namespace cafqa::bench {
 namespace {
+
+using reference::Tableau;
 
 double sink = 0.0; // defeats dead-code elimination across timed calls
 

@@ -176,6 +176,30 @@ format_real(double value)
 }
 
 std::string
+join(const std::vector<std::string>& items, const std::string& separator)
+{
+    std::string out;
+    for (const std::string& item : items) {
+        out += out.empty() ? item : separator + item;
+    }
+    return out;
+}
+
+std::vector<std::string>
+split(const std::string& text, char separator)
+{
+    std::vector<std::string> pieces(1);
+    for (const char c : text) {
+        if (c == separator) {
+            pieces.emplace_back();
+        } else {
+            pieces.back() += c;
+        }
+    }
+    return pieces;
+}
+
+std::string
 json_quote(const std::string& text)
 {
     std::string out = "\"";

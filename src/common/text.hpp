@@ -2,8 +2,9 @@
  * @file
  * Small shared text-formatting helpers: shortest round-trip decimal
  * rendering of doubles (canonical problem keys, spec serialization,
- * JSON numbers) and JSON string quoting. One definition each, so every
- * emitter in the tree escapes and formats identically.
+ * JSON numbers), JSON string quoting, and list joining and splitting.
+ * One definition each, so every emitter in the tree escapes and
+ * formats identically.
  */
 #ifndef CAFQA_COMMON_TEXT_HPP
 #define CAFQA_COMMON_TEXT_HPP
@@ -25,6 +26,14 @@ std::string format_real(double value);
 /** `text` as a quoted JSON string: quotes/backslashes/control
  *  characters escaped (control characters as \uXXXX). */
 std::string json_quote(const std::string& text);
+
+/** `items` joined by `separator` ("a, b, c" for ", "). */
+std::string join(const std::vector<std::string>& items,
+                 const std::string& separator);
+
+/** `text` cut at every `separator`, empty pieces kept ("a,,b" gives
+ *  {"a", "", "b"}; "" gives {""}). */
+std::vector<std::string> split(const std::string& text, char separator);
 
 /**
  * Strict whole-token integer parse: nullopt unless the entire token is

@@ -1,6 +1,6 @@
 #include "core/backend.hpp"
 
-#include "common/error.hpp"
+#include "common/registry.hpp"
 
 namespace cafqa {
 
@@ -31,12 +31,8 @@ DiscreteBackend::expectation_batch(
 std::unique_ptr<DiscreteBackend>
 DiscreteBackend::clone_discrete() const
 {
-    std::unique_ptr<Backend> copy = clone();
-    auto* discrete = dynamic_cast<DiscreteBackend*>(copy.get());
-    CAFQA_ASSERT(discrete != nullptr,
-                 "DiscreteBackend::clone returned a non-discrete backend");
-    copy.release();
-    return std::unique_ptr<DiscreteBackend>(discrete);
+    return downcast<DiscreteBackend>(
+        clone(), "DiscreteBackend::clone returned a non-discrete backend");
 }
 
 std::vector<double>
@@ -55,13 +51,9 @@ ContinuousBackend::expectation_batch(
 std::unique_ptr<ContinuousBackend>
 ContinuousBackend::clone_continuous() const
 {
-    std::unique_ptr<Backend> copy = clone();
-    auto* continuous = dynamic_cast<ContinuousBackend*>(copy.get());
-    CAFQA_ASSERT(continuous != nullptr,
-                 "ContinuousBackend::clone returned a non-continuous "
-                 "backend");
-    copy.release();
-    return std::unique_ptr<ContinuousBackend>(continuous);
+    return downcast<ContinuousBackend>(
+        clone(),
+        "ContinuousBackend::clone returned a non-continuous backend");
 }
 
 } // namespace cafqa

@@ -1,13 +1,10 @@
 #include "core/backend_registry.hpp"
 
-#include <map>
-
-#include "common/thread_safety.hpp"
-
 #include <bit>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/registry.hpp"
 #include "core/evaluator.hpp"
 #include "core/sampled_evaluator.hpp"
 
@@ -15,60 +12,47 @@ namespace cafqa {
 
 namespace {
 
-struct Registry
-{
-    Mutex backend_registry_mutex{"backend_registry_mutex"};
-    std::map<std::string, BackendFactory> factories
-        CAFQA_GUARDED_BY(backend_registry_mutex);
-};
-
 /** The process-wide registry, with the built-in kinds pre-registered.
  *  Function-local static so registration order is independent of
  *  translation-unit initialization order. */
-Registry&
-registry()
+Registry<BackendFactory>&
+backend_registry()
 {
-    static Registry instance;
-    static const bool built_ins_registered = [] {
-        MutexLock lock(instance.backend_registry_mutex);
-        auto& factories = instance.factories;
-        factories["clifford"] = [](const BackendConfig& config) {
+    static Registry<BackendFactory> registry = [] {
+        const BackendFactory clifford = [](const BackendConfig& config) {
             return std::make_unique<CliffordEvaluator>(config.ansatz);
         };
-        // Alias: the paper calls the search-stage evaluator "the
-        // stabilizer simulator"; kind() still reports the concrete
-        // "clifford" type (same convention as custom registrations).
-        factories["stabilizer"] = factories["clifford"];
-        factories["clifford_t"] = [](const BackendConfig& config) {
-            return std::make_unique<CliffordTEvaluator>(config.ansatz);
-        };
-        factories["statevector"] = [](const BackendConfig& config) {
-            return std::make_unique<IdealEvaluator>(config.ansatz);
-        };
-        factories["density"] = [](const BackendConfig& config) {
-            return std::make_unique<NoisyEvaluator>(config.ansatz,
-                                                    config.noise);
-        };
-        factories["sampled"] = [](const BackendConfig& config) {
-            return std::make_unique<SampledEvaluator>(
-                config.ansatz, config.shots, config.seed);
-        };
-        return true;
+        return Registry<BackendFactory>(
+            "backend kind", "any of them composes as \"cached:<kind>\"",
+            {
+                {"clifford", clifford},
+                // Alias: the paper calls the search-stage evaluator "the
+                // stabilizer simulator"; kind() still reports the
+                // concrete "clifford" type (same convention as custom
+                // registrations).
+                {"stabilizer", clifford},
+                {"clifford_t",
+                 [](const BackendConfig& config) {
+                     return std::make_unique<CliffordTEvaluator>(
+                         config.ansatz);
+                 }},
+                {"statevector",
+                 [](const BackendConfig& config) {
+                     return std::make_unique<IdealEvaluator>(config.ansatz);
+                 }},
+                {"density",
+                 [](const BackendConfig& config) {
+                     return std::make_unique<NoisyEvaluator>(config.ansatz,
+                                                             config.noise);
+                 }},
+                {"sampled",
+                 [](const BackendConfig& config) {
+                     return std::make_unique<SampledEvaluator>(
+                         config.ansatz, config.shots, config.seed);
+                 }},
+            });
     }();
-    (void)built_ins_registered;
-    return instance;
-}
-
-/** The composition prefix: "cached:<kind>" wraps <kind> in the
- *  memoizing decorator. An explicitly registered "cached:..." key
- *  takes precedence over the prefix expansion. */
-constexpr std::string_view kCachedPrefix = "cached:";
-
-bool
-has_cached_prefix(const std::string& kind)
-{
-    return kind.size() > kCachedPrefix.size() &&
-           kind.compare(0, kCachedPrefix.size(), kCachedPrefix) == 0;
+    return registry;
 }
 
 } // namespace
@@ -103,80 +87,40 @@ register_backend(const std::string& kind, BackendFactory factory)
 {
     CAFQA_REQUIRE(!kind.empty(), "backend kind must be non-empty");
     CAFQA_REQUIRE(factory != nullptr, "backend factory must be callable");
-    Registry& r = registry();
-    MutexLock lock(r.backend_registry_mutex);
-    r.factories[kind] = std::move(factory);
-}
-
-bool
-backend_registered(const std::string& kind)
-{
-    {
-        Registry& r = registry();
-        MutexLock lock(r.backend_registry_mutex);
-        if (r.factories.count(kind) != 0) {
-            return true;
-        }
-    }
-    return has_cached_prefix(kind) &&
-           backend_registered(kind.substr(kCachedPrefix.size()));
+    backend_registry().add(kind, std::move(factory));
 }
 
 std::vector<std::string>
 registered_backends()
 {
-    Registry& r = registry();
-    MutexLock lock(r.backend_registry_mutex);
-    std::vector<std::string> kinds;
-    kinds.reserve(r.factories.size());
-    for (const auto& [kind, factory] : r.factories) {
-        kinds.push_back(kind);
-    }
-    return kinds;
+    return backend_registry().keys();
 }
 
 std::unique_ptr<Backend>
 make_backend(const BackendConfig& config)
 {
-    BackendFactory factory;
-    {
-        Registry& r = registry();
-        MutexLock lock(r.backend_registry_mutex);
-        const auto it = r.factories.find(config.kind);
-        if (it != r.factories.end()) {
-            factory = it->second;
-        }
+    // "cached:<kind>": construct <kind> (recursively, outside the
+    // registry lock, so every registered key composes) and wrap it. An
+    // explicitly registered "cached:..." key takes precedence.
+    constexpr std::string_view prefix = "cached:";
+    if (config.kind.size() > prefix.size() &&
+        config.kind.starts_with(prefix) &&
+        !backend_registry().find(config.kind)) {
+        BackendConfig inner = config;
+        inner.kind = config.kind.substr(prefix.size());
+        inner.cache.enabled = true;
+        return make_backend(inner);
     }
-    if (!factory) {
-        if (has_cached_prefix(config.kind)) {
-            // "cached:<kind>": construct <kind> (recursively, outside
-            // the registry lock, so every registered key composes) and
-            // wrap it.
-            BackendConfig inner = config;
-            inner.kind = config.kind.substr(kCachedPrefix.size());
-            inner.cache.enabled = true;
-            return make_backend(inner);
-        }
-        std::string all;
-        {
-            Registry& r = registry();
-            MutexLock lock(r.backend_registry_mutex);
-            for (const auto& [kind, unused] : r.factories) {
-                all += all.empty() ? kind : ", " + kind;
-            }
-        }
-        CAFQA_REQUIRE(false, "unknown backend kind \"" + config.kind +
-                                 "\" (registered: " + all +
-                                 "; any of them composes as "
-                                 "\"cached:<kind>\")");
-    }
-    std::unique_ptr<Backend> backend = factory(config);
+    std::unique_ptr<Backend> backend =
+        backend_registry().get(config.kind)(config);
     CAFQA_ASSERT(backend != nullptr, "backend factory returned null");
     if (config.shared_cache) {
         backend = wrap_with_cache(std::move(backend), config.shared_cache,
                                   backend_config_hash(config));
     } else if (config.cache.enabled) {
-        backend = wrap_with_cache(std::move(backend), config.cache);
+        backend = wrap_with_cache(
+            std::move(backend),
+            std::make_shared<EvaluationCache>(config.cache), 0);
     }
     return backend;
 }
@@ -184,25 +128,19 @@ make_backend(const BackendConfig& config)
 std::unique_ptr<DiscreteBackend>
 make_discrete_backend(const BackendConfig& config)
 {
-    std::unique_ptr<Backend> backend = make_backend(config);
-    auto* discrete = dynamic_cast<DiscreteBackend*>(backend.get());
-    CAFQA_REQUIRE(discrete != nullptr,
-                  "backend kind \"" + config.kind +
-                      "\" is not a discrete (quarter-turn) backend");
-    backend.release();
-    return std::unique_ptr<DiscreteBackend>(discrete);
+    return downcast<DiscreteBackend>(
+        make_backend(config),
+        "backend kind \"" + config.kind +
+            "\" is not a discrete (quarter-turn) backend");
 }
 
 std::unique_ptr<ContinuousBackend>
 make_continuous_backend(const BackendConfig& config)
 {
-    std::unique_ptr<Backend> backend = make_backend(config);
-    auto* continuous = dynamic_cast<ContinuousBackend*>(backend.get());
-    CAFQA_REQUIRE(continuous != nullptr,
-                  "backend kind \"" + config.kind +
-                      "\" is not a continuous-parameter backend");
-    backend.release();
-    return std::unique_ptr<ContinuousBackend>(continuous);
+    return downcast<ContinuousBackend>(
+        make_backend(config),
+        "backend kind \"" + config.kind +
+            "\" is not a continuous-parameter backend");
 }
 
 } // namespace cafqa

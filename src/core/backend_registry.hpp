@@ -1,13 +1,16 @@
 /**
  * @file
- * String-keyed backend registry and factory: construct any evaluation
- * backend from a `BackendConfig` without naming its concrete type.
+ * String-keyed backend registry and factory (an instance of the
+ * `Registry<Entry>` template in `common/registry.hpp`): construct any
+ * evaluation backend from a `BackendConfig` without naming its
+ * concrete type.
  *
  * Built-in kinds:
  *
  * | key           | class              | domain     | extra config    |
  * |---------------|--------------------|------------|-----------------|
  * | "clifford"    | CliffordEvaluator  | discrete   | -               |
+ * | "stabilizer"  | (alias of clifford)| discrete   | -               |
  * | "clifford_t"  | CliffordTEvaluator | discrete   | -               |
  * | "statevector" | IdealEvaluator     | continuous | -               |
  * | "density"     | NoisyEvaluator     | continuous | noise           |
@@ -81,9 +84,6 @@ using BackendFactory =
 
 /** Register (or replace) a factory under `kind`. */
 void register_backend(const std::string& kind, BackendFactory factory);
-
-/** True if `kind` is registered. */
-bool backend_registered(const std::string& kind);
 
 /** Sorted list of registered kinds. */
 std::vector<std::string> registered_backends();

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/registry.hpp"
 #include "common/text.hpp"
 
 namespace cafqa {
@@ -23,37 +24,26 @@ bits_of(double value)
     return std::bit_cast<std::int64_t>(value);
 }
 
-/** Key prefix of a discrete point: the steps verbatim, preceded by the
- *  configuration salt when the cache is shared across configurations. */
+/** Key prefix of a point: discrete steps verbatim, continuous params
+ *  quantized to `resolution` (`quantize_coordinate` is shared with the
+ *  unique-budget accounting so the two identities agree), preceded by
+ *  the configuration salt when the cache is shared across
+ *  configurations. */
+template <typename Point>
 EvaluationCache::Key
-discrete_prefix(const std::vector<int>& steps, std::uint64_t salt)
+point_prefix(const Point& point, double resolution, std::uint64_t salt)
 {
     EvaluationCache::Key key;
-    key.reserve(steps.size() + 2);
+    key.reserve(point.size() + 2);
     if (salt != 0) {
         key.push_back(static_cast<std::int64_t>(salt));
     }
-    for (const int s : steps) {
-        key.push_back(s);
-    }
-    return key;
-}
-
-/** Key prefix of a continuous point: params quantized to `resolution`
- *  (`quantize_coordinate` is shared with the unique-budget accounting
- *  so the two identities agree), preceded by the configuration salt
- *  when shared. */
-EvaluationCache::Key
-continuous_prefix(const std::vector<double>& params, double resolution,
-                  std::uint64_t salt)
-{
-    EvaluationCache::Key key;
-    key.reserve(params.size() + 2);
-    if (salt != 0) {
-        key.push_back(static_cast<std::int64_t>(salt));
-    }
-    for (const double p : params) {
-        key.push_back(quantize_coordinate(p, resolution));
+    for (const auto p : point) {
+        if constexpr (std::is_same_v<Point, std::vector<int>>) {
+            key.push_back(p);
+        } else {
+            key.push_back(quantize_coordinate(p, resolution));
+        }
     }
     return key;
 }
@@ -213,66 +203,45 @@ EvaluationCache::stats() const
 }
 
 // ---------------------------------------------------------------------------
-// CachingDiscreteBackend
+// CachingBackend
 
-CachingDiscreteBackend::CachingDiscreteBackend(
-    std::unique_ptr<DiscreteBackend> inner, const CacheOptions& options)
-    : CachingDiscreteBackend(std::move(inner),
-                             std::make_shared<EvaluationCache>(options), 0)
-{
-}
-
-CachingDiscreteBackend::CachingDiscreteBackend(
-    std::unique_ptr<DiscreteBackend> inner,
-    std::shared_ptr<EvaluationCache> cache, std::uint64_t salt)
+template <typename Base>
+CachingBackend<Base>::CachingBackend(std::unique_ptr<Base> inner,
+                                     std::shared_ptr<EvaluationCache> cache,
+                                     std::uint64_t salt)
     : inner_(std::move(inner)), cache_(std::move(cache)), salt_(salt)
 {
     CAFQA_REQUIRE(inner_ != nullptr, "cannot cache a null backend");
     CAFQA_REQUIRE(cache_ != nullptr, "cannot share a null cache");
+    if constexpr (std::is_same_v<Base, ContinuousBackend>) {
+        CAFQA_REQUIRE(cache_->options().resolution > 0.0,
+                      "cache quantization resolution must be positive");
+    }
     kind_ = "cached:" + std::string(inner_->kind());
 }
 
+template <typename Base>
 void
-CachingDiscreteBackend::prepare(const std::vector<int>& steps)
+CachingBackend<Base>::prepare(const Point& point)
 {
-    point_ = steps;
-    key_prefix_ = discrete_prefix(steps, salt_);
-    has_point_ = true;
+    point_ = point;
+    key_prefix_ = point_prefix(point, cache_->options().resolution, salt_);
     inner_prepared_ = false;
 }
 
-void
-CachingDiscreteBackend::ensure_prepared() const
-{
-    if (!inner_prepared_) {
-        inner_->prepare(point_);
-        cache_->count_preparation();
-        inner_prepared_ = true;
-    }
-}
-
+template <typename Base>
 double
-CachingDiscreteBackend::expectation(const PauliSum& op) const
+CachingBackend<Base>::expectation(const PauliSum& op) const
 {
-    if (!has_point_) {
-        // Propagate the inner backend's "not prepared" contract.
-        return inner_->expectation(op);
-    }
-    EvaluationCache::Key key = key_prefix_;
-    key.push_back(static_cast<std::int64_t>(observable_hash(op)));
-    if (const std::optional<double> hit = cache_->lookup(key)) {
-        return *hit;
-    }
-    ensure_prepared();
-    const double value = inner_->expectation(op);
-    cache_->insert(key, value);
-    return value;
+    return expectations(std::span<const PauliSum>(&op, 1))[0];
 }
 
+template <typename Base>
 std::vector<double>
-CachingDiscreteBackend::expectations(std::span<const PauliSum> ops) const
+CachingBackend<Base>::expectations(std::span<const PauliSum> ops) const
 {
-    if (!has_point_) {
+    if (!point_) {
+        // Propagate the inner backend's "not prepared" contract.
         return inner_->expectations(ops);
     }
     // One scratch key probes every observable; only misses copy it (the
@@ -294,7 +263,11 @@ CachingDiscreteBackend::expectations(std::span<const PauliSum> ops) const
     if (!missing.empty()) {
         // One preparation amortized across every missing observable,
         // exactly like the wrapped backend's own batched surface.
-        ensure_prepared();
+        if (!inner_prepared_) {
+            inner_->prepare(*point_);
+            cache_->count_preparation();
+            inner_prepared_ = true;
+        }
         for (std::size_t m = 0; m < missing.size(); ++m) {
             values[missing[m]] = inner_->expectation(ops[missing[m]]);
             cache_->insert(miss_keys[m], values[missing[m]]);
@@ -303,181 +276,43 @@ CachingDiscreteBackend::expectations(std::span<const PauliSum> ops) const
     return values;
 }
 
+template <typename Base>
 std::unique_ptr<Backend>
-CachingDiscreteBackend::clone() const
+CachingBackend<Base>::clone() const
 {
-    auto copy = std::unique_ptr<CachingDiscreteBackend>(
-        new CachingDiscreteBackend(inner_->clone_discrete(), cache_,
-                                   salt_));
+    auto copy = std::make_unique<CachingBackend>(
+        downcast<Base>(inner_->clone(),
+                       "backend clone changed the parameter domain"),
+        cache_, salt_);
     copy->point_ = point_;
     copy->key_prefix_ = key_prefix_;
-    copy->has_point_ = has_point_;
-    // The fresh inner clone starts unprepared regardless of *this.
-    copy->inner_prepared_ = false;
+    // inner_prepared_ stays false: the fresh inner clone is prepared on
+    // its first miss, whatever state *this is in.
     return copy;
 }
 
-// ---------------------------------------------------------------------------
-// CachingContinuousBackend
-
-CachingContinuousBackend::CachingContinuousBackend(
-    std::unique_ptr<ContinuousBackend> inner, const CacheOptions& options)
-    : CachingContinuousBackend(std::move(inner),
-                               std::make_shared<EvaluationCache>(options),
-                               options.resolution, 0)
-{
-}
-
-CachingContinuousBackend::CachingContinuousBackend(
-    std::unique_ptr<ContinuousBackend> inner,
-    std::shared_ptr<EvaluationCache> cache, std::uint64_t salt)
-    : CachingContinuousBackend(
-          std::move(inner), cache,
-          cache ? cache->options().resolution : 0.0, salt)
-{
-}
-
-CachingContinuousBackend::CachingContinuousBackend(
-    std::unique_ptr<ContinuousBackend> inner,
-    std::shared_ptr<EvaluationCache> cache, double resolution,
-    std::uint64_t salt)
-    : inner_(std::move(inner)),
-      cache_(std::move(cache)),
-      salt_(salt),
-      resolution_(resolution)
-{
-    CAFQA_REQUIRE(inner_ != nullptr, "cannot cache a null backend");
-    CAFQA_REQUIRE(cache_ != nullptr, "cannot share a null cache");
-    CAFQA_REQUIRE(resolution_ > 0.0,
-                  "cache quantization resolution must be positive");
-    kind_ = "cached:" + std::string(inner_->kind());
-}
-
-void
-CachingContinuousBackend::prepare(const std::vector<double>& params)
-{
-    point_ = params;
-    key_prefix_ = continuous_prefix(params, resolution_, salt_);
-    has_point_ = true;
-    inner_prepared_ = false;
-}
-
-void
-CachingContinuousBackend::ensure_prepared() const
-{
-    if (!inner_prepared_) {
-        inner_->prepare(point_);
-        cache_->count_preparation();
-        inner_prepared_ = true;
-    }
-}
-
-double
-CachingContinuousBackend::expectation(const PauliSum& op) const
-{
-    if (!has_point_) {
-        return inner_->expectation(op);
-    }
-    EvaluationCache::Key key = key_prefix_;
-    key.push_back(static_cast<std::int64_t>(observable_hash(op)));
-    if (const std::optional<double> hit = cache_->lookup(key)) {
-        return *hit;
-    }
-    ensure_prepared();
-    const double value = inner_->expectation(op);
-    cache_->insert(key, value);
-    return value;
-}
-
-std::vector<double>
-CachingContinuousBackend::expectations(std::span<const PauliSum> ops) const
-{
-    if (!has_point_) {
-        return inner_->expectations(ops);
-    }
-    // Scratch-key probing as in the discrete wrapper: the full-hit path
-    // allocates nothing per op.
-    std::vector<double> values(ops.size());
-    std::vector<std::size_t> missing;
-    std::vector<EvaluationCache::Key> miss_keys;
-    EvaluationCache::Key key = key_prefix_;
-    key.push_back(0);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        key.back() = static_cast<std::int64_t>(observable_hash(ops[i]));
-        if (const std::optional<double> hit = cache_->lookup(key)) {
-            values[i] = *hit;
-        } else {
-            missing.push_back(i);
-            miss_keys.push_back(key);
-        }
-    }
-    if (!missing.empty()) {
-        ensure_prepared();
-        for (std::size_t m = 0; m < missing.size(); ++m) {
-            values[missing[m]] = inner_->expectation(ops[missing[m]]);
-            cache_->insert(miss_keys[m], values[missing[m]]);
-        }
-    }
-    return values;
-}
-
-std::unique_ptr<Backend>
-CachingContinuousBackend::clone() const
-{
-    auto copy = std::unique_ptr<CachingContinuousBackend>(
-        new CachingContinuousBackend(inner_->clone_continuous(), cache_,
-                                     resolution_, salt_));
-    copy->point_ = point_;
-    copy->key_prefix_ = key_prefix_;
-    copy->has_point_ = has_point_;
-    copy->inner_prepared_ = false;
-    return copy;
-}
+template class CachingBackend<DiscreteBackend>;
+template class CachingBackend<ContinuousBackend>;
 
 // ---------------------------------------------------------------------------
 // Composition helpers
-
-std::unique_ptr<Backend>
-wrap_with_cache(std::unique_ptr<Backend> backend, const CacheOptions& options)
-{
-    CAFQA_REQUIRE(backend != nullptr, "cannot cache a null backend");
-    if (auto* discrete = dynamic_cast<DiscreteBackend*>(backend.get())) {
-        backend.release();
-        return std::make_unique<CachingDiscreteBackend>(
-            std::unique_ptr<DiscreteBackend>(discrete), options);
-    }
-    if (auto* continuous = dynamic_cast<ContinuousBackend*>(backend.get())) {
-        backend.release();
-        return std::make_unique<CachingContinuousBackend>(
-            std::unique_ptr<ContinuousBackend>(continuous), options);
-    }
-    CAFQA_REQUIRE(false, "backend kind \"" + std::string(backend->kind()) +
-                             "\" is neither discrete nor continuous; "
-                             "cannot wrap it in a cache");
-    return nullptr; // unreachable
-}
 
 std::unique_ptr<Backend>
 wrap_with_cache(std::unique_ptr<Backend> backend,
                 std::shared_ptr<EvaluationCache> cache, std::uint64_t salt)
 {
     CAFQA_REQUIRE(backend != nullptr, "cannot cache a null backend");
-    if (auto* discrete = dynamic_cast<DiscreteBackend*>(backend.get())) {
-        backend.release();
+    const std::string mismatch =
+        "backend kind \"" + std::string(backend->kind()) +
+        "\" is neither discrete nor continuous; cannot wrap it in a cache";
+    if (backend->discrete()) {
         return std::make_unique<CachingDiscreteBackend>(
-            std::unique_ptr<DiscreteBackend>(discrete), std::move(cache),
-            salt);
-    }
-    if (auto* continuous = dynamic_cast<ContinuousBackend*>(backend.get())) {
-        backend.release();
-        return std::make_unique<CachingContinuousBackend>(
-            std::unique_ptr<ContinuousBackend>(continuous),
+            downcast<DiscreteBackend>(std::move(backend), mismatch),
             std::move(cache), salt);
     }
-    CAFQA_REQUIRE(false, "backend kind \"" + std::string(backend->kind()) +
-                             "\" is neither discrete nor continuous; "
-                             "cannot wrap it in a cache");
-    return nullptr; // unreachable
+    return std::make_unique<CachingContinuousBackend>(
+        downcast<ContinuousBackend>(std::move(backend), mismatch),
+        std::move(cache), salt);
 }
 
 std::optional<CacheStats>

@@ -6,8 +6,9 @@
  * CAFQA's search stages re-probe the same points constantly (Bayesian
  * warm-up draws, annealing re-visits, the tuner's repeated energy
  * calls), and each probe pays a full state preparation plus one
- * expectation per observable. `CachingDiscreteBackend` /
- * `CachingContinuousBackend` wrap any concrete backend and memoize
+ * expectation per observable. `CachingBackend<Base>` (aliased as
+ * `CachingDiscreteBackend` / `CachingContinuousBackend`) wraps any
+ * concrete backend of either domain and memoizes
  * `(prepared point, observable) -> expectation value` so a re-visited
  * point skips both the preparation and the measurement.
  *
@@ -37,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -204,25 +206,38 @@ class EvaluationCache
  *  cache entries regardless of object identity. */
 std::size_t observable_hash(const PauliSum& op);
 
-/** Memoizing decorator over a discrete (quarter-turn) backend. */
-class CachingDiscreteBackend final : public DiscreteBackend
+/**
+ * Memoizing decorator over a backend of either parameter domain:
+ * `Base` is `DiscreteBackend` (points key on the exact step vector) or
+ * `ContinuousBackend` (points key on the parameters quantized to the
+ * cache's `CacheOptions::resolution`).
+ */
+template <typename Base>
+class CachingBackend final : public Base
 {
   public:
+    /** The point type `Base::prepare` takes. */
+    using Point = std::conditional_t<std::is_same_v<Base, DiscreteBackend>,
+                                     std::vector<int>, std::vector<double>>;
+
     /** Wrap `inner` with a fresh cache. */
-    CachingDiscreteBackend(std::unique_ptr<DiscreteBackend> inner,
-                           const CacheOptions& options);
+    CachingBackend(std::unique_ptr<Base> inner, const CacheOptions& options)
+        : CachingBackend(std::move(inner),
+                         std::make_shared<EvaluationCache>(options), 0)
+    {
+    }
 
     /**
-     * Wrap `inner` over an EXISTING cache — the cross-run sharing hook
-     * the job server uses so every job on the same problem hits one
-     * process-wide cache. `salt` is mixed into every key; pass
-     * `backend_config_hash` of the backend's full configuration so
-     * distinct circuits/kinds sharing the cache can never alias (0
-     * keeps the legacy single-run key layout).
+     * Wrap `inner` over an EXISTING cache (the job server's
+     * process-wide one). A nonzero `salt` — `backend_config_hash` of
+     * the full configuration — leads every key, so distinct
+     * circuits/kinds sharing the cache never alias. Continuous points
+     * quantize at the cache's own resolution, so sharers agree on
+     * point identity.
      */
-    CachingDiscreteBackend(std::unique_ptr<DiscreteBackend> inner,
-                           std::shared_ptr<EvaluationCache> cache,
-                           std::uint64_t salt);
+    CachingBackend(std::unique_ptr<Base> inner,
+                   std::shared_ptr<EvaluationCache> cache,
+                   std::uint64_t salt);
 
     std::string_view kind() const override { return kind_; }
     std::size_t num_qubits() const override { return inner_->num_qubits(); }
@@ -230,7 +245,7 @@ class CachingDiscreteBackend final : public DiscreteBackend
 
     /** Records the point; the wrapped backend is prepared lazily, only
      *  when a lookup misses. */
-    void prepare(const std::vector<int>& steps) override;
+    void prepare(const Point& point) override;
 
     double expectation(const PauliSum& op) const override;
     std::vector<double>
@@ -240,84 +255,33 @@ class CachingDiscreteBackend final : public DiscreteBackend
      *  common cache). */
     std::unique_ptr<Backend> clone() const override;
 
-    /** The wrapped backend. */
-    const DiscreteBackend& inner() const { return *inner_; }
     /** Aggregate counters of the shared cache. */
     CacheStats cache_stats() const { return cache_->stats(); }
-    /** The shared cache itself (for composing wrappers by hand). */
-    const std::shared_ptr<EvaluationCache>& cache() const { return cache_; }
 
   private:
-    /** Prepare the wrapped backend for the pending point (miss path). */
-    void ensure_prepared() const;
-
-    std::unique_ptr<DiscreteBackend> inner_;
+    std::unique_ptr<Base> inner_;
     std::shared_ptr<EvaluationCache> cache_;
     std::string kind_;
     /** Nonzero when the cache is shared across configurations: mixed
      *  into every key as a leading word. */
     std::uint64_t salt_ = 0;
-    std::vector<int> point_;
+    /** The pending point; unset until the first `prepare`. */
+    std::optional<Point> point_;
     EvaluationCache::Key key_prefix_;
-    bool has_point_ = false;
+    /** Whether `inner_` holds the pending point (prepared lazily, on
+     *  the first miss). */
     mutable bool inner_prepared_ = false;
 };
 
-/** Memoizing decorator over a continuous (radian) backend. */
-class CachingContinuousBackend final : public ContinuousBackend
-{
-  public:
-    CachingContinuousBackend(std::unique_ptr<ContinuousBackend> inner,
-                             const CacheOptions& options);
+using CachingDiscreteBackend = CachingBackend<DiscreteBackend>;
+using CachingContinuousBackend = CachingBackend<ContinuousBackend>;
 
-    /** Wrap `inner` over an existing shared cache; see the discrete
-     *  wrapper. The quantization resolution comes from the shared
-     *  cache's own options so every sharer agrees on point identity. */
-    CachingContinuousBackend(std::unique_ptr<ContinuousBackend> inner,
-                             std::shared_ptr<EvaluationCache> cache,
-                             std::uint64_t salt);
+extern template class CachingBackend<DiscreteBackend>;
+extern template class CachingBackend<ContinuousBackend>;
 
-    std::string_view kind() const override { return kind_; }
-    std::size_t num_qubits() const override { return inner_->num_qubits(); }
-    std::size_t num_params() const override { return inner_->num_params(); }
-
-    void prepare(const std::vector<double>& params) override;
-
-    double expectation(const PauliSum& op) const override;
-    std::vector<double>
-    expectations(std::span<const PauliSum> ops) const override;
-
-    std::unique_ptr<Backend> clone() const override;
-
-    const ContinuousBackend& inner() const { return *inner_; }
-    CacheStats cache_stats() const { return cache_->stats(); }
-    const std::shared_ptr<EvaluationCache>& cache() const { return cache_; }
-
-  private:
-    CachingContinuousBackend(std::unique_ptr<ContinuousBackend> inner,
-                             std::shared_ptr<EvaluationCache> cache,
-                             double resolution, std::uint64_t salt);
-
-    void ensure_prepared() const;
-
-    std::unique_ptr<ContinuousBackend> inner_;
-    std::shared_ptr<EvaluationCache> cache_;
-    std::string kind_;
-    std::uint64_t salt_ = 0;
-    double resolution_ = 1e-12;
-    std::vector<double> point_;
-    EvaluationCache::Key key_prefix_;
-    bool has_point_ = false;
-    mutable bool inner_prepared_ = false;
-};
-
-/** Wrap any backend in the matching caching decorator (used by
- *  `make_backend` for `"cached:<kind>"` / `BackendConfig::cache`). */
-std::unique_ptr<Backend> wrap_with_cache(std::unique_ptr<Backend> backend,
-                                         const CacheOptions& options);
-
-/** Wrap over an existing shared cache with a key salt (used by
- *  `make_backend` when `BackendConfig::shared_cache` is set). */
+/** Wrap any backend in the caching decorator of its domain over
+ *  `cache` with key salt `salt` (`make_backend`: a fresh cache and salt
+ *  0, or `BackendConfig::shared_cache` and the config hash). */
 std::unique_ptr<Backend>
 wrap_with_cache(std::unique_ptr<Backend> backend,
                 std::shared_ptr<EvaluationCache> cache, std::uint64_t salt);

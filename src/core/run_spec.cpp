@@ -87,20 +87,12 @@ parse_steps_value(const std::string& name, const std::string& text)
                          text + "\"");
     };
     std::vector<int> steps;
-    std::size_t begin = 0;
-    while (begin <= text.size()) {
-        const std::size_t end = text.find(',', begin);
-        const std::string token = text.substr(
-            begin, end == std::string::npos ? end : end - begin);
+    for (const std::string& token : split(text, ',')) {
         const auto value = parse_integer_token(token);
         if (!value || *value < 0 || *value > 3) {
             bad(token);
         }
         steps.push_back(static_cast<int>(*value));
-        if (end == std::string::npos) {
-            break;
-        }
-        begin = end + 1;
     }
     return steps;
 }

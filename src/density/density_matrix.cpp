@@ -139,10 +139,7 @@ DensityMatrix::apply_kraus_1q(
 void
 DensityMatrix::conjugate_pauli(const PauliString& pauli)
 {
-    const std::uint64_t xm = pauli.x_words().empty() ? 0
-                                                     : pauli.x_words()[0];
-    const std::uint64_t zm = pauli.z_words().empty() ? 0
-                                                     : pauli.z_words()[0];
+    const auto [xm, zm] = pauli.first_word_masks();
     auto weight = [&](std::uint64_t b) -> std::complex<double> {
         const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
         return PauliString::i_power(pauli.phase_exponent()) * sign;
@@ -236,10 +233,7 @@ DensityMatrix::expectation(const PauliString& pauli) const
 {
     CAFQA_REQUIRE(pauli.num_qubits() == num_qubits_,
                   "operator qubit count mismatch");
-    const std::uint64_t xm = pauli.x_words().empty() ? 0
-                                                     : pauli.x_words()[0];
-    const std::uint64_t zm = pauli.z_words().empty() ? 0
-                                                     : pauli.z_words()[0];
+    const auto [xm, zm] = pauli.first_word_masks();
     std::complex<double> total{0.0, 0.0};
     for (std::size_t k = 0; k < dim_; ++k) {
         const double sign = (std::popcount(k & zm) & 1) ? -1.0 : 1.0;

@@ -1,79 +1,61 @@
 #include "opt/optimizer_registry.hpp"
 
-#include <map>
-
-#include "common/thread_safety.hpp"
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/registry.hpp"
+#include "common/text.hpp"
 
 namespace cafqa {
 
 namespace {
 
-struct Registry
+/** Factory building `Strategy` from the config's `Block` options, with
+ *  the config's seed override applied. */
+template <typename Strategy, auto Block>
+OptimizerFactory
+seeded_factory()
 {
-    Mutex optimizer_registry_mutex{"optimizer_registry_mutex"};
-    std::map<std::string, OptimizerFactory> factories
-        CAFQA_GUARDED_BY(optimizer_registry_mutex);
-};
+    return [](const OptimizerConfig& config) {
+        auto options = config.*Block;
+        if (config.seed != 0) {
+            options.seed = config.seed;
+        }
+        return std::make_unique<Strategy>(std::move(options));
+    };
+}
 
 /** The process-wide registry, with the built-in kinds pre-registered.
  *  Function-local static so registration order is independent of
  *  translation-unit initialization order. */
-Registry&
-registry()
+Registry<OptimizerFactory>&
+optimizer_registry()
 {
-    static Registry instance;
-    static const bool built_ins_registered = [] {
-        MutexLock lock(instance.optimizer_registry_mutex);
-        auto& factories = instance.factories;
-        factories["bayes"] = [](const OptimizerConfig& config) {
-            BayesOptOptions options = config.bayes;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<BayesOptimizer>(std::move(options));
-        };
-        factories["anneal"] = [](const OptimizerConfig& config) {
-            AnnealingOptions options = config.anneal;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<SimulatedAnnealingOptimizer>(options);
-        };
-        factories["random"] = [](const OptimizerConfig& config) {
-            RandomSearchOptions options = config.random;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<RandomSearchOptimizer>(options);
-        };
-        factories["tempering"] = [](const OptimizerConfig& config) {
-            TemperingOptions options = config.tempering;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<ParallelTempering>(options);
-        };
-        factories["exhaustive"] = [](const OptimizerConfig&) {
-            return std::make_unique<ExhaustiveOptimizer>();
-        };
-        factories["nelder-mead"] = [](const OptimizerConfig& config) {
-            return std::make_unique<NelderMeadOptimizer>(
-                config.nelder_mead);
-        };
-        factories["spsa"] = [](const OptimizerConfig& config) {
-            SpsaOptions options = config.spsa;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<SpsaOptimizer>(options);
-        };
-        return true;
-    }();
-    (void)built_ins_registered;
-    return instance;
+    static Registry<OptimizerFactory> registry(
+        "optimizer kind",
+        "discrete kinds also compose as "
+        "\"portfolio:<kind1+kind2+...>\"",
+        {
+            {"bayes",
+             seeded_factory<BayesOptimizer, &OptimizerConfig::bayes>()},
+            {"anneal", seeded_factory<SimulatedAnnealingOptimizer,
+                                      &OptimizerConfig::anneal>()},
+            {"random", seeded_factory<RandomSearchOptimizer,
+                                      &OptimizerConfig::random>()},
+            {"tempering", seeded_factory<ParallelTempering,
+                                         &OptimizerConfig::tempering>()},
+            {"exhaustive",
+             [](const OptimizerConfig&) {
+                 return std::make_unique<ExhaustiveOptimizer>();
+             }},
+            {"nelder-mead",
+             [](const OptimizerConfig& config) {
+                 return std::make_unique<NelderMeadOptimizer>(
+                     config.nelder_mead);
+             }},
+            {"spsa", seeded_factory<SpsaOptimizer, &OptimizerConfig::spsa>()},
+        });
+    return registry;
 }
 
 constexpr std::string_view kPortfolioPrefix = "portfolio:";
@@ -85,34 +67,17 @@ constexpr std::string_view kPortfolioPrefix = "portfolio:";
 std::unique_ptr<Optimizer>
 make_portfolio_optimizer(const OptimizerConfig& config)
 {
-    const std::string spec =
-        config.kind.substr(kPortfolioPrefix.size());
-    std::vector<std::string> kinds;
-    std::size_t begin = 0;
-    while (begin <= spec.size()) {
-        const std::size_t end = spec.find('+', begin);
-        kinds.push_back(spec.substr(
-            begin, end == std::string::npos ? end : end - begin));
-        if (end == std::string::npos) {
-            break;
-        }
-        begin = end + 1;
-    }
-    const auto discrete_kinds = [] {
-        std::string all;
-        for (const std::string& kind : registered_discrete_optimizers()) {
-            all += all.empty() ? kind : ", " + kind;
-        }
-        return all;
-    };
+    const std::vector<std::string> kinds =
+        split(config.kind.substr(kPortfolioPrefix.size()), '+');
     for (const std::string& kind : kinds) {
         CAFQA_REQUIRE(!kind.empty(),
                       "empty portfolio arm in \"" + config.kind +
                           "\": expected \"portfolio:<kind1+kind2+...>\" "
                           "over discrete kinds (" +
-                          discrete_kinds() + "), e.g. "
+                          join(registered_discrete_optimizers(), ", ") +
+                          "), e.g. "
                           "\"portfolio:anneal+bayes+random\"");
-        CAFQA_REQUIRE(kind.rfind(kPortfolioPrefix, 0) != 0,
+        CAFQA_REQUIRE(!kind.starts_with(kPortfolioPrefix),
                       "portfolio arm \"" + kind +
                           "\" in \"" + config.kind +
                           "\": portfolios cannot nest");
@@ -144,15 +109,12 @@ registered_kinds_of()
 {
     std::vector<std::string> kinds;
     for (const std::string& kind : registered_optimizers()) {
-        OptimizerConfig config;
-        config.kind = kind;
         // Classification needs an instance; a third-party factory that
         // rejects the default config is skipped rather than breaking
         // every listing (CLI usage text, ablation bench, ...).
         try {
-            const std::unique_ptr<Optimizer> optimizer =
-                make_optimizer(config);
-            if (dynamic_cast<const Interface*>(optimizer.get()) !=
+            if (dynamic_cast<const Interface*>(
+                    make_optimizer(optimizer_config(kind)).get()) !=
                 nullptr) {
                 kinds.push_back(kind);
             }
@@ -169,31 +131,22 @@ void
 register_optimizer(const std::string& kind, OptimizerFactory factory)
 {
     CAFQA_REQUIRE(!kind.empty(), "optimizer kind must be non-empty");
+    CAFQA_REQUIRE(!kind.starts_with(kPortfolioPrefix),
+                  "optimizer kind \"" + kind +
+                      "\" must not start with \"portfolio:\" (that "
+                      "prefix always composes a portfolio)");
+    CAFQA_REQUIRE(kind.find('+') == std::string::npos,
+                  "optimizer kind \"" + kind +
+                      "\" must not contain '+' (portfolio keys split "
+                      "arms on it)");
     CAFQA_REQUIRE(factory != nullptr, "optimizer factory must be callable");
-    Registry& r = registry();
-    MutexLock lock(r.optimizer_registry_mutex);
-    r.factories[kind] = std::move(factory);
-}
-
-bool
-optimizer_registered(const std::string& kind)
-{
-    Registry& r = registry();
-    MutexLock lock(r.optimizer_registry_mutex);
-    return r.factories.count(kind) != 0;
+    optimizer_registry().add(kind, std::move(factory));
 }
 
 std::vector<std::string>
 registered_optimizers()
 {
-    Registry& r = registry();
-    MutexLock lock(r.optimizer_registry_mutex);
-    std::vector<std::string> kinds;
-    kinds.reserve(r.factories.size());
-    for (const auto& [kind, factory] : r.factories) {
-        kinds.push_back(kind);
-    }
-    return kinds;
+    return optimizer_registry().keys();
 }
 
 std::vector<std::string>
@@ -211,28 +164,11 @@ registered_continuous_optimizers()
 std::unique_ptr<Optimizer>
 make_optimizer(const OptimizerConfig& config)
 {
-    if (config.kind.rfind(kPortfolioPrefix, 0) == 0) {
+    if (config.kind.starts_with(kPortfolioPrefix)) {
         return make_portfolio_optimizer(config);
     }
-    OptimizerFactory factory;
-    {
-        Registry& r = registry();
-        MutexLock lock(r.optimizer_registry_mutex);
-        const auto it = r.factories.find(config.kind);
-        if (it == r.factories.end()) {
-            std::string all;
-            for (const auto& [kind, unused] : r.factories) {
-                all += all.empty() ? kind : ", " + kind;
-            }
-            CAFQA_REQUIRE(false,
-                          "unknown optimizer kind \"" + config.kind +
-                              "\" (registered: " + all +
-                              "; discrete kinds also compose as "
-                              "\"portfolio:<kind1+kind2+...>\")");
-        }
-        factory = it->second;
-    }
-    std::unique_ptr<Optimizer> optimizer = factory(config);
+    std::unique_ptr<Optimizer> optimizer =
+        optimizer_registry().get(config.kind)(config);
     CAFQA_ASSERT(optimizer != nullptr, "optimizer factory returned null");
     return optimizer;
 }
@@ -240,25 +176,19 @@ make_optimizer(const OptimizerConfig& config)
 std::unique_ptr<DiscreteOptimizer>
 make_discrete_optimizer(const OptimizerConfig& config)
 {
-    std::unique_ptr<Optimizer> optimizer = make_optimizer(config);
-    auto* discrete = dynamic_cast<DiscreteOptimizer*>(optimizer.get());
-    CAFQA_REQUIRE(discrete != nullptr,
-                  "optimizer kind \"" + config.kind +
-                      "\" does not minimize over a discrete space");
-    optimizer.release();
-    return std::unique_ptr<DiscreteOptimizer>(discrete);
+    return downcast<DiscreteOptimizer>(
+        make_optimizer(config),
+        "optimizer kind \"" + config.kind +
+            "\" does not minimize over a discrete space");
 }
 
 std::unique_ptr<ContinuousOptimizer>
 make_continuous_optimizer(const OptimizerConfig& config)
 {
-    std::unique_ptr<Optimizer> optimizer = make_optimizer(config);
-    auto* continuous = dynamic_cast<ContinuousOptimizer*>(optimizer.get());
-    CAFQA_REQUIRE(continuous != nullptr,
-                  "optimizer kind \"" + config.kind +
-                      "\" does not minimize from a continuous start point");
-    optimizer.release();
-    return std::unique_ptr<ContinuousOptimizer>(continuous);
+    return downcast<ContinuousOptimizer>(
+        make_optimizer(config),
+        "optimizer kind \"" + config.kind +
+            "\" does not minimize from a continuous start point");
 }
 
 } // namespace cafqa

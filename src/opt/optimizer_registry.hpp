@@ -1,8 +1,9 @@
 /**
  * @file
- * String-keyed optimizer registry and factory, mirroring the backend
- * registry: construct any search strategy from an `OptimizerConfig`
- * without naming its concrete type.
+ * String-keyed optimizer registry and factory, an instance of the
+ * `Registry<Entry>` template (`common/registry.hpp`) like the backend
+ * and problem registries: construct any search strategy from an
+ * `OptimizerConfig` without naming its concrete type.
  *
  * Built-in kinds:
  *
@@ -24,9 +25,11 @@
  * a k-arm portfolio may spend up to k times `max_evaluations`.
  *
  * Additional kinds (CMA-ES, custom schedulers, ...) can be registered
- * at runtime with `register_optimizer`; `CafqaPipeline`, the CLI and the
- * ablation bench resolve strategies exclusively through this factory, so
- * a new kind is immediately usable everywhere.
+ * at runtime with `register_optimizer` (a kind may neither start with
+ * `"portfolio:"` nor contain `'+'`, the portfolio key syntax);
+ * `CafqaPipeline`, the CLI and the ablation bench resolve strategies
+ * exclusively through this factory, so a new kind is immediately usable
+ * everywhere.
  */
 #ifndef CAFQA_OPT_OPTIMIZER_REGISTRY_HPP
 #define CAFQA_OPT_OPTIMIZER_REGISTRY_HPP
@@ -77,11 +80,11 @@ optimizer_config(std::string kind)
 using OptimizerFactory =
     std::function<std::unique_ptr<Optimizer>(const OptimizerConfig&)>;
 
-/** Register (or replace) a factory under `kind`. */
+/** Register (or replace) a factory under `kind`. Throws
+ *  std::invalid_argument on an empty kind, a kind starting with
+ *  `"portfolio:"` (that prefix always resolves to a portfolio) or one
+ *  containing `'+'` (portfolio keys split arms on it). */
 void register_optimizer(const std::string& kind, OptimizerFactory factory);
-
-/** True if `kind` is registered. */
-bool optimizer_registered(const std::string& kind);
 
 /** Sorted list of registered kinds. */
 std::vector<std::string> registered_optimizers();

@@ -17,6 +17,7 @@
 #include <complex>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cafqa {
@@ -108,6 +109,15 @@ class PauliString
     /** Packed words, 64 qubits each, for hashing and fast iteration. */
     const std::vector<std::uint64_t>& x_words() const { return x_; }
     const std::vector<std::uint64_t>& z_words() const { return z_; }
+
+    /** (X, Z) masks of qubits 0..63: the whole string for the dense
+     *  statevector and density-matrix kernels (far below 64 qubits). */
+    std::pair<std::uint64_t, std::uint64_t>
+    first_word_masks() const
+    {
+        return x_.empty() ? std::pair<std::uint64_t, std::uint64_t>{}
+                          : std::pair{x_[0], z_[0]};
+    }
 
     /** Stable hash over the letters (phase excluded). */
     std::size_t letters_hash() const;

@@ -4,12 +4,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <map>
-
-#include "common/thread_safety.hpp"
 
 #include "circuit/efficient_su2.hpp"
 #include "common/error.hpp"
+#include "common/registry.hpp"
 #include "common/text.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/hartree_fock_baseline.hpp"
@@ -118,10 +116,7 @@ class ParamReader
                 known_.end()) {
                 continue;
             }
-            std::string accepted;
-            for (const auto& known : known_) {
-                accepted += accepted.empty() ? known : ", " + known;
-            }
+            const std::string accepted = join(known_, ", ");
             CAFQA_REQUIRE(false, "unknown parameter \"" + name +
                                      "\" for problem family \"" +
                                      key_.family + "\" (accepted: " +
@@ -191,12 +186,9 @@ make_molecule_problem(const ProblemKey& key)
         }
     }
     if (canonical_name.empty()) {
-        std::string all;
-        for (const auto& name : supported_molecules()) {
-            all += all.empty() ? name : ", " + name;
-        }
         CAFQA_REQUIRE(false, "unknown molecule \"" + key.instance +
-                                 "\" (supported: " + all + ")");
+                                 "\" (supported: " +
+                                 join(supported_molecules(), ", ") + ")");
     }
     const MoleculeInfo info = molecule_info(canonical_name);
 
@@ -474,47 +466,37 @@ struct FamilyEntry
     std::string sample_key;
 };
 
-struct Registry
-{
-    Mutex problem_registry_mutex{"problem_registry_mutex"};
-    std::map<std::string, FamilyEntry> families
-        CAFQA_GUARDED_BY(problem_registry_mutex);
-};
-
 /** The process-wide registry, with the built-in families
  *  pre-registered. Function-local static so registration order is
  *  independent of translation-unit initialization order. */
-Registry&
-registry()
+Registry<FamilyEntry>&
+problem_registry()
 {
-    static Registry instance;
-    static const bool built_ins_registered = [] {
-        MutexLock lock(instance.problem_registry_mutex);
-        auto& families = instance.families;
-        families["molecule"] = {
-            make_molecule_problem,
-            "VQE molecule from the paper's Table 1 "
-            "(params: bond, charge, spin)",
-            "molecule:H2?bond=0.74"};
-        families["maxcut"] = {
-            make_maxcut_problem,
-            "MaxCut Ising instance on ring-<n> or er-<n> graphs "
-            "(params: p, seed, ansatz, layers)",
-            "maxcut:ring-6"};
-        families["tfim"] = {
-            make_tfim_problem,
-            "transverse-field Ising model on chain-<n> or ring-<n> "
-            "(params: j, h, layers)",
-            "tfim:chain-4"};
-        families["xxz"] = {
-            make_xxz_problem,
-            "Heisenberg XXZ model on chain-<n> or ring-<n> "
-            "(params: j, delta, layers)",
-            "xxz:chain-4"};
-        return true;
-    }();
-    (void)built_ins_registered;
-    return instance;
+    static Registry<FamilyEntry> registry(
+        "problem family", "",
+        {
+            {"molecule",
+             {make_molecule_problem,
+              "VQE molecule from the paper's Table 1 "
+              "(params: bond, charge, spin)",
+              "molecule:H2?bond=0.74"}},
+            {"maxcut",
+             {make_maxcut_problem,
+              "MaxCut Ising instance on ring-<n> or er-<n> graphs "
+              "(params: p, seed, ansatz, layers)",
+              "maxcut:ring-6"}},
+            {"tfim",
+             {make_tfim_problem,
+              "transverse-field Ising model on chain-<n> or ring-<n> "
+              "(params: j, h, layers)",
+              "tfim:chain-4"}},
+            {"xxz",
+             {make_xxz_problem,
+              "Heisenberg XXZ model on chain-<n> or ring-<n> "
+              "(params: j, delta, layers)",
+              "xxz:chain-4"}},
+        });
+    return registry;
 }
 
 } // namespace
@@ -539,16 +521,10 @@ ProblemKey::parse(const std::string& key)
                   "problem key \"" + key + "\" has an empty instance");
 
     if (question != std::string::npos) {
-        std::string query = key.substr(question + 1);
+        const std::string query = key.substr(question + 1);
         CAFQA_REQUIRE(!query.empty(), "problem key \"" + key +
                                           "\" has an empty query");
-        std::size_t start = 0;
-        while (start <= query.size()) {
-            auto amp = query.find('&', start);
-            if (amp == std::string::npos) {
-                amp = query.size();
-            }
-            const std::string token = query.substr(start, amp - start);
+        for (const std::string& token : split(query, '&')) {
             const auto equals = token.find('=');
             CAFQA_REQUIRE(equals != std::string::npos && equals > 0 &&
                               equals + 1 < token.size(),
@@ -561,7 +537,6 @@ ProblemKey::parse(const std::string& key)
                                   "\" in problem key \"" + key + "\"");
             }
             parsed.params.emplace_back(name, token.substr(equals + 1));
-            start = amp + 1;
         }
     }
     return parsed;
@@ -624,43 +599,24 @@ register_problem_family(const std::string& family, ProblemFactory factory,
                   "problem family must not contain ':'");
     CAFQA_REQUIRE(factory != nullptr,
                   "problem factory must be callable");
-    Registry& r = registry();
-    MutexLock lock(r.problem_registry_mutex);
-    r.families[family] = {std::move(factory), std::move(description),
-                          std::move(sample_key)};
-}
-
-bool
-problem_family_registered(const std::string& family)
-{
-    Registry& r = registry();
-    MutexLock lock(r.problem_registry_mutex);
-    return r.families.count(family) != 0;
+    problem_registry().add(family, {std::move(factory),
+                                    std::move(description),
+                                    std::move(sample_key)});
 }
 
 std::vector<std::string>
 registered_problem_families()
 {
-    Registry& r = registry();
-    MutexLock lock(r.problem_registry_mutex);
-    std::vector<std::string> families;
-    families.reserve(r.families.size());
-    for (const auto& [family, entry] : r.families) {
-        families.push_back(family);
-    }
-    return families;
+    return problem_registry().keys();
 }
 
 std::vector<ProblemFamilyInfo>
 problem_family_catalog()
 {
-    Registry& r = registry();
-    MutexLock lock(r.problem_registry_mutex);
     std::vector<ProblemFamilyInfo> catalog;
-    catalog.reserve(r.families.size());
-    for (const auto& [family, entry] : r.families) {
-        catalog.push_back(
-            {family, entry.description, entry.sample_key});
+    for (const std::string& family : problem_registry().keys()) {
+        const FamilyEntry entry = problem_registry().get(family);
+        catalog.push_back({family, entry.description, entry.sample_key});
     }
     return catalog;
 }
@@ -669,29 +625,10 @@ Problem
 make_problem(const std::string& key)
 {
     const ProblemKey parsed = ProblemKey::parse(key);
-    ProblemFactory factory;
-    {
-        Registry& r = registry();
-        MutexLock lock(r.problem_registry_mutex);
-        const auto it = r.families.find(parsed.family);
-        if (it != r.families.end()) {
-            factory = it->second.factory;
-        }
-    }
-    if (!factory) {
-        std::string all;
-        {
-            Registry& r = registry();
-            MutexLock lock(r.problem_registry_mutex);
-            for (const auto& [family, entry] : r.families) {
-                all += all.empty() ? family : ", " + family;
-            }
-        }
-        CAFQA_REQUIRE(false, "unknown problem family \"" + parsed.family +
-                                 "\" in key \"" + key +
-                                 "\" (registered: " + all + ")");
-    }
-    Problem problem = factory(parsed);
+    Problem problem =
+        problem_registry()
+            .get(parsed.family, " in key \"" + key + "\"")
+            .factory(parsed);
     CAFQA_ASSERT(!problem.key.empty(),
                  "problem factory left the canonical key empty");
     CAFQA_ASSERT(problem.hamiltonian().num_qubits() == problem.num_qubits,

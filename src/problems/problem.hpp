@@ -2,8 +2,10 @@
  * @file
  * Unified workload-facing problem API: every variational workload —
  * molecules, MaxCut, spin chains — resolves through one string-keyed
- * registry, mirroring the backend (`core/backend_registry.hpp`) and
- * optimizer (`opt/optimizer_registry.hpp`) registries.
+ * registry, an instance of the `Registry<Entry>` template
+ * (`common/registry.hpp`) that also holds the backend
+ * (`core/backend_registry.hpp`) and optimizer
+ * (`opt/optimizer_registry.hpp`) registries.
  *
  * A problem key is `family:instance[?param=value[&param=value]...]`:
  *
@@ -137,9 +139,6 @@ void register_problem_family(const std::string& family,
                              ProblemFactory factory,
                              std::string description = {},
                              std::string sample_key = {});
-
-/** True if `family` is registered. */
-bool problem_family_registered(const std::string& family);
 
 /** Sorted list of registered families. */
 std::vector<std::string> registered_problem_families();

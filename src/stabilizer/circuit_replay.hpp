@@ -3,10 +3,11 @@
  * Circuit-to-tableau replay shared by every stabilizer representation.
  *
  * `SymplecticTableau` (production) and the legacy `Tableau` (reference
- * oracle) expose the same gate-conjugation surface; the function
- * templates here hold the one copy of the gate-dispatch logic so the
- * two representations are driven gate-for-gate identically — the
- * property the differential tests rely on.
+ * oracle in `tests/reference_tableau.hpp`) expose the same
+ * gate-conjugation surface; the function templates here hold the one
+ * copy of the gate-dispatch logic so the two representations are
+ * driven gate-for-gate identically — the property the differential
+ * tests rely on.
  */
 #ifndef CAFQA_STABILIZER_CIRCUIT_REPLAY_HPP
 #define CAFQA_STABILIZER_CIRCUIT_REPLAY_HPP

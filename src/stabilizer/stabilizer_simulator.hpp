@@ -6,8 +6,8 @@
  * evaluates Pauli-sum expectation values exactly.
  *
  * The state lives in the column-packed `SymplecticTableau`
- * (word-parallel gate conjugations); the legacy row-based `Tableau`
- * remains available as the reference oracle for differential tests.
+ * (word-parallel gate conjugations); the legacy row-based `Tableau`,
+ * the differential tests' oracle, is `tests/reference_tableau.hpp`.
  */
 #ifndef CAFQA_STABILIZER_STABILIZER_SIMULATOR_HPP
 #define CAFQA_STABILIZER_STABILIZER_SIMULATOR_HPP

@@ -2,8 +2,8 @@
  * @file
  * Column-bit-packed symplectic stabilizer tableau — the word-parallel
  * production representation behind the Gottesman-Knill hot path (the
- * legacy row-of-PauliString `Tableau` in `stabilizer/tableau.hpp` is
- * kept as the reference oracle for differential tests).
+ * legacy row-of-PauliString `Tableau` in `tests/reference_tableau.hpp`
+ * is kept as the reference oracle for differential tests).
  *
  * Layout: instead of 2n rows each packing n qubits, the X/Z supports
  * are stored as per-qubit *columns* spanning all rows of a plane
@@ -71,7 +71,7 @@ class SymplecticTableau
     /** Reconstruct destabilizer generator i. */
     PauliString destabilizer(std::size_t i) const;
 
-    /** Internal consistency check (see Tableau::check_invariants). */
+    /** Internal consistency check (symplectic pattern, Hermitian rows). */
     bool check_invariants() const;
 
     /** @name Packed read access for the expectation engine.

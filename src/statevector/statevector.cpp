@@ -12,12 +12,6 @@ namespace {
 
 constexpr std::size_t max_statevector_qubits = 28;
 
-std::uint64_t
-first_word_mask(const std::vector<std::uint64_t>& words)
-{
-    return words.empty() ? 0 : words[0];
-}
-
 } // namespace
 
 Statevector::Statevector(std::size_t num_qubits)
@@ -185,8 +179,7 @@ Statevector::apply_pauli(const PauliString& pauli)
 {
     CAFQA_REQUIRE(pauli.num_qubits() == num_qubits_,
                   "operator qubit count mismatch");
-    const std::uint64_t xm = first_word_mask(pauli.x_words());
-    const std::uint64_t zm = first_word_mask(pauli.z_words());
+    const auto [xm, zm] = pauli.first_word_masks();
     const Complex phase = PauliString::i_power(pauli.phase_exponent());
 
     auto z_sign = [zm](std::uint64_t b) {
@@ -216,8 +209,7 @@ Statevector::expectation(const PauliString& pauli) const
 {
     CAFQA_REQUIRE(pauli.num_qubits() == num_qubits_,
                   "operator qubit count mismatch");
-    const std::uint64_t xm = first_word_mask(pauli.x_words());
-    const std::uint64_t zm = first_word_mask(pauli.z_words());
+    const auto [xm, zm] = pauli.first_word_masks();
     const Complex phase = PauliString::i_power(pauli.phase_exponent());
 
     Complex total{0.0, 0.0};
@@ -278,8 +270,7 @@ accumulate_apply(const PauliSum& op, const std::vector<Complex>& x,
 {
     CAFQA_REQUIRE(x.size() == y.size(), "buffer size mismatch");
     for (const auto& term : op.terms()) {
-        const std::uint64_t xm = first_word_mask(term.string.x_words());
-        const std::uint64_t zm = first_word_mask(term.string.z_words());
+        const auto [xm, zm] = term.string.first_word_masks();
         const Complex w =
             term.coefficient *
             PauliString::i_power(term.string.phase_exponent());

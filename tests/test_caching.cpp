@@ -75,9 +75,15 @@ TEST(CachingBackend, RegistryComposesByPrefixAndConfigBlock)
     EXPECT_EQ(by_block->kind(), "cached:statevector");
     EXPECT_FALSE(by_block->discrete());
 
-    EXPECT_TRUE(backend_registered("cached:density"));
-    EXPECT_FALSE(backend_registered("cached:no-such-backend"));
-    EXPECT_FALSE(backend_registered("cached:"));
+    // The prefix composes over every registered kind and nothing else.
+    BackendConfig composed;
+    composed.ansatz = tiny_ansatz();
+    composed.kind = "cached:density";
+    EXPECT_EQ(make_backend(composed)->kind(), "cached:density");
+    composed.kind = "cached:no-such-backend";
+    EXPECT_THROW(make_backend(composed), std::invalid_argument);
+    composed.kind = "cached:";
+    EXPECT_THROW(make_backend(composed), std::invalid_argument);
 }
 
 TEST(CachingBackend, HitsSkipPreparationAndLruEvictsOldest)

@@ -1,17 +1,21 @@
-// Tests for the shared utilities: linear algebra, RNG, tables, and
-// the thread pool (including its shutdown audit).
+// Tests for the shared utilities: linear algebra, RNG, tables, the
+// string-keyed registry, and the thread pool (including its shutdown
+// audit).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/linalg.hpp"
+#include "common/registry.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -204,6 +208,88 @@ TEST(Table, RowWidthValidation)
     Table t("demo");
     t.set_header({"a", "b"});
     EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
+}
+
+TEST(Registry, AddReplacesAnExistingEntry)
+{
+    Registry<int> registry("widget", "", {{"a", 1}});
+    EXPECT_EQ(registry.get("a"), 1);
+    registry.add("a", 2);
+    EXPECT_EQ(registry.get("a"), 2);
+    EXPECT_EQ(registry.find("a"), 2);
+    EXPECT_EQ(registry.keys().size(), 1u);
+    EXPECT_FALSE(registry.find("b").has_value());
+}
+
+TEST(Registry, KeysAreSorted)
+{
+    Registry<int> registry("widget", "", {{"m", 0}, {"c", 0}});
+    registry.add("x", 0);
+    registry.add("a", 0);
+    EXPECT_EQ(registry.keys(),
+              (std::vector<std::string>{"a", "c", "m", "x"}));
+}
+
+TEST(Registry, UnknownKeyErrorListsEveryKeyAndTheHint)
+{
+    Registry<int> registry("widget kind", "try \"prefix:<kind>\"",
+                           {{"beta", 0}, {"alpha", 0}});
+    try {
+        registry.get("gamma", " in spec \"s\"");
+        FAIL() << "get returned for an unknown key";
+    } catch (const std::invalid_argument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("unknown widget kind \"gamma\" in spec "
+                               "\"s\" (registered: alpha, beta; try "
+                               "\"prefix:<kind>\")"),
+                  std::string::npos)
+            << message;
+    }
+    // Without a hint the list closes right after the last key.
+    const Registry<int> bare("widget", "", {{"only", 0}});
+    try {
+        bare.get("nope");
+        FAIL() << "get returned for an unknown key";
+    } catch (const std::invalid_argument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("unknown widget \"nope\" (registered: "
+                               "only)"),
+                  std::string::npos)
+            << message;
+    }
+}
+
+TEST(Registry, ConcurrentAddAndFind)
+{
+    // Writers replace and insert while readers look up and list; run
+    // under TSan this is the registry's data-race check.
+    Registry<int> registry("widget", "", {{"shared", 0}});
+    constexpr int kThreads = 4;
+    static constexpr int kRounds = 200;
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&registry, t] {
+            const std::string own = "key" + std::to_string(t);
+            for (int round = 0; round < kRounds; ++round) {
+                registry.add("shared", round);
+                registry.add(own, round);
+                const std::optional<int> shared = registry.find("shared");
+                ASSERT_TRUE(shared.has_value());
+                EXPECT_GE(*shared, 0);
+                EXPECT_LT(*shared, kRounds);
+                EXPECT_EQ(registry.find(own), round);
+                EXPECT_GE(registry.keys().size(), 2u);
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(registry.keys().size(), 1u + kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(registry.find("key" + std::to_string(t)), kRounds - 1);
+    }
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)

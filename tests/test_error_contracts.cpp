@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -30,15 +31,17 @@
 #include "problems/molecule_factory.hpp"
 #include "problems/problem.hpp"
 #include "problems/spin_chains.hpp"
+#include "reference_tableau.hpp"
 #include "stabilizer/expectation_engine.hpp"
 #include "stabilizer/stabilizer_simulator.hpp"
 #include "stabilizer/symplectic_tableau.hpp"
-#include "stabilizer/tableau.hpp"
 #include "statevector/lanczos.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa {
 namespace {
+
+using reference::Tableau;
 
 TEST(ErrorContracts, PauliQubitCountMismatch)
 {
@@ -269,6 +272,20 @@ TEST(ErrorContracts, OptimizerRegistryGuards)
     EXPECT_THROW(make_continuous_optimizer(optimizer_config("anneal")),
                  std::invalid_argument);
     EXPECT_THROW(register_optimizer("", nullptr), std::invalid_argument);
+
+    // Kinds no lookup could ever reach are refused: every "portfolio:"
+    // key goes to the portfolio builder, and portfolio keys split arms
+    // on '+', so neither kind could run (or be raced) as registered.
+    const OptimizerFactory random = [](const OptimizerConfig& config) {
+        return std::make_unique<RandomSearchOptimizer>(config.random);
+    };
+    EXPECT_THROW(register_optimizer("portfolio:x", random),
+                 std::invalid_argument);
+    EXPECT_THROW(register_optimizer("random+wide", random),
+                 std::invalid_argument);
+    const auto kinds = registered_optimizers();
+    EXPECT_EQ(std::count(kinds.begin(), kinds.end(), "portfolio:x"), 0);
+    EXPECT_EQ(std::count(kinds.begin(), kinds.end(), "random+wide"), 0);
 
     // Pipeline-level mismatch: a continuous tuner key handed to the
     // discrete search stage fails fast inside the stage.

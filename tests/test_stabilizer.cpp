@@ -11,12 +11,14 @@
 #include "circuit/circuit.hpp"
 #include "circuit/efficient_su2.hpp"
 #include "common/rng.hpp"
+#include "reference_tableau.hpp"
 #include "stabilizer/stabilizer_simulator.hpp"
-#include "stabilizer/tableau.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa {
 namespace {
+
+using reference::Tableau;
 
 constexpr double half_pi = std::numbers::pi / 2.0;
 

@@ -15,14 +15,16 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "pauli/grouping.hpp"
+#include "reference_tableau.hpp"
 #include "stabilizer/circuit_replay.hpp"
 #include "stabilizer/expectation_engine.hpp"
 #include "stabilizer/stabilizer_simulator.hpp"
 #include "stabilizer/symplectic_tableau.hpp"
-#include "stabilizer/tableau.hpp"
 
 namespace cafqa {
 namespace {
+
+using reference::Tableau;
 
 constexpr double half_pi = std::numbers::pi / 2.0;
 
