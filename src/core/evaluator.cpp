@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "core/caching_backend.hpp"
 #include "core/clifford_ansatz.hpp"
 
 namespace cafqa {
@@ -24,26 +23,11 @@ CliffordEvaluator::prepare(const std::vector<int>& steps)
     simulator_->apply_circuit_steps(ansatz_, steps);
 }
 
-const StabilizerExpectationEngine&
-CliffordEvaluator::engine_for(const PauliSum& op) const
-{
-    const std::size_t key = observable_hash(op);
-    auto it = engines_.find(key);
-    if (it == engines_.end()) {
-        it = engines_
-                 .emplace(key,
-                          std::make_shared<
-                              const StabilizerExpectationEngine>(op))
-                 .first;
-    }
-    return *it->second;
-}
-
 double
 CliffordEvaluator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(simulator_.has_value(), "prepare() has not been called");
-    return engine_for(op).expectation(simulator_->tableau());
+    return engines_.get(op).expectation(simulator_->tableau());
 }
 
 std::vector<double>
@@ -53,7 +37,7 @@ CliffordEvaluator::expectations(std::span<const PauliSum> ops) const
     std::vector<double> values;
     values.reserve(ops.size());
     for (const PauliSum& op : ops) {
-        values.push_back(engine_for(op).expectation(simulator_->tableau()));
+        values.push_back(engines_.get(op).expectation(simulator_->tableau()));
     }
     return values;
 }
@@ -64,7 +48,7 @@ CliffordEvaluator::expectation_batch(
 {
     // Compile once, then sweep: each candidate pays only tableau
     // construction plus one batched evaluation pass.
-    const StabilizerExpectationEngine& engine = engine_for(op);
+    const StabilizerExpectationEngine& engine = engines_.get(op);
     std::vector<double> values;
     values.reserve(candidates.size());
     for (const auto& steps : candidates) {
@@ -102,7 +86,7 @@ double
 IdealEvaluator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(state_.has_value(), "prepare() has not been called");
-    return state_->expectation(op);
+    return state_->expectation(compiled_.get(op));
 }
 
 const Statevector&
@@ -220,7 +204,7 @@ double
 CliffordTEvaluator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(state_.has_value(), "prepare() has not been called");
-    return state_->expectation(op);
+    return state_->expectation(compiled_.get(op));
 }
 
 std::unique_ptr<Backend>

@@ -23,7 +23,6 @@
 #ifndef CAFQA_CORE_EVALUATOR_HPP
 #define CAFQA_CORE_EVALUATOR_HPP
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "circuit/circuit.hpp"
 #include "core/backend.hpp"
 #include "density/noise_model.hpp"
+#include "pauli/compiled_pauli_sum.hpp"
 #include "pauli/pauli_sum.hpp"
 #include "stabilizer/expectation_engine.hpp"
 #include "stabilizer/stabilizer_simulator.hpp"
@@ -43,7 +43,7 @@ namespace cafqa {
  *
  * Pauli-sum observables are precompiled once per distinct sum into a
  * `StabilizerExpectationEngine` (packed term masks + QWC grouping) and
- * memoized by structural hash, so the search's hot loop — re-prepare,
+ * memoized in an `ObservableMemo`, so the search's hot loop — re-prepare,
  * re-measure the same Hamiltonian — pays compilation once and then
  * evaluates every term in a single batched pass per point. `clone()`
  * shares the compiled engines across thread-pool workers.
@@ -74,22 +74,18 @@ class CliffordEvaluator final : public DiscreteBackend
     const Circuit& ansatz() const { return ansatz_; }
 
   private:
-    /** Compile-once lookup (keyed by `observable_hash`, the same
-     *  structural identity the evaluation cache uses). */
-    const StabilizerExpectationEngine& engine_for(const PauliSum& op) const;
-
     Circuit ansatz_;
     std::optional<StabilizerSimulator> simulator_;
-    /** Engines compiled before a clone() are shared with the clone
-     *  (immutable via shared_ptr); each instance then grows its own map,
-     *  so per-worker clones stay lock-free. Concurrent calls must go
-     *  through distinct clones, as the thread-pool fan-out does. */
-    mutable std::map<std::size_t,
-                     std::shared_ptr<const StabilizerExpectationEngine>>
-        engines_;
+    /** Engines compiled before a clone() are shared with the clone;
+     *  each instance then grows its own memo, so per-worker clones stay
+     *  lock-free. Concurrent calls must go through distinct clones, as
+     *  the thread-pool fan-out does. */
+    mutable ObservableMemo<StabilizerExpectationEngine> engines_;
 };
 
-/** Noise-free statevector backend. */
+/** Noise-free statevector backend. Observables are compiled once per
+ *  distinct sum (`CompiledPauliSum`), shared with clones the same way
+ *  as `CliffordEvaluator`'s engines. */
 class IdealEvaluator final : public ContinuousBackend
 {
   public:
@@ -108,6 +104,7 @@ class IdealEvaluator final : public ContinuousBackend
   private:
     Circuit ansatz_;
     std::optional<Statevector> state_;
+    mutable ObservableMemo<CompiledPauliSum> compiled_;
 };
 
 /** Density-matrix backend with gate noise. */
@@ -170,6 +167,7 @@ class CliffordTEvaluator final : public DiscreteBackend
     std::size_t num_t_ = 0;
     std::vector<Branch> branches_;
     std::optional<Statevector> state_;
+    mutable ObservableMemo<CompiledPauliSum> compiled_;
 };
 
 } // namespace cafqa

@@ -1,11 +1,28 @@
 #include "core/sampled_evaluator.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/error.hpp"
 
 namespace cafqa {
+
+namespace {
+
+/** `std::lower_bound`'s position of `u` in the non-empty sorted
+ *  `values` (the first index whose value is not below `u`, or the size),
+ *  found with a fixed number of steps and no data-dependent branch. */
+std::uint32_t
+lower_bound_index(const std::vector<double>& values, double u)
+{
+    const double* base = values.data();
+    std::size_t n = values.size();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        base += static_cast<std::size_t>(base[half - 1] < u) * half;
+        n -= half;
+    }
+    return static_cast<std::uint32_t>(base - values.data()) + (*base < u);
+}
+
+} // namespace
 
 SampledEvaluator::SampledEvaluator(Circuit ansatz, std::size_t shots,
                                    std::uint64_t seed)
@@ -28,21 +45,24 @@ SampledEvaluator::expectation(const PauliSum& op) const
     CAFQA_REQUIRE(op.num_qubits() == state_->num_qubits(),
                   "operator qubit count mismatch");
 
-    const auto groups = group_qubitwise_commuting(op);
+    const CompiledPauliSum& compiled = compiled_.get(op);
+    const std::vector<CompiledTerm>& terms = compiled.terms();
     double total = 0.0;
 
     std::vector<double> cumulative(state_->dim());
-    for (const auto& group : groups) {
+    std::vector<std::uint32_t> outcomes(shots_);
+    Statevector rotated(state_->num_qubits());
+    for (const auto& group : compiled.measurement_groups()) {
         // Identity-only groups are exact.
         if (group.basis.is_identity_letters()) {
             for (const std::size_t t : group.term_indices) {
-                total += op.terms()[t].coefficient.real();
+                total += terms[t].coefficient.real();
             }
             continue;
         }
 
         // Rotate the shared basis to Z: H for X, H.Sdg for Y.
-        Statevector rotated = *state_;
+        rotated.amplitudes() = state_->amplitudes();
         for (std::size_t q = 0; q < op.num_qubits(); ++q) {
             switch (group.basis.letter(q)) {
               case PauliLetter::X:
@@ -66,31 +86,23 @@ SampledEvaluator::expectation(const PauliSum& op) const
             acc += std::norm(rotated.amplitudes()[i]);
             cumulative[i] = acc;
         }
-        std::vector<double> term_sums(group.term_indices.size(), 0.0);
         for (std::size_t shot = 0; shot < shots_; ++shot) {
-            const double u = rng_.uniform_real(0.0, acc);
-            const auto it = std::lower_bound(cumulative.begin(),
-                                             cumulative.end(), u);
-            const std::uint64_t bits = static_cast<std::uint64_t>(
-                std::distance(cumulative.begin(), it));
-            for (std::size_t k = 0; k < group.term_indices.size(); ++k) {
-                const PauliString& term =
-                    op.terms()[group.term_indices[k]].string;
-                // In the rotated frame every non-identity letter reads
-                // the qubit's Z value.
-                std::uint64_t support = 0;
-                for (std::size_t q = 0; q < op.num_qubits(); ++q) {
-                    if (term.letter(q) != PauliLetter::I) {
-                        support |= std::uint64_t{1} << q;
-                    }
-                }
-                const bool odd = std::popcount(bits & support) % 2 == 1;
-                term_sums[k] += odd ? -1.0 : 1.0;
-            }
+            outcomes[shot] =
+                lower_bound_index(cumulative, rng_.uniform_real(0.0, acc));
         }
-        for (std::size_t k = 0; k < group.term_indices.size(); ++k) {
-            const auto& term = op.terms()[group.term_indices[k]];
-            total += term.coefficient.real() * term_sums[k] /
+        // In the rotated frame every non-identity letter reads the
+        // qubit's Z value. The +-1 shot sum is an integer below 2^53,
+        // so counting odd outcomes gives it exactly.
+        for (const std::size_t t : group.term_indices) {
+            const auto support =
+                static_cast<std::uint32_t>(terms[t].support);
+            std::int64_t odd = 0;
+            for (const std::uint32_t bits : outcomes) {
+                odd += parity32(bits & support);
+            }
+            const double term_sum = static_cast<double>(
+                static_cast<std::int64_t>(shots_) - 2 * odd);
+            total += terms[t].coefficient.real() * term_sum /
                      static_cast<double>(shots_);
         }
     }

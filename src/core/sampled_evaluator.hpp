@@ -6,6 +6,17 @@
  * [25]); each group's terms are estimated from the *same* sampled
  * bitstrings, reproducing both shot noise and the covariance structure
  * of shared measurement settings.
+ *
+ * Each distinct observable is compiled once (`CompiledPauliSum`: the
+ * measurement groups and each term's support mask) and shared with
+ * clones; a shot's term signs are table parities of the outcome masked
+ * by the term's support. The generator draws one number per shot, group
+ * by group, so the draw sequence and every result are bit-identical to
+ * the regroup-per-call loop kept in tests/reference_dense.hpp.
+ *
+ * The generator is a member whose stream advances with every call, so a
+ * value depends on how many calls came before it on this instance (and
+ * a clone continues from the state it was copied at).
  */
 #ifndef CAFQA_CORE_SAMPLED_EVALUATOR_HPP
 #define CAFQA_CORE_SAMPLED_EVALUATOR_HPP
@@ -14,7 +25,7 @@
 
 #include "common/rng.hpp"
 #include "core/evaluator.hpp"
-#include "pauli/grouping.hpp"
+#include "pauli/compiled_pauli_sum.hpp"
 
 namespace cafqa {
 
@@ -45,6 +56,7 @@ class SampledEvaluator final : public ContinuousBackend
     std::size_t shots_;
     mutable Rng rng_;
     std::optional<Statevector> state_;
+    mutable ObservableMemo<CompiledPauliSum> compiled_;
 };
 
 } // namespace cafqa

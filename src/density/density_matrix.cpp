@@ -1,8 +1,11 @@
 #include "density/density_matrix.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
+#include "pauli/compiled_pauli_sum.hpp"
+#include "statevector/pair_kernel.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa {
@@ -10,6 +13,51 @@ namespace cafqa {
 namespace {
 
 constexpr std::size_t max_density_qubits = 12;
+
+/**
+ * U rho U^dagger on the dim x dim matrix `in` (interleaved doubles), one
+ * row pair at a time: rows r and r | bit are the only inputs of the left
+ * multiply's output rows r and r | bit, and the right multiply acts
+ * within a row, so each element sees the same operations as a full left
+ * pass followed by a full right pass. Without `scratch` the result
+ * overwrites `out` (which may be `in`); with a two-row `scratch` it is
+ * added into `out`.
+ */
+void
+conjugate_1q(const std::array<std::complex<double>, 4>& u, std::size_t q,
+             std::size_t dim, const double* in, double* out,
+             double* scratch)
+{
+    const std::size_t bit = std::size_t{1} << q;
+    const Matrix2 left = to_matrix2(u);
+    const Matrix2 right = to_matrix2(u, true);
+    const std::size_t row = 2 * dim;
+    for (std::size_t r = 0; r < dim; ++r) {
+        if (r & bit) {
+            continue;
+        }
+        double* t0 = scratch ? scratch : out + r * row;
+        double* t1 = scratch ? scratch + row : out + (r | bit) * row;
+        mix_pairs(left, in + r * row, in + (r | bit) * row, t0, t1, dim);
+        mix_strided(right, t0, dim, bit);
+        mix_strided(right, t1, dim, bit);
+        if (scratch) {
+            double* d0 = out + r * row;
+            double* d1 = out + (r | bit) * row;
+            for (std::size_t i = 0; i < row; ++i) {
+                d0[i] += t0[i];
+                d1[i] += t1[i];
+            }
+        }
+    }
+}
+
+/** std::complex<double> is layout-compatible with double[2]. */
+double*
+as_doubles(std::vector<std::complex<double>>& v)
+{
+    return reinterpret_cast<double*>(v.data());
+}
 
 } // namespace
 
@@ -28,31 +76,38 @@ DensityMatrix::apply_1q(const std::array<std::complex<double>, 4>& u,
                         std::size_t q)
 {
     CAFQA_REQUIRE(q < num_qubits_, "qubit index out of range");
-    const std::size_t bit = std::size_t{1} << q;
+    conjugate_1q(u, q, dim_, as_doubles(rho_), as_doubles(rho_), nullptr);
+}
 
-    // Left multiply by U (acts on the row index).
-    for (std::size_t c = 0; c < dim_; ++c) {
-        for (std::size_t r = 0; r < dim_; ++r) {
-            if (r & bit) {
-                continue;
+void
+DensityMatrix::apply_cx(std::size_t control, std::size_t target)
+{
+    const std::size_t cbit = std::size_t{1} << control;
+    const std::size_t tbit = std::size_t{1} << target;
+    const std::size_t lo = std::min(cbit, tbit);
+    const std::size_t hi = std::max(cbit, tbit);
+    // Calls swap(i | cbit, i | cbit | tbit) for every i < dim with both
+    // bits clear.
+    auto for_each_pair = [&](auto&& swap) {
+        for (std::size_t i = 0; i < dim_; i += 2 * hi) {
+            for (std::size_t j = i; j < i + hi; j += 2 * lo) {
+                for (std::size_t k = j; k < j + lo; ++k) {
+                    swap(k | cbit, k | cbit | tbit);
+                }
             }
-            const auto a0 = at(r, c);
-            const auto a1 = at(r | bit, c);
-            at(r, c) = u[0] * a0 + u[1] * a1;
-            at(r | bit, c) = u[2] * a0 + u[3] * a1;
         }
-    }
-    // Right multiply by U^dagger (acts on the column index).
+    };
+    // Swaps are exact, so rows first and then columns within each row
+    // permutes the matrix exactly as the column-major order did.
+    std::complex<double>* rows = rho_.data();
+    for_each_pair([&](std::size_t a, std::size_t b) {
+        std::swap_ranges(rows + a * dim_, rows + (a + 1) * dim_,
+                         rows + b * dim_);
+    });
     for (std::size_t r = 0; r < dim_; ++r) {
-        for (std::size_t c = 0; c < dim_; ++c) {
-            if (c & bit) {
-                continue;
-            }
-            const auto a0 = at(r, c);
-            const auto a1 = at(r, c | bit);
-            at(r, c) = a0 * std::conj(u[0]) + a1 * std::conj(u[1]);
-            at(r, c | bit) = a0 * std::conj(u[2]) + a1 * std::conj(u[3]);
-        }
+        std::complex<double>* row = rows + r * dim_;
+        for_each_pair(
+            [row](std::size_t a, std::size_t b) { std::swap(row[a], row[b]); });
     }
 }
 
@@ -60,27 +115,9 @@ void
 DensityMatrix::apply(const GateOp& op, const std::vector<double>& params)
 {
     switch (op.kind) {
-      case GateKind::CX: {
-        const std::size_t cbit = std::size_t{1} << op.q0;
-        const std::size_t tbit = std::size_t{1} << op.q1;
-        for (std::size_t c = 0; c < dim_; ++c) {
-            for (std::size_t r = 0; r < dim_; ++r) {
-                if ((r & cbit) && !(r & tbit)) {
-                    std::swap(rho_[r * dim_ + c],
-                              rho_[(r | tbit) * dim_ + c]);
-                }
-            }
-        }
-        for (std::size_t r = 0; r < dim_; ++r) {
-            for (std::size_t c = 0; c < dim_; ++c) {
-                if ((c & cbit) && !(c & tbit)) {
-                    std::swap(rho_[r * dim_ + c],
-                              rho_[r * dim_ + (c | tbit)]);
-                }
-            }
-        }
+      case GateKind::CX:
+        apply_cx(op.q0, op.q1);
         return;
-      }
       case GateKind::CZ: {
         const std::size_t mask =
             (std::size_t{1} << op.q0) | (std::size_t{1} << op.q1);
@@ -95,20 +132,19 @@ DensityMatrix::apply(const GateOp& op, const std::vector<double>& params)
         }
         return;
       }
-      case GateKind::Swap: {
-        apply(GateOp{GateKind::CX, op.q0, op.q1, -1, 0.0}, params);
-        apply(GateOp{GateKind::CX, op.q1, op.q0, -1, 0.0}, params);
-        apply(GateOp{GateKind::CX, op.q0, op.q1, -1, 0.0}, params);
+      case GateKind::Swap:
+        apply_cx(op.q0, op.q1);
+        apply_cx(op.q1, op.q0);
+        apply_cx(op.q0, op.q1);
         return;
-      }
-      case GateKind::Rzz: {
+      case GateKind::Rzz:
         // RZZ(theta) = CX . RZ_target(theta) . CX (exact identity).
-        const double theta = op.resolved_angle(params);
-        apply(GateOp{GateKind::CX, op.q0, op.q1, -1, 0.0}, params);
-        apply(GateOp{GateKind::Rz, op.q1, 0, -1, theta}, params);
-        apply(GateOp{GateKind::CX, op.q0, op.q1, -1, 0.0}, params);
+        apply_cx(op.q0, op.q1);
+        apply_1q(Statevector::gate_matrix(GateKind::Rz,
+                                          op.resolved_angle(params)),
+                 op.q1);
+        apply_cx(op.q0, op.q1);
         return;
-      }
       default:
         break;
     }
@@ -123,36 +159,43 @@ DensityMatrix::apply_kraus_1q(
     std::size_t q)
 {
     CAFQA_REQUIRE(!kraus.empty(), "empty Kraus set");
-    const std::vector<std::complex<double>> saved = rho_;
+    CAFQA_REQUIRE(q < num_qubits_, "qubit index out of range");
+    // Each K rho K^dagger goes row pair by row pair through a two-row
+    // scratch straight into the one accumulator, in Kraus order.
     std::vector<std::complex<double>> accum(rho_.size(),
                                             std::complex<double>{0.0, 0.0});
+    std::vector<std::complex<double>> scratch(2 * dim_);
     for (const auto& k : kraus) {
-        rho_ = saved;
-        apply_1q(k, q); // K rho K^dagger
-        for (std::size_t i = 0; i < rho_.size(); ++i) {
-            accum[i] += rho_[i];
-        }
+        conjugate_1q(k, q, dim_, as_doubles(rho_), as_doubles(accum),
+                     as_doubles(scratch));
     }
     rho_ = std::move(accum);
 }
 
 void
-DensityMatrix::conjugate_pauli(const PauliString& pauli)
+DensityMatrix::accumulate_conjugated(
+    const PauliString& pauli, std::vector<std::complex<double>>& accum) const
 {
     const auto [xm, zm] = pauli.first_word_masks();
+    const std::complex<double> phase =
+        PauliString::i_power(pauli.phase_exponent());
     auto weight = [&](std::uint64_t b) -> std::complex<double> {
-        const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
-        return PauliString::i_power(pauli.phase_exponent()) * sign;
+        const double sign =
+            parity32(static_cast<std::uint32_t>(b & zm)) ? -1.0 : 1.0;
+        return phase * sign;
     };
-    std::vector<std::complex<double>> out(rho_.size());
+    std::vector<std::complex<double>> col_weight(dim_);
+    for (std::size_t c = 0; c < dim_; ++c) {
+        col_weight[c] = std::conj(weight(c));
+    }
     for (std::size_t r = 0; r < dim_; ++r) {
         const auto wr = weight(r);
+        const std::complex<double>* src = rho_.data() + r * dim_;
+        std::complex<double>* dst = accum.data() + (r ^ xm) * dim_;
         for (std::size_t c = 0; c < dim_; ++c) {
-            out[(r ^ xm) * dim_ + (c ^ xm)] =
-                wr * std::conj(weight(c)) * rho_[r * dim_ + c];
+            dst[c ^ xm] += wr * col_weight[c] * src[c];
         }
     }
-    rho_ = std::move(out);
 }
 
 void
@@ -162,20 +205,14 @@ DensityMatrix::depolarize_1q(std::size_t q, double p)
         return;
     }
     CAFQA_REQUIRE(p <= 1.0, "depolarizing probability above 1");
-    const std::vector<std::complex<double>> saved = rho_;
     std::vector<std::complex<double>> accum(rho_.size(),
                                             std::complex<double>{0.0, 0.0});
     for (const PauliLetter letter :
          {PauliLetter::X, PauliLetter::Y, PauliLetter::Z}) {
-        rho_ = saved;
         PauliString pauli(num_qubits_);
         pauli.set_letter(q, letter);
-        conjugate_pauli(pauli);
-        for (std::size_t i = 0; i < rho_.size(); ++i) {
-            accum[i] += rho_[i];
-        }
+        accumulate_conjugated(pauli, accum);
     }
-    rho_ = saved;
     for (std::size_t i = 0; i < rho_.size(); ++i) {
         rho_[i] = (1.0 - p) * rho_[i] + (p / 3.0) * accum[i];
     }
@@ -189,7 +226,6 @@ DensityMatrix::depolarize_2q(std::size_t a, std::size_t b, double p)
     }
     CAFQA_REQUIRE(a != b, "depolarize_2q needs distinct qubits");
     CAFQA_REQUIRE(p <= 1.0, "depolarizing probability above 1");
-    const std::vector<std::complex<double>> saved = rho_;
     std::vector<std::complex<double>> accum(rho_.size(),
                                             std::complex<double>{0.0, 0.0});
     for (int la = 0; la < 4; ++la) {
@@ -197,17 +233,12 @@ DensityMatrix::depolarize_2q(std::size_t a, std::size_t b, double p)
             if (la == 0 && lb == 0) {
                 continue;
             }
-            rho_ = saved;
             PauliString pauli(num_qubits_);
             pauli.set_letter(a, static_cast<PauliLetter>(la));
             pauli.set_letter(b, static_cast<PauliLetter>(lb));
-            conjugate_pauli(pauli);
-            for (std::size_t i = 0; i < rho_.size(); ++i) {
-                accum[i] += rho_[i];
-            }
+            accumulate_conjugated(pauli, accum);
         }
     }
-    rho_ = saved;
     for (std::size_t i = 0; i < rho_.size(); ++i) {
         rho_[i] = (1.0 - p) * rho_[i] + (p / 15.0) * accum[i];
     }

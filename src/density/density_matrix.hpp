@@ -6,7 +6,10 @@
  *
  * The density matrix is stored dense (row-major), so this backend is
  * intended for the small post-CAFQA systems (<= ~8 qubits) the paper
- * evaluates noisily.
+ * evaluates noisily. Gates run row-contiguously (U rho U^dagger one row
+ * pair at a time) and the channels accumulate into a single buffer;
+ * every floating-point operation matches the column-strided kernels in
+ * tests/reference_dense.hpp, so results are bit-identical to them.
  */
 #ifndef CAFQA_DENSITY_DENSITY_MATRIX_HPP
 #define CAFQA_DENSITY_DENSITY_MATRIX_HPP
@@ -73,8 +76,12 @@ class DensityMatrix
     double purity() const;
 
   private:
-    /** rho -> P rho P^dagger for a Pauli string (used by depolarizing). */
-    void conjugate_pauli(const PauliString& pauli);
+    void apply_cx(std::size_t control, std::size_t target);
+
+    /** accum += P rho P^dagger, element by element. */
+    void accumulate_conjugated(
+        const PauliString& pauli,
+        std::vector<std::complex<double>>& accum) const;
 
     std::size_t num_qubits_;
     std::size_t dim_;

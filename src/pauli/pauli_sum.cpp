@@ -1,6 +1,7 @@
 #include "pauli/pauli_sum.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <unordered_map>
@@ -254,6 +255,35 @@ operator*(std::complex<double> scale, PauliSum a)
 {
     a *= scale;
     return a;
+}
+
+bool
+same_observable(const PauliSum& a, const PauliSum& b)
+{
+    if (a.num_qubits() != b.num_qubits() ||
+        a.num_terms() != b.num_terms()) {
+        return false;
+    }
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::size_t t = 0; t < a.num_terms(); ++t) {
+        const std::complex<double> ca = a.terms()[t].coefficient;
+        const std::complex<double> cb = b.terms()[t].coefficient;
+        const PauliString& pa = a.terms()[t].string;
+        const PauliString& pb = b.terms()[t].string;
+        bool same = bits(ca.real()) == bits(cb.real()) &&
+                    bits(ca.imag()) == bits(cb.imag()) &&
+                    pa.phase_exponent() == pb.phase_exponent();
+        // Every term of a sum has the sum's qubit count, so the word
+        // vectors have equal lengths.
+        for (std::size_t w = 0; same && w < pa.x_words().size(); ++w) {
+            same = pa.x_words()[w] == pb.x_words()[w] &&
+                   pa.z_words()[w] == pb.z_words()[w];
+        }
+        if (!same) {
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace cafqa

@@ -97,6 +97,14 @@ PauliSum operator*(std::complex<double> scale, PauliSum a);
  */
 void require_hermitian(const PauliSum& op, double tolerance);
 
+/**
+ * True when `a` and `b` have the same qubit count and the same terms in
+ * the same order, coefficients compared bit for bit: the full identity
+ * of an observable, which a memo that finds an entry by a hash confirms
+ * on every hit.
+ */
+bool same_observable(const PauliSum& a, const PauliSum& b);
+
 } // namespace cafqa
 
 #endif // CAFQA_PAULI_PAULI_SUM_HPP

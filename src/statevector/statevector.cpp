@@ -1,16 +1,67 @@
 #include "statevector/statevector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <numbers>
 
 #include "common/error.hpp"
+#include "statevector/pair_kernel.hpp"
 
 namespace cafqa {
 
 namespace {
 
 constexpr std::size_t max_statevector_qubits = 28;
+
+/** Amplitudes per chunk of the blocked expectation pass: the chunk's
+ *  products (16 B each) stay in L1, and since the chunk divides 2^16
+ *  the index bits above 16 are constant within it. */
+constexpr std::size_t kExpectationChunk = 2048;
+
+/** The 16 bytes of a `Lanes` value as integers, for sign flips. */
+using LaneBits = std::uint64_t __attribute__((vector_size(16)));
+
+/** Xor masks on both lanes, indexed by 2 * high parity + low parity:
+ *  keep the value when the two parities agree, negate it otherwise. */
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+constexpr LaneBits kNegate[4] = {
+    {0, 0}, {kSignBit, kSignBit}, {kSignBit, kSignBit}, {0, 0}};
+
+/**
+ * For K terms with Z masks `zs`: acc[k] += (-1)^{parity(b & z_k)} * p_b
+ * for b = base .. base + n - 1 in ascending order, where `products`
+ * holds p_b for the chunk starting at `base`. Negating p_b is exact, so
+ * this is the reference's `total += p_b * sign` operation for
+ * operation; the K accumulators are independent chains.
+ */
+template <std::size_t K>
+void
+accumulate_terms(const LaneBits* products, std::size_t n, std::uint64_t base,
+                 const std::uint64_t* zs, Lanes* acc)
+{
+    std::uint64_t low_z[K];
+    const LaneBits* negate[K];
+    Lanes sum[K];
+    for (std::size_t k = 0; k < K; ++k) {
+        low_z[k] = zs[k] & 0xffff;
+        // The index bits above 16 are fixed within the chunk.
+        negate[k] =
+            kNegate + 2 * kParity16[((base & zs[k]) >> 16) & 0xffff];
+        sum[k] = acc[k];
+    }
+    const std::uint64_t low = base & 0xffff;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t b = low + i;
+        const LaneBits p = products[i];
+        for (std::size_t k = 0; k < K; ++k) {
+            sum[k] += (Lanes)(p ^ negate[k][kParity16[b & low_z[k]]]);
+        }
+    }
+    for (std::size_t k = 0; k < K; ++k) {
+        acc[k] = sum[k];
+    }
+}
 
 } // namespace
 
@@ -37,15 +88,8 @@ void
 Statevector::apply_1q(const std::array<Complex, 4>& u, std::size_t q)
 {
     CAFQA_REQUIRE(q < num_qubits_, "qubit index out of range");
-    const std::size_t stride = std::size_t{1} << q;
-    for (std::size_t base = 0; base < amplitudes_.size(); base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; ++i) {
-            const Complex a0 = amplitudes_[i];
-            const Complex a1 = amplitudes_[i + stride];
-            amplitudes_[i] = u[0] * a0 + u[1] * a1;
-            amplitudes_[i + stride] = u[2] * a0 + u[3] * a1;
-        }
-    }
+    mix_strided(to_matrix2(u), reinterpret_cast<double*>(amplitudes_.data()),
+                amplitudes_.size(), std::size_t{1} << q);
 }
 
 void
@@ -225,9 +269,70 @@ Statevector::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(op.num_qubits() == num_qubits_,
                   "operator qubit count mismatch");
+    return expectation(CompiledPauliSum(op));
+}
+
+double
+Statevector::expectation(const CompiledPauliSum& op) const
+{
+    CAFQA_REQUIRE(op.num_qubits() == num_qubits_,
+                  "operator qubit count mismatch");
+    const std::size_t dim = amplitudes_.size();
+    const std::size_t chunk = std::min(dim, kExpectationChunk);
+    // std::complex<double> is layout-compatible with double[2].
+    const double* amps = reinterpret_cast<const double*>(amplitudes_.data());
+    std::vector<LaneBits> products(chunk);
+    std::vector<Complex> sums(op.terms().size());
+    std::vector<std::uint64_t> zs;
+    std::vector<Lanes> acc;
+    for (const XMaskGroup& group : op.x_groups()) {
+        const std::size_t m = group.terms.size();
+        zs.resize(m);
+        for (std::size_t j = 0; j < m; ++j) {
+            zs[j] = op.terms()[group.terms[j]].z;
+        }
+        acc.assign(m, Lanes{0.0, 0.0});
+        for (std::uint64_t base = 0; base < dim; base += chunk) {
+            // p_b = conj(a[b ^ x]) * a[b], with std::complex's
+            // finite-path arithmetic.
+            for (std::size_t i = 0; i < chunk; ++i) {
+                const double* c = amps + 2 * ((base + i) ^ group.x);
+                const double* d = amps + 2 * (base + i);
+                products[i] = (LaneBits)Lanes{c[0] * d[0] + c[1] * d[1],
+                                              c[0] * d[1] - c[1] * d[0]};
+            }
+            std::size_t j = 0;
+            for (; j + 4 <= m; j += 4) {
+                accumulate_terms<4>(products.data(), chunk, base,
+                                    zs.data() + j, acc.data() + j);
+            }
+            switch (m - j) {
+              case 3:
+                accumulate_terms<3>(products.data(), chunk, base,
+                                    zs.data() + j, acc.data() + j);
+                break;
+              case 2:
+                accumulate_terms<2>(products.data(), chunk, base,
+                                    zs.data() + j, acc.data() + j);
+                break;
+              case 1:
+                accumulate_terms<1>(products.data(), chunk, base,
+                                    zs.data() + j, acc.data() + j);
+                break;
+              default:
+                break;
+            }
+        }
+        for (std::size_t j = 0; j < m; ++j) {
+            sums[group.terms[j]] = Complex{acc[j][0], acc[j][1]};
+        }
+    }
     double total = 0.0;
-    for (const auto& term : op.terms()) {
-        total += (term.coefficient * expectation(term.string)).real();
+    for (std::size_t t = 0; t < sums.size(); ++t) {
+        const CompiledTerm& term = op.terms()[t];
+        total += (term.coefficient *
+                  (PauliString::i_power(term.phase) * sums[t]))
+                     .real();
     }
     return total;
 }

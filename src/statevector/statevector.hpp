@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "pauli/compiled_pauli_sum.hpp"
 #include "pauli/pauli_sum.hpp"
 
 namespace cafqa {
@@ -58,8 +59,20 @@ class Statevector
     /** <psi|P|psi>. */
     Complex expectation(const PauliString& pauli) const;
 
-    /** Real expectation of a Hermitian Pauli sum. */
+    /** Real expectation of a Hermitian Pauli sum (compiles `op`; a
+     *  caller that measures the same sum repeatedly should keep its
+     *  `CompiledPauliSum` and use the overload below). */
     double expectation(const PauliSum& op) const;
+
+    /**
+     * Real expectation of a compiled sum: one pass per X mask forms
+     * conj(a[b^x]) * a[b] once and adds it, signed by each term's Z
+     * parity, into that term's accumulator in ascending b. Every
+     * floating-point operation matches the per-term sweep
+     * `sum_t (c_t * (i^k_t * sum_b conj(a[b^x_t]) * s_t(b) * a[b])).real()`
+     * in order, so the result is bit-identical to it.
+     */
+    double expectation(const CompiledPauliSum& op) const;
 
     /** <this|other>. */
     Complex inner(const Statevector& other) const;

@@ -1,0 +1,438 @@
+// Differential tests of the dense kernels against the reference kernels
+// they replaced (tests/reference_dense.hpp): the compiled statevector
+// expectation, the compiled sampled estimator and the row-contiguous
+// density-matrix gates and channels must agree by exact bits, not to a
+// tolerance. Also pins the observable memo's identity contract: a hash
+// hit counts only when the full term list matches.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "../tests/reference_dense.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "core/caching_backend.hpp"
+#include "core/evaluator.hpp"
+#include "core/sampled_evaluator.hpp"
+#include "density/noise_model.hpp"
+#include "pauli/compiled_pauli_sum.hpp"
+#include "problems/problem.hpp"
+#include "stabilizer/expectation_engine.hpp"
+#include "stabilizer/stabilizer_simulator.hpp"
+
+namespace cafqa {
+namespace {
+
+bool
+same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+#define EXPECT_SAME_BITS(got, want)                                       \
+    EXPECT_TRUE(same_bits((got), (want)))                                 \
+        << "got " << std::hexfloat << (got) << ", want " << (want)
+
+/** Normalized state with Gaussian random amplitudes. */
+Statevector
+random_state(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Statevector psi(n);
+    for (auto& a : psi.amplitudes()) {
+        a = {rng.normal(), rng.normal()};
+    }
+    psi.normalize();
+    return psi;
+}
+
+/** Random sum over all four letters with complex coefficients, one
+ *  identity term, and repeated X masks so the X-mask groups hold
+ *  several terms each. */
+PauliSum
+random_sum(std::size_t n, std::size_t terms, std::uint64_t seed)
+{
+    Rng rng(seed);
+    PauliSum op(n);
+    op.add_term({0.375, -0.125}, PauliString(n));
+    std::vector<PauliString> x_shapes;
+    for (std::size_t t = 0; t < terms; ++t) {
+        PauliString p(n);
+        for (std::size_t q = 0; q < n; ++q) {
+            p.set_letter(q, static_cast<PauliLetter>(rng.uniform_int(0, 3)));
+        }
+        // Every third term reuses an earlier term's X mask with fresh
+        // Z bits.
+        if (!x_shapes.empty() && t % 3 == 0) {
+            const PauliString& shape = x_shapes[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(
+                                       x_shapes.size()) - 1))];
+            for (std::size_t q = 0; q < n; ++q) {
+                p.set_x_bit(q, shape.x_bit(q));
+            }
+        }
+        x_shapes.push_back(p);
+        op.add_term({rng.normal(), rng.normal()}, p);
+    }
+    return op;
+}
+
+Circuit
+random_circuit(std::size_t n, int gates, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Circuit c(n);
+    for (int g = 0; g < gates; ++g) {
+        const auto q = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        auto q2 = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        if (q2 == q) {
+            q2 = (q + 1) % n;
+        }
+        // One-qubit circuits draw only the single-qubit gates.
+        switch (rng.uniform_int(0, n == 1 ? 4 : 8)) {
+          case 0: c.h(q); break;
+          case 1: c.s(q); break;
+          case 2: c.rx(q, rng.uniform_real(0, 6.28)); break;
+          case 3: c.ry(q, rng.uniform_real(0, 6.28)); break;
+          case 4: c.rz(q, rng.uniform_real(0, 6.28)); break;
+          case 5: c.cx(q, q2); break;
+          case 6: c.cz(q, q2); break;
+          case 7: c.swap(q, q2); break;
+          default: c.rzz(q, q2, rng.uniform_real(0, 6.28)); break;
+        }
+    }
+    return c;
+}
+
+std::vector<double>
+random_params(std::size_t count, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> params(count);
+    for (auto& p : params) {
+        p = rng.uniform_real(-3.2, 3.2);
+    }
+    return params;
+}
+
+/** True when every element of the two matrices has identical bits. */
+bool
+same_matrix(const DensityMatrix& got, reference::DensityMatrix& want)
+{
+    for (std::size_t r = 0; r < got.dim(); ++r) {
+        for (std::size_t c = 0; c < got.dim(); ++c) {
+            const std::complex<double> a = got.at(r, c);
+            const std::complex<double> b = want.at(r, c);
+            if (std::memcmp(&a, &b, sizeof a) != 0) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/** True when the two states' amplitudes have identical bits. */
+bool
+same_state(const Statevector& got, const Statevector& want)
+{
+    return got.dim() == want.dim() &&
+           std::memcmp(got.amplitudes().data(), want.amplitudes().data(),
+                       got.dim() * sizeof(Complex)) == 0;
+}
+
+// ------------------------------------------------------------ statevector
+
+TEST(DenseKernels, StatevectorGatesMatchByBits)
+{
+    for (const std::size_t n : {1, 2, 7, 12}) {
+        const Circuit c = random_circuit(n, 60, 50 + n);
+        Statevector got(n);
+        got.apply_circuit(c);
+        EXPECT_TRUE(same_state(got, reference::prepare(c))) << n;
+    }
+    for (const char* key : {"molecule:H2O", "tfim:chain-8"}) {
+        const problems::Problem problem = problems::make_problem(key);
+        const auto params = random_params(problem.ansatz.num_params(), 4);
+        IdealEvaluator ideal(problem.ansatz);
+        ideal.prepare(params);
+        const Statevector want = reference::prepare(problem.ansatz, params);
+        EXPECT_TRUE(same_state(ideal.state(), want)) << key;
+    }
+}
+
+TEST(DenseKernels, StatevectorRandomSumsMatchByBits)
+{
+    // 17 and 18 qubits take the parity path above the 16-bit table.
+    for (const std::size_t n : {1, 7, 12, 17, 18}) {
+        const Statevector psi = random_state(n, 100 + n);
+        const PauliSum op = random_sum(n, n > 12 ? 24 : 60, 200 + n);
+        const double want = reference::statevector_expectation(psi, op);
+        EXPECT_SAME_BITS(psi.expectation(CompiledPauliSum(op)), want)
+            << n << " qubits";
+        EXPECT_SAME_BITS(psi.expectation(op), want) << n << " qubits";
+    }
+}
+
+TEST(DenseKernels, CompiledFormGroupsByXMaskInFirstSeenOrder)
+{
+    const PauliSum op = PauliSum::from_terms(
+        3, {{1.0, "XIZ"}, {0.5, "ZZI"}, {0.25, "YIZ"}, {2.0, "IZZ"},
+            {0.125, "XII"}});
+    const CompiledPauliSum compiled(op);
+    ASSERT_EQ(compiled.x_groups().size(), 2u);
+    EXPECT_EQ(compiled.x_groups()[0].x, 1u);
+    EXPECT_EQ(compiled.x_groups()[0].terms,
+              (std::vector<std::uint32_t>{0, 2, 4}));
+    EXPECT_EQ(compiled.x_groups()[1].x, 0u);
+    EXPECT_EQ(compiled.x_groups()[1].terms,
+              (std::vector<std::uint32_t>{1, 3}));
+    EXPECT_EQ(compiled.terms()[2].support, 5u); // Y on 0, Z on 2
+    EXPECT_EQ(compiled.terms()[2].phase, 1u);   // Y = i X Z
+    EXPECT_EQ(compiled.measurement_groups().size(),
+              group_qubitwise_commuting(op).size());
+}
+
+TEST(DenseKernels, ProblemHamiltoniansMatchByBits)
+{
+    for (const char* key : {"molecule:H2O", "molecule:H6", "tfim:chain-8",
+                            "tfim:chain-10?h=1.25"}) {
+        const problems::Problem problem = problems::make_problem(key);
+        const PauliSum& h = problem.hamiltonian();
+        IdealEvaluator ideal(problem.ansatz);
+        for (std::uint64_t seed = 0; seed < 3; ++seed) {
+            ideal.prepare(random_params(problem.ansatz.num_params(), seed));
+            EXPECT_SAME_BITS(
+                ideal.expectation(h),
+                reference::statevector_expectation(ideal.state(), h))
+                << key << " seed " << seed;
+        }
+        const Statevector psi = random_state(problem.num_qubits, 7);
+        EXPECT_SAME_BITS(psi.expectation(h),
+                         reference::statevector_expectation(psi, h))
+            << key;
+    }
+}
+
+TEST(DenseKernels, CloneSharedCompiledFormsMatchAcrossThreads)
+{
+    const problems::Problem problem = problems::make_problem("molecule:H6");
+    const PauliSum& h = problem.hamiltonian();
+    IdealEvaluator prototype(problem.ansatz);
+    prototype.prepare(random_params(problem.ansatz.num_params(), 3));
+    const double want =
+        reference::statevector_expectation(prototype.state(), h);
+    EXPECT_SAME_BITS(prototype.expectation(h), want); // compiles once
+
+    ThreadPool pool(4);
+    std::vector<std::unique_ptr<Backend>> clones;
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+        clones.push_back(prototype.clone());
+    }
+    std::vector<double> got(16);
+    pool.parallel_for(got.size(), [&](std::size_t worker, std::size_t i) {
+        auto& backend = static_cast<IdealEvaluator&>(*clones[worker]);
+        got[i] = backend.expectation(h);
+    });
+    for (const double value : got) {
+        EXPECT_SAME_BITS(value, want);
+    }
+}
+
+// ---------------------------------------------------------------- sampled
+
+TEST(DenseKernels, SampledConsecutiveCallsMatchByBits)
+{
+    struct Case
+    {
+        const char* key;
+        std::size_t shots;
+    };
+    for (const Case& c : {Case{"molecule:H6", 128}, Case{"tfim:chain-8", 512},
+                          Case{"molecule:LiH?bond=2.4", 256}}) {
+        const problems::Problem problem = problems::make_problem(c.key);
+        const PauliSum& h = problem.hamiltonian();
+        const std::uint64_t seed = 41;
+        SampledEvaluator sampled(problem.ansatz, c.shots, seed);
+        Rng oracle_rng(seed);
+        for (std::uint64_t call = 0; call < 4; ++call) {
+            const auto params =
+                random_params(problem.ansatz.num_params(), call);
+            sampled.prepare(params);
+            const Statevector psi = reference::prepare(problem.ansatz, params);
+            // Two calls per prepared state: the second one continues
+            // the generator's stream.
+            for (int repeat = 0; repeat < 2; ++repeat) {
+                EXPECT_SAME_BITS(sampled.expectation(h),
+                                 reference::sampled_expectation(
+                                     psi, h, c.shots, oracle_rng))
+                    << c.key << " call " << call << " repeat " << repeat;
+            }
+        }
+        // A clone continues from the copied generator state.
+        const auto params = random_params(problem.ansatz.num_params(), 9);
+        auto clone = sampled.clone();
+        auto& copy = static_cast<SampledEvaluator&>(*clone);
+        copy.prepare(params);
+        const Statevector psi = reference::prepare(problem.ansatz, params);
+        EXPECT_SAME_BITS(copy.expectation(h),
+                         reference::sampled_expectation(psi, h, c.shots,
+                                                        oracle_rng))
+            << c.key << " clone";
+    }
+}
+
+TEST(DenseKernels, SampledRandomSumsMatchByBits)
+{
+    // Y letters, an identity term and complex coefficients (the
+    // estimator reads their real parts).
+    for (const std::size_t n : {1, 5, 9}) {
+        const Circuit ansatz = random_circuit(n, 30, n);
+        const PauliSum op = random_sum(n, 40, 300 + n);
+        SampledEvaluator sampled(ansatz, 200, 5);
+        Rng oracle_rng(5);
+        sampled.prepare({});
+        const Statevector psi = reference::prepare(ansatz);
+        for (int call = 0; call < 3; ++call) {
+            EXPECT_SAME_BITS(
+                sampled.expectation(op),
+                reference::sampled_expectation(psi, op, 200, oracle_rng))
+                << n << " qubits, call " << call;
+        }
+    }
+}
+
+// ---------------------------------------------------------------- density
+
+TEST(DenseKernels, DensityGatesAndNoiseMatchByBits)
+{
+    const NoiseModel models[] = {NoiseModel{}, noise_model_casablanca(),
+                                 noise_model_manhattan()};
+    for (const std::size_t n : {1, 2, 3, 5, 6}) {
+        for (const NoiseModel& noise : models) {
+            const Circuit c = random_circuit(n, n == 1 ? 12 : 40, 17 * n);
+            const DensityMatrix got = simulate_noisy(c, {}, noise);
+            reference::DensityMatrix want =
+                reference::simulate_noisy(c, {}, noise);
+            EXPECT_TRUE(same_matrix(got, want))
+                << n << " qubits, noise " << noise.name;
+        }
+    }
+}
+
+TEST(DenseKernels, DensityChannelsMatchByBits)
+{
+    const std::size_t n = 4;
+    const Circuit c = random_circuit(n, 30, 8);
+    DensityMatrix got(n);
+    reference::DensityMatrix want(n);
+    for (const auto& op : c.ops()) {
+        got.apply(op);
+        want.apply(op);
+    }
+    // Non-unitary Kraus operators with complex entries on every qubit.
+    Rng rng(12);
+    for (std::size_t q = 0; q < n; ++q) {
+        std::vector<std::array<std::complex<double>, 4>> kraus(3);
+        for (auto& k : kraus) {
+            for (auto& entry : k) {
+                entry = {0.5 * rng.normal(), 0.5 * rng.normal()};
+            }
+        }
+        got.apply_kraus_1q(kraus, q);
+        want.apply_kraus_1q(kraus, q);
+        ASSERT_TRUE(same_matrix(got, want)) << "kraus on qubit " << q;
+        got.depolarize_1q(q, 0.05 + 0.1 * static_cast<double>(q));
+        want.depolarize_1q(q, 0.05 + 0.1 * static_cast<double>(q));
+        ASSERT_TRUE(same_matrix(got, want)) << "depolarize_1q on " << q;
+        got.depolarize_2q(q, (q + 2) % n, 0.2);
+        want.depolarize_2q(q, (q + 2) % n, 0.2);
+        ASSERT_TRUE(same_matrix(got, want)) << "depolarize_2q on " << q;
+        got.amplitude_damp(q, 0.3);
+        want.amplitude_damp(q, 0.3);
+        ASSERT_TRUE(same_matrix(got, want)) << "amplitude_damp on " << q;
+    }
+}
+
+TEST(DenseKernels, DensityProblemPrepareMatchesByBits)
+{
+    const problems::Problem problem = problems::make_problem("tfim:chain-8");
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+        const auto params = random_params(problem.ansatz.num_params(), seed);
+        const DensityMatrix got =
+            simulate_noisy(problem.ansatz, params, NoiseModel{});
+        reference::DensityMatrix want =
+            reference::simulate_noisy(problem.ansatz, params, NoiseModel{});
+        EXPECT_TRUE(same_matrix(got, want)) << "seed " << seed;
+    }
+}
+
+// ----------------------------------------------------- observable identity
+
+std::size_t
+colliding_hash(const PauliSum&)
+{
+    return 42;
+}
+
+TEST(ObservableMemo, HashCollisionKeepsObservablesApart)
+{
+    const PauliSum zz = PauliSum::from_terms(2, {{1.0, "ZZ"}});
+    const PauliSum xx = PauliSum::from_terms(2, {{1.0, "XX"}});
+    const PauliSum zz_scaled = PauliSum::from_terms(2, {{2.0, "ZZ"}});
+
+    ObservableMemo<CompiledPauliSum, colliding_hash> memo;
+    const CompiledPauliSum& a = memo.get(zz);
+    const CompiledPauliSum& b = memo.get(xx);
+    const CompiledPauliSum& c = memo.get(zz_scaled);
+    EXPECT_NE(&a, &b);
+    EXPECT_NE(&a, &c);
+    EXPECT_EQ(&memo.get(PauliSum::from_terms(2, {{1.0, "ZZ"}})), &a);
+    EXPECT_EQ(memo.size(), 3u);
+
+    // |00>: <ZZ> = 1, <XX> = 0, <2 ZZ> = 2.
+    const Statevector psi(2);
+    EXPECT_EQ(psi.expectation(a), 1.0);
+    EXPECT_EQ(psi.expectation(b), 0.0);
+    EXPECT_EQ(psi.expectation(c), 2.0);
+
+    // A copy shares the compiled forms and then grows on its own.
+    auto copy = memo;
+    EXPECT_EQ(&copy.get(xx), &b);
+    copy.get(PauliSum::from_terms(2, {{1.0, "YY"}}));
+    EXPECT_EQ(copy.size(), 4u);
+    EXPECT_EQ(memo.size(), 3u);
+}
+
+TEST(ObservableMemo, StabilizerEnginesUnderCollisionStayDistinct)
+{
+    // The memo template also backs CliffordEvaluator's engine lookup.
+    const PauliSum zz = PauliSum::from_terms(2, {{1.0, "ZZ"}});
+    const PauliSum xx = PauliSum::from_terms(2, {{-0.5, "XX"}});
+    ObservableMemo<StabilizerExpectationEngine, colliding_hash> memo;
+    StabilizerSimulator sim(2);
+    sim.apply_circuit_steps(Circuit(2), {});
+    EXPECT_EQ(memo.get(zz).expectation(sim.tableau()), 1.0);
+    EXPECT_EQ(memo.get(xx).expectation(sim.tableau()), 0.0);
+    EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(ObservableMemo, SignedZeroCoefficientsAreDistinctObservables)
+{
+    PauliSum plus(1);
+    plus.add_term({0.0, 0.0}, PauliString::from_label("Z"));
+    PauliSum minus(1);
+    minus.add_term({-0.0, 0.0}, PauliString::from_label("Z"));
+    EXPECT_EQ(observable_hash(plus), observable_hash(minus));
+    EXPECT_FALSE(same_observable(plus, minus));
+    EXPECT_TRUE(same_observable(plus, plus));
+}
+
+} // namespace
+} // namespace cafqa
