@@ -2,10 +2,9 @@
 // on the discrete CAFQA search: for each molecule and search strategy,
 // run the identical pipeline with the cache off and on and report hit
 // rate, backend evaluations saved (state preparations avoided), and the
-// wall-time reduction. The cached run is a pure memoizer
-// (`CacheOptions::unique_budget` off), so both runs follow the same
-// trajectory and must land on exactly the same best energy — the last
-// column checks it.
+// wall-time reduction. The cache is a pure memoizer, so both runs
+// follow the same trajectory and must land on exactly the same best
+// energy — the last column checks it.
 //
 // "bayes" deduplicates its own candidates, so its hit rate is near
 // zero by construction; "anneal" re-visits constantly and shows the

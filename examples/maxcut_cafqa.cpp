@@ -36,8 +36,9 @@ try {
     PipelineConfig config;
     config.objective = problem.objective;
     config.ansatz = problem.ansatz;
-    config.search = {.warmup = 250, .iterations = 500, .seed = 5,
-                     .stall_limit = 200};
+    config.search = {.warmup = 250, .iterations = 500, .seed = 5};
+    // Stop once 200 evaluations in a row bring no improvement.
+    config.stopping.patience = 200;
 
     CafqaPipeline pipeline(std::move(config));
     const CafqaResult& result = pipeline.run_clifford_search();

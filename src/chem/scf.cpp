@@ -20,6 +20,13 @@ compute_ao_integrals(const Molecule& molecule, const BasisSet& basis)
 
 namespace {
 
+/** Convergence thresholds between successive iterations: total energy
+ *  (Hartree) and max-abs AO density change. */
+constexpr double kEnergyTolerance = 1e-10;
+constexpr double kDensityTolerance = 1e-8;
+/** Fock/error pairs kept for DIIS extrapolation. */
+constexpr std::size_t kDiisSize = 8;
+
 /** Fock matrix F = H + G(D) with G_ij = sum_kl D_kl [(ij|kl) - (ik|jl)/2]. */
 Matrix
 build_fock(const Matrix& h, const std::vector<double>& eri,
@@ -144,7 +151,7 @@ rhf(const Molecule& molecule, const AoIntegrals& integrals,
         error = x * error * x;
         diis_focks.push_back(f);
         diis_errors.push_back(error);
-        if (diis_focks.size() > options.diis_size) {
+        if (diis_focks.size() > kDiisSize) {
             diis_focks.pop_front();
             diis_errors.pop_front();
         }
@@ -182,8 +189,8 @@ rhf(const Molecule& molecule, const AoIntegrals& integrals,
         const double total = e_elec + result.nuclear_repulsion;
         const bool converged =
             iter > 0 &&
-            std::abs(total - energy_prev) < options.energy_tolerance &&
-            density_change < options.density_tolerance;
+            std::abs(total - energy_prev) < kEnergyTolerance &&
+            density_change < kDensityTolerance;
         energy_prev = total;
         result.iterations = iter + 1;
         result.electronic_energy = e_elec;

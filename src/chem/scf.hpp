@@ -16,14 +16,12 @@
 
 namespace cafqa::chem {
 
-/** SCF convergence controls. */
+/** SCF convergence controls. Convergence means an energy change
+ *  below 1e-10 Ha and a density change below 1e-8 between iterations;
+ *  DIIS keeps the last 8 Fock/error pairs. */
 struct ScfOptions
 {
     std::size_t max_iterations = 200;
-    double energy_tolerance = 1e-10;
-    double density_tolerance = 1e-8;
-    /** Number of Fock/error pairs kept for DIIS. */
-    std::size_t diis_size = 8;
     /** Fraction of the previous density mixed in before DIIS kicks in. */
     double damping = 0.3;
     /** Iterations with plain damping before DIIS starts. */

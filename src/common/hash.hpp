@@ -1,19 +1,16 @@
 /**
  * @file
  * The one hash combiner shared by every hashing site in the repository
- * — sample deduplication (`config_hash`), evaluation-cache keys, and
- * the unique-evaluation budget accounting. The caching layer's
- * correctness argument ("the cache dedupes on the same identity the
- * samplers do") depends on all of them mixing identically, so the
- * combiner lives here rather than being re-derived per module.
+ * — sample deduplication (`config_hash`), evaluation-cache keys and
+ * shard selection, observable identities. Keeping one definition means
+ * every site mixes identically, so the combiner lives here rather than
+ * being re-derived per module.
  */
 #ifndef CAFQA_COMMON_HASH_HPP
 #define CAFQA_COMMON_HASH_HPP
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace cafqa {
 
@@ -27,27 +24,6 @@ hash_mix(std::size_t h, std::uint64_t word)
     h ^= static_cast<std::size_t>(word) + 0x9e3779b97f4a7c15ull +
          (h << 6) + (h >> 2);
     return h;
-}
-
-/**
- * One quantized point coordinate — the shared identity of the
- * evaluation cache's continuous keys and the unique-evaluation budget
- * accounting (the two must agree on when two points are "the same").
- * Saturates at the int64 range so a huge value or ultra-fine
- * resolution cannot overflow llround into unspecified results.
- */
-inline std::int64_t
-quantize_coordinate(double value, double resolution)
-{
-    const double scaled = value / resolution;
-    constexpr double kMax = 9.2e18; // just inside int64 range
-    if (scaled >= kMax) {
-        return std::numeric_limits<std::int64_t>::max();
-    }
-    if (scaled <= -kMax) {
-        return std::numeric_limits<std::int64_t>::min();
-    }
-    return static_cast<std::int64_t>(std::llround(scaled));
 }
 
 } // namespace cafqa

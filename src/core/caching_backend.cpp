@@ -25,13 +25,12 @@ bits_of(double value)
 }
 
 /** Key prefix of a point: discrete steps verbatim, continuous params
- *  quantized to `resolution` (`quantize_coordinate` is shared with the
- *  unique-budget accounting so the two identities agree), preceded by
- *  the configuration salt when the cache is shared across
+ *  as their exact bit patterns (no two distinct doubles share a key),
+ *  preceded by the configuration salt when the cache is shared across
  *  configurations. */
 template <typename Point>
 EvaluationCache::Key
-point_prefix(const Point& point, double resolution, std::uint64_t salt)
+point_prefix(const Point& point, std::uint64_t salt)
 {
     EvaluationCache::Key key;
     key.reserve(point.size() + 2);
@@ -42,7 +41,7 @@ point_prefix(const Point& point, double resolution, std::uint64_t salt)
         if constexpr (std::is_same_v<Point, std::vector<int>>) {
             key.push_back(p);
         } else {
-            key.push_back(quantize_coordinate(p, resolution));
+            key.push_back(std::bit_cast<std::int64_t>(p));
         }
     }
     return key;
@@ -90,7 +89,7 @@ CacheStats::to_json() const
 }
 
 EvaluationCache::EvaluationCache(const CacheOptions& options)
-    : options_(options), capacity_(options.capacity),
+    : capacity_(options.capacity),
       // Registered here, with no lock held; the per-access bumps below
       // run lock-free under the shard locks.
       hits_metric_(telemetry::MetricsRegistry::instance().counter(
@@ -213,10 +212,6 @@ CachingBackend<Base>::CachingBackend(std::unique_ptr<Base> inner,
 {
     CAFQA_REQUIRE(inner_ != nullptr, "cannot cache a null backend");
     CAFQA_REQUIRE(cache_ != nullptr, "cannot share a null cache");
-    if constexpr (std::is_same_v<Base, ContinuousBackend>) {
-        CAFQA_REQUIRE(cache_->options().resolution > 0.0,
-                      "cache quantization resolution must be positive");
-    }
     kind_ = "cached:" + std::string(inner_->kind());
 }
 
@@ -225,7 +220,7 @@ void
 CachingBackend<Base>::prepare(const Point& point)
 {
     point_ = point;
-    key_prefix_ = point_prefix(point, cache_->options().resolution, salt_);
+    key_prefix_ = point_prefix(point, salt_);
     inner_prepared_ = false;
 }
 

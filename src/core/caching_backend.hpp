@@ -12,16 +12,17 @@
  * `(prepared point, observable) -> expectation value` so a re-visited
  * point skips both the preparation and the measurement.
  *
- * Keys are canonical: discrete points key on the exact quarter-turn
- * step vector (the same identity `ConfigSet` uses for sample
- * deduplication), continuous points on the parameter vector quantized
- * to `CacheOptions::resolution`; the observable is identified by a
- * structural hash over its terms. Storage is a sharded LRU — each
- * shard has its own mutex, so per-worker backend clones produced by
- * `clone()` SHARE the cache and hit each other's entries without
- * serializing on one lock. `CacheStats` (hits / misses / evictions /
- * bytes / state preparations) is aggregated across shards and surfaced
- * through the pipeline observer (`PipelineEvent::cache` on StageEnd).
+ * Keys are exact: discrete points key on the quarter-turn step vector
+ * (the same identity `ConfigSet` uses for sample deduplication),
+ * continuous points on the bit pattern of every parameter, so a hit
+ * returns exactly what the wrapped backend computed for that very
+ * point; the observable is identified by a structural hash over its
+ * terms. Storage is a sharded LRU — each shard has its own mutex, so
+ * per-worker backend clones produced by `clone()` SHARE the cache and
+ * hit each other's entries without serializing on one lock.
+ * `CacheStats` (hits / misses / evictions / bytes / state
+ * preparations) is aggregated across shards and surfaced through the
+ * pipeline observer (`PipelineEvent::cache` on StageEnd).
  *
  * Construction is compositional: `make_backend` wraps automatically for
  * kind `"cached:<kind>"` or whenever `BackendConfig::cache.enabled` is
@@ -60,16 +61,6 @@ struct CacheOptions
     std::size_t capacity = std::size_t{1} << 16;
     /** Lock shards; more shards = less contention under fan-out. */
     std::size_t shards = 8;
-    /** Quantization step for continuous parameter keys: params within
-     *  one step of each other share an entry. The default is far below
-     *  any optimizer's step size, so caching stays exact in practice. */
-    double resolution = 1e-12;
-    /** When set, `CafqaPipeline` flips
-     *  `StoppingCriteria::unique_evaluations` for its stages so budgets
-     *  count unique points (re-visits are cache hits, not progress).
-     *  Off by default: the default cache is a pure memoizer and the
-     *  search trajectory stays bit-identical to the uncached run. */
-    bool unique_budget = false;
 };
 
 /** Aggregate counters of one cache (shared by every clone). */
@@ -114,7 +105,8 @@ struct CacheStats
 class EvaluationCache
 {
   public:
-    /** Quantized point coordinates with the observable hash appended.
+    /** Point coordinates (steps, or parameter bit patterns) with the
+     *  observable hash appended.
      *  Lookup compares the whole vector, so two distinct *points* can
      *  never alias; the observable component is a 64-bit structural
      *  hash (`observable_hash`), so distinct observables alias only on
@@ -146,11 +138,6 @@ class EvaluationCache
 
     std::size_t capacity() const { return capacity_; }
 
-    /** The options the cache was built with (wrappers sharing the cache
-     *  pull the quantization resolution from here, so every user of one
-     *  cache agrees on the continuous-point identity). */
-    const CacheOptions& options() const { return options_; }
-
     /** Stable mix over the key words (the shard selector). */
     static std::size_t hash_key(const Key& key);
 
@@ -181,7 +168,6 @@ class EvaluationCache
         std::size_t bytes CAFQA_GUARDED_BY(shard_mutex) = 0;
     };
 
-    CacheOptions options_;
     std::size_t capacity_ = 0;
     std::size_t per_shard_capacity_ = 0;
     /** Process-registry mirrors of the monotonic `CacheStats` counters
@@ -209,8 +195,8 @@ std::size_t observable_hash(const PauliSum& op);
 /**
  * Memoizing decorator over a backend of either parameter domain:
  * `Base` is `DiscreteBackend` (points key on the exact step vector) or
- * `ContinuousBackend` (points key on the parameters quantized to the
- * cache's `CacheOptions::resolution`).
+ * `ContinuousBackend` (points key on the bit patterns of the
+ * parameters).
  */
 template <typename Base>
 class CachingBackend final : public Base
@@ -231,9 +217,7 @@ class CachingBackend final : public Base
      * Wrap `inner` over an EXISTING cache (the job server's
      * process-wide one). A nonzero `salt` — `backend_config_hash` of
      * the full configuration — leads every key, so distinct
-     * circuits/kinds sharing the cache never alias. Continuous points
-     * quantize at the cache's own resolution, so sharers agree on
-     * point identity.
+     * circuits/kinds sharing the cache never alias.
      */
     CachingBackend(std::unique_ptr<Base> inner,
                    std::shared_ptr<EvaluationCache> cache,

@@ -22,8 +22,6 @@ struct CafqaOptions
     /** Model-guided search evaluations. */
     std::size_t iterations = 300;
     std::uint64_t seed = 2023;
-    /** Early stop after this many non-improving evaluations (0 = off). */
-    std::size_t stall_limit = 0;
     /** Step assignments evaluated before the warm-up (prior injection).
      *  Seeding the Hartree-Fock point guarantees CAFQA never returns a
      *  state worse than the HF baseline — the paper's "equal to or

@@ -113,7 +113,6 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
     optimizer_config.bayes.warmup = options.warmup;
     optimizer_config.bayes.iterations = options.iterations;
     optimizer_config.bayes.seed = options.seed;
-    optimizer_config.bayes.stall_limit = options.stall_limit;
 
     StoppingCriteria criteria = config_.stopping;
     if (criteria.max_evaluations == 0 &&
@@ -123,12 +122,6 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
         // the cap).
         criteria.max_evaluations = options.seed_steps.size() +
                                    options.warmup + options.iterations;
-    }
-    if (config_.cache.enabled && config_.cache.unique_budget) {
-        // Re-visits are cache hits, not backend work: charge the budget
-        // for unique points only.
-        criteria.unique_evaluations = true;
-        criteria.unique_resolution = config_.cache.resolution;
     }
 
     auto objective_fn = [&](const std::vector<int>& steps) {
@@ -392,10 +385,6 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
     if (criteria.max_evaluations == 0 &&
         optimizer_config.kind != "spsa") {
         criteria.max_evaluations = options.iterations;
-    }
-    if (config_.cache.enabled && config_.cache.unique_budget) {
-        criteria.unique_evaluations = true;
-        criteria.unique_resolution = config_.cache.resolution;
     }
 
     const auto optimizer = make_continuous_optimizer(optimizer_config);

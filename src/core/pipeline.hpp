@@ -17,7 +17,7 @@
  * `PipelineConfig::search_optimizer`/`tuner_optimizer` to swap the
  * discrete search or the continuous tuner without touching any other
  * code, and `PipelineConfig::stopping` for uniform early exits
- * (target value such as chemical accuracy, wall clock, patience).
+ * (target value such as chemical accuracy, patience, cancellation).
  * Candidate evaluation in block-generated phases is batched across a
  * thread pool with per-worker backend clones. Observers receive
  * begin/progress/end events per stage, which is how the bench harness
@@ -99,8 +99,8 @@ struct PipelineConfig
     Circuit ansatz;
     /** Hamiltonian + constraint penalties. */
     VqaObjective objective;
-    /** Discrete-search stage budget: warm-up, iterations, seed, stall
-     *  limit and prior seeds. */
+    /** Discrete-search stage budget: warm-up, iterations, seed and
+     *  prior seeds. */
     CafqaOptions search{};
     /** Continuous-stage controls (SPSA budget, noise, backend kind). */
     VqaTunerOptions tuner = VqaTunerOptions();
@@ -113,9 +113,8 @@ struct PipelineConfig
      *  minimizes over a `DiscreteSpace`); "bayes" reproduces the
      *  paper. The stage budget (`search.warmup + search.iterations`)
      *  and `search.seed` apply to every strategy; "bayes" takes its
-     *  warm-up/model split, seed and stall limit from `search` and
-     *  every other knob (candidate pool, forest, ...) from
-     *  `search_optimizer.bayes`. The other option fields (`anneal`,
+     *  warm-up/model split and seed from `search` and its forest
+     *  from `search_optimizer.bayes`. The other option fields (`anneal`,
      *  `random`, ...) are forwarded untouched. */
     OptimizerConfig search_optimizer = optimizer_config("bayes");
     /** Continuous tuning strategy (any optimizer-registry kind that
@@ -125,19 +124,16 @@ struct PipelineConfig
      *  forwarded untouched. */
     OptimizerConfig tuner_optimizer = optimizer_config("spsa");
     /** Uniform stopping criteria applied to every stage: target-value
-     *  early exit (e.g. exact energy + chemical accuracy), wall-clock
-     *  budget, patience. A zero `max_evaluations` defers to the stage
+     *  early exit (e.g. exact energy + chemical accuracy), patience,
+     *  cancellation. A zero `max_evaluations` defers to the stage
      *  budgets above. */
     StoppingCriteria stopping{};
     /** Memoizing evaluation cache (`core/caching_backend.hpp`). When
      *  `cache.enabled`, every stage backend — discrete search, T-boost
      *  rounds, continuous tuner — is wrapped so re-visited points skip
      *  state preparation; per-stage `CacheStats` arrive on the
-     *  observer's StageEnd events. With the default
-     *  `cache.unique_budget == false` the cache is a pure memoizer and
-     *  results are bit-identical to the uncached run; setting
-     *  `unique_budget` additionally makes `stopping.max_evaluations`
-     *  count unique points only. */
+     *  observer's StageEnd events. The cache is a pure memoizer:
+     *  results are bit-identical to the uncached run. */
     CacheOptions cache{};
     /**
      * Cross-run shared evaluation cache (the job server's process-wide

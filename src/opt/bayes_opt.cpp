@@ -11,6 +11,15 @@ namespace cafqa {
 
 namespace {
 
+/** Acquisition pool per round: uniform random candidates, plus
+ *  mutations of the best `kEliteSize` configurations evaluated so far. */
+constexpr std::size_t kRandomCandidates = 256;
+constexpr std::size_t kMutationCandidates = 128;
+constexpr std::size_t kEliteSize = 8;
+/** Probability of taking the first unevaluated candidate instead of
+ *  the greedy argmin (exploration). */
+constexpr double kEpsilonRandom = 0.05;
+
 std::vector<double>
 to_features(const std::vector<int>& config)
 {
@@ -37,25 +46,25 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
     OutcomeRecorder recorder(criteria, criteria.max_evaluations,
                              context.progress);
 
-    // `seen` owns each evaluated configuration once; `configs` points
-    // into it (set elements never move) in evaluation order.
+    // `seen` owns each drawn or evaluated configuration once; `configs`
+    // points into it (set elements never move) in evaluation order.
     ConfigSet seen;
     std::vector<const std::vector<int>*> configs;
     std::vector<std::vector<double>> features;
     std::vector<double> values;
 
-    auto record = [&](const std::vector<int>& config, double value) {
+    auto remember = [&](const std::vector<int>& config, double value) {
         configs.push_back(&*seen.insert(config).first);
         features.push_back(to_features(config));
         values.push_back(value);
-        recorder.record(config, value);
     };
 
     auto evaluate = [&](const std::vector<int>& config) {
-        record(config, objective(config));
+        const double value = objective(config);
+        remember(config, value);
+        recorder.record(config, value);
     };
 
-    StopReason reason = StopReason::BudgetExhausted;
     try {
         // ---- Prior injection: caller-provided configurations first
         //      (duplicates evaluated once). ----
@@ -66,81 +75,48 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
         }
 
         // ---- Warm-up: random sampling (deduplicated, bounded
-        //      retries). A draw that is STILL a duplicate after the
-        //      retries is dropped rather than dispatched: re-evaluating
-        //      it would double-count the point against the evaluation
-        //      budget (and, in the batched path, ship redundant work to
-        //      the pool). The drop happens after the same RNG draws as
-        //      before, so trajectories on spaces where the retries
-        //      always succeed — every realistic CAFQA space — are
-        //      unchanged. ----
+        //      retries). Each draw is marked seen before the next, and
+        //      a draw that is STILL a duplicate after the retries is
+        //      dropped rather than dispatched: re-evaluating it would
+        //      double-count the point against the evaluation budget.
+        //      The block is generated whole, then evaluated and
+        //      recorded in order (`record_block`), so fanning it out
+        //      through `context.batch` leaves the trajectory unchanged.
+        //      ----
         const std::size_t warmup =
             std::min(options.warmup, recorder.remaining_budget());
-        if (context.batch && warmup > 0) {
-            // Batched path: generate the whole block first (same
-            // RNG/dedup draws as the serial loop — each config is marked
-            // seen before the next is drawn), evaluate it in one call,
-            // record in order.
-            std::vector<std::vector<int>> block;
-            block.reserve(warmup);
-            for (std::size_t w = 0; w < warmup; ++w) {
-                std::vector<int> config = random_config(space, rng);
-                for (int attempt = 0;
-                     attempt < 16 && seen.count(config) != 0;
-                     ++attempt) {
-                    config = random_config(space, rng);
-                }
-                if (seen.count(config) != 0) {
-                    continue; // exhausted retries: already evaluated
-                }
-                seen.insert(config);
+        std::vector<std::vector<int>> block;
+        block.reserve(warmup);
+        for (std::size_t w = 0; w < warmup; ++w) {
+            std::vector<int> config = random_config(space, rng);
+            for (int attempt = 0; attempt < 16 && seen.count(config) != 0;
+                 ++attempt) {
+                config = random_config(space, rng);
+            }
+            if (seen.insert(config).second) {
                 block.push_back(std::move(config));
             }
-            const std::vector<double> block_values = context.batch(block);
-            CAFQA_REQUIRE(block_values.size() == block.size(),
-                          "batch evaluator returned wrong value count");
-            for (std::size_t w = 0; w < block.size(); ++w) {
-                record(block[w], block_values[w]);
-            }
-        } else {
-            for (std::size_t w = 0; w < warmup; ++w) {
-                std::vector<int> config = random_config(space, rng);
-                for (int attempt = 0;
-                     attempt < 16 && seen.count(config) != 0;
-                     ++attempt) {
-                    config = random_config(space, rng);
-                }
-                if (seen.count(config) != 0) {
-                    continue; // exhausted retries: already evaluated
-                }
-                evaluate(config);
-            }
+        }
+        const std::vector<double> block_values =
+            record_block(block, objective, context, recorder);
+        for (std::size_t w = 0; w < block.size(); ++w) {
+            remember(block[w], block_values[w]);
         }
 
         // ---- Model-guided search. ----
         RandomForest forest;
         std::vector<double> row; // reused feature row for predictions
-        std::size_t stall = 0;
-        double best_at_last_improvement = recorder.best_value();
-
         for (std::size_t iter = 0; iter < options.iterations; ++iter) {
-            if (options.stall_limit > 0 && stall >= options.stall_limit) {
-                reason = StopReason::Stalled;
-                break;
-            }
-            if (iter % std::max<std::size_t>(1, options.refit_every) == 0) {
-                forest.fit(features, values, options.seed + 17 * (iter + 1),
-                           options.forest);
-            }
+            forest.fit(features, values, options.seed + 17 * (iter + 1),
+                       options.forest);
 
             // Candidate pool: uniform random + mutations of elites.
             std::vector<std::vector<int>> pool;
-            pool.reserve(options.random_candidates +
-                         options.mutation_candidates);
-            for (std::size_t c = 0; c < options.random_candidates; ++c) {
+            pool.reserve(kRandomCandidates + kMutationCandidates);
+            for (std::size_t c = 0; c < kRandomCandidates; ++c) {
                 pool.push_back(random_config(space, rng));
             }
-            if (!values.empty() && options.mutation_candidates > 0) {
+            if (!values.empty()) {
                 // Rank evaluated configs by value, mutate the best few.
                 std::vector<std::size_t> order(values.size());
                 for (std::size_t i = 0; i < order.size(); ++i) {
@@ -151,9 +127,8 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
                               return values[a] < values[b];
                           });
                 const std::size_t elites =
-                    std::min(options.elite_size, order.size());
-                for (std::size_t c = 0; c < options.mutation_candidates;
-                     ++c) {
+                    std::min(kEliteSize, order.size());
+                for (std::size_t c = 0; c < kMutationCandidates; ++c) {
                     const std::size_t parent =
                         order[static_cast<std::size_t>(rng.uniform_int(
                             0, static_cast<std::int64_t>(elites) - 1))];
@@ -177,7 +152,7 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
             // the lowest surrogate prediction (epsilon-random for
             // exploration).
             std::vector<int>* chosen = nullptr;
-            if (rng.bernoulli(options.epsilon_random)) {
+            if (rng.bernoulli(kEpsilonRandom)) {
                 for (auto& candidate : pool) {
                     if (seen.count(candidate) == 0) {
                         chosen = &candidate;
@@ -204,19 +179,12 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
             } else {
                 evaluate(*chosen);
             }
-
-            if (recorder.best_value() < best_at_last_improvement - 1e-15) {
-                best_at_last_improvement = recorder.best_value();
-                stall = 0;
-            } else {
-                ++stall;
-            }
         }
     } catch (const OutcomeRecorder::EarlyStop&) {
         // A stopping criterion fired; the recorder holds the reason.
     }
 
-    return recorder.finish(reason);
+    return recorder.finish(StopReason::BudgetExhausted);
 }
 
 } // namespace cafqa

@@ -4,10 +4,12 @@
  * CAFQA's search engine (paper Section 5, replacing HyperMapper).
  *
  * The loop alternates a random-forest surrogate fit with a greedy
- * acquisition over a candidate pool (uniform random samples plus local
- * mutations of the best configurations found so far), after an initial
- * random warm-up phase (Fig. 7: "the first 1000 iterations are a warm-up
- * period").
+ * acquisition over a candidate pool (256 uniform random samples plus
+ * 128 one- or two-site mutations of the 8 best configurations found so
+ * far; 5% of rounds take the first unevaluated candidate instead),
+ * after an initial random warm-up phase (Fig. 7: "the first 1000
+ * iterations are a warm-up period"). The forest is refitted every
+ * round.
  *
  * `BayesOptimizer` is the `DiscreteOptimizer` implementation (registry
  * key "bayes"). Prior seeds, progress reporting and the batched warm-up
@@ -34,20 +36,7 @@ struct BayesOptOptions
     /** Model-guided evaluations after warm-up. */
     std::size_t iterations = 300;
     std::uint64_t seed = 2023;
-    /** Uniform random candidates per acquisition round. */
-    std::size_t random_candidates = 256;
-    /** Mutated candidates per acquisition round (from top configs). */
-    std::size_t mutation_candidates = 128;
-    /** Top configurations used as mutation seeds. */
-    std::size_t elite_size = 8;
-    /** Probability of taking a random candidate instead of the greedy
-     *  argmin (exploration). */
-    double epsilon_random = 0.05;
-    /** Forest refit cadence (1 = every iteration). */
-    std::size_t refit_every = 1;
     ForestOptions forest{};
-    /** Stop early after this many non-improving iterations (0 = off). */
-    std::size_t stall_limit = 0;
 };
 
 /** Random-forest Bayesian optimization (registry key "bayes"). */

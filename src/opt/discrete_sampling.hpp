@@ -44,7 +44,7 @@ struct ConfigHasher
  * Set of configurations keyed on the configuration itself: the hash
  * only picks the bucket, so two configurations whose hashes collide
  * are still told apart. Every discrete dedup site (Bayesian `seen`,
- * random and exhaustive search, unique-evaluation accounting) uses it.
+ * random and exhaustive search) uses it.
  * The hasher is a parameter so tests can force collisions.
  */
 template <class Hasher = ConfigHasher>

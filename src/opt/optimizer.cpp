@@ -1,32 +1,17 @@
 #include "opt/optimizer.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "opt/discrete_sampling.hpp"
 
 namespace cafqa {
 
 namespace {
 
-/** Order-dependent hash of a continuous point. With a resolution it
- *  quantizes exactly like the evaluation cache's keys (so "unique"
- *  matches "cache miss"); at 0 only bit-identical vectors dedupe. */
-std::size_t
-point_hash(const std::vector<double>& x, double resolution)
-{
-    std::size_t h = kHashSeed;
-    for (const double v : x) {
-        h = hash_mix(h, resolution > 0.0
-                            ? static_cast<std::uint64_t>(
-                                  quantize_coordinate(v, resolution))
-                            : std::bit_cast<std::uint64_t>(v));
-    }
-    return h;
-}
+/** Improvement below this does not reset the patience window. */
+constexpr double kMinImprovement = 1e-12;
 
 } // namespace
 
@@ -59,8 +44,6 @@ to_string(StopReason reason)
         return "budget";
       case StopReason::TargetReached:
         return "target";
-      case StopReason::TimeExpired:
-        return "time";
       case StopReason::Stalled:
         return "stalled";
       case StopReason::Converged:
@@ -78,19 +61,8 @@ OutcomeRecorder::OutcomeRecorder(const StoppingCriteria& criteria,
                                  ProgressCallback progress)
     : criteria_(criteria),
       max_evaluations_(max_evaluations),
-      progress_(std::move(progress)),
-      start_(std::chrono::steady_clock::now())
+      progress_(std::move(progress))
 {
-}
-
-std::size_t
-OutcomeRecorder::budget_consumed() const
-{
-    // Under unique-evaluation accounting, repeats of recorded points are
-    // free; unrecorded probes (count_evaluation) always consume budget.
-    return criteria_.unique_evaluations
-        ? outcome_.unique_evaluations + probe_evaluations_
-        : outcome_.evaluations;
 }
 
 std::size_t
@@ -99,36 +71,22 @@ OutcomeRecorder::remaining_budget() const
     if (max_evaluations_ == 0) {
         return std::numeric_limits<std::size_t>::max();
     }
-    const std::size_t consumed = budget_consumed();
-    return max_evaluations_ > consumed ? max_evaluations_ - consumed : 0;
+    return max_evaluations_ > outcome_.evaluations
+        ? max_evaluations_ - outcome_.evaluations
+        : 0;
 }
 
 bool
 OutcomeRecorder::has_budget(std::size_t upcoming) const
 {
     return max_evaluations_ == 0 ||
-           budget_consumed() + upcoming <= max_evaluations_;
-}
-
-void
-OutcomeRecorder::note_point(std::size_t point_hash)
-{
-    if (seen_points_.insert(point_hash).second) {
-        ++outcome_.unique_evaluations;
-    }
+           outcome_.evaluations + upcoming <= max_evaluations_;
 }
 
 void
 OutcomeRecorder::record(const std::vector<int>& config, double value)
 {
     ++outcome_.evaluations;
-    // The default path skips the set entirely — an exhaustive
-    // enumeration would otherwise pay one set node per configuration
-    // for a disabled feature.
-    if (criteria_.unique_evaluations &&
-        seen_configs_.insert(config).second) {
-        ++outcome_.unique_evaluations;
-    }
     const bool improved =
         outcome_.history.empty() || value < outcome_.best_value;
     if (improved) {
@@ -141,9 +99,6 @@ void
 OutcomeRecorder::record(const std::vector<double>& x, double value)
 {
     ++outcome_.evaluations;
-    if (criteria_.unique_evaluations) {
-        note_point(point_hash(x, criteria_.unique_resolution));
-    }
     const bool improved =
         outcome_.history.empty() || value < outcome_.best_value;
     if (improved) {
@@ -164,11 +119,11 @@ OutcomeRecorder::after_record(double value, bool improved)
         outcome_.best_trace.push_back(outcome_.best_trace.back());
     }
     // Patience counts recorded evaluations since the last *meaningful*
-    // improvement (tiny jitter below min_improvement does not reset it).
+    // improvement (tiny jitter below kMinImprovement does not reset it).
     if (outcome_.history.size() == 1 ||
         (improved &&
          outcome_.best_trace[outcome_.best_trace.size() - 2] - value >=
-             criteria_.min_improvement)) {
+             kMinImprovement)) {
         since_improvement_ = 0;
     } else {
         ++since_improvement_;
@@ -189,21 +144,13 @@ OutcomeRecorder::after_record(double value, bool improved)
         stopped_ = StopReason::TargetReached;
         throw EarlyStop{};
     }
-    if (max_evaluations_ > 0 && budget_consumed() >= max_evaluations_) {
+    if (max_evaluations_ > 0 && outcome_.evaluations >= max_evaluations_) {
         stopped_ = StopReason::BudgetExhausted;
         throw EarlyStop{};
     }
     if (criteria_.patience > 0 && since_improvement_ >= criteria_.patience) {
         stopped_ = StopReason::Stalled;
         throw EarlyStop{};
-    }
-    if (criteria_.max_seconds > 0.0) {
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start_;
-        if (elapsed.count() >= criteria_.max_seconds) {
-            stopped_ = StopReason::TimeExpired;
-            throw EarlyStop{};
-        }
     }
 }
 
@@ -213,6 +160,29 @@ OutcomeRecorder::finish(StopReason reason)
     CAFQA_ASSERT(!outcome_.history.empty(), "no evaluations recorded");
     outcome_.stop_reason = stopped_.value_or(reason);
     return std::move(outcome_);
+}
+
+std::vector<double>
+record_block(const std::vector<std::vector<int>>& block,
+             const DiscreteObjective& objective, const SearchContext& context,
+             OutcomeRecorder& recorder)
+{
+    std::vector<double> values;
+    if (context.batch) {
+        values = context.batch(block);
+        CAFQA_REQUIRE(values.size() == block.size(),
+                      "batch evaluator returned wrong value count");
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            recorder.record(block[i], values[i]);
+        }
+        return values;
+    }
+    values.reserve(block.size());
+    for (const auto& config : block) {
+        values.push_back(objective(config));
+        recorder.record(config, values.back());
+    }
+    return values;
 }
 
 void

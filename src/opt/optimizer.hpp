@@ -11,8 +11,8 @@
  *
  * All implementations return the shared `OptimizeOutcome` (best point,
  * best value, evaluation trace, termination reason) and honor the same
- * `StoppingCriteria` (evaluation budget, wall-clock budget, target-value
- * early exit such as chemical accuracy, no-improvement patience), so
+ * `StoppingCriteria` (evaluation budget, target-value early exit such
+ * as chemical accuracy, no-improvement patience, cancellation), so
  * callers can swap strategy without touching any other code. Concrete
  * optimizers are constructible by string key through
  * `opt/optimizer_registry.hpp`, mirroring the backend registry.
@@ -21,15 +21,11 @@
 #define CAFQA_OPT_OPTIMIZER_HPP
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
-
-#include "opt/discrete_sampling.hpp"
 
 namespace cafqa {
 
@@ -50,10 +46,7 @@ enum class StopReason {
     BudgetExhausted,
     /** `StoppingCriteria::target_value` was reached. */
     TargetReached,
-    /** `StoppingCriteria::max_seconds` elapsed. */
-    TimeExpired,
-    /** No improvement within the patience window (or the optimizer's own
-     *  stall limit). */
+    /** No improvement within the patience window. */
     Stalled,
     /** The optimizer's own convergence test fired (e.g. Nelder-Mead's
      *  simplex f-spread tolerance). */
@@ -77,45 +70,19 @@ struct StoppingCriteria
     /** Hard cap on objective evaluations (0 = the optimizer's own
      *  budget, e.g. warmup+iterations for Bayesian optimization). */
     std::size_t max_evaluations = 0;
-    /** Wall-clock budget in seconds (0 = off). Checked after each
-     *  recorded evaluation, so batched phases (Bayesian warm-up, random
-     *  search chunks) may overshoot by up to one block of evaluations.
-     *  Note: time-based stops make traces machine-dependent; leave off
-     *  for reproducibility. */
-    double max_seconds = 0.0;
     /** Stop once the best value is <= this (e.g. exact energy plus
      *  chemical accuracy). Unset = off. */
     std::optional<double> target_value;
-    /** Stop after this many recorded evaluations without improvement
-     *  (0 = off). */
+    /** Stop after this many recorded evaluations without an
+     *  improvement of at least 1e-12 (0 = off). */
     std::size_t patience = 0;
-    /** Improvement below this does not reset the patience window. */
-    double min_improvement = 1e-12;
-    /**
-     * When true, `max_evaluations` counts *unique* points: re-recording
-     * an already-seen configuration (or continuous point) does not
-     * consume budget. Pair with a memoizing backend
-     * (`core/caching_backend.hpp`), where re-visits cost a cache lookup
-     * instead of a state preparation — the budget then measures real
-     * backend work. Unrecorded probe calls (`count_evaluation`, e.g.
-     * SPSA's gradient probes) always consume budget.
-     */
-    bool unique_evaluations = false;
-    /**
-     * Quantization step for the unique identity of *continuous* points
-     * (0 = exact bit patterns). Set it to the paired cache's
-     * `CacheOptions::resolution` so "unique" here matches "miss" there
-     * — `CafqaPipeline` does this automatically. Ignored for discrete
-     * configurations.
-     */
-    double unique_resolution = 0.0;
     /**
      * Cooperative cancellation token: when another thread stores `true`
      * here, the run stops at the next recorded evaluation with
      * `StopReason::Cancelled` (the best point found so far is still
      * returned). Latency is one evaluation — or one block in batched
-     * phases such as the Bayesian warm-up, same caveat as
-     * `max_seconds`. Null (the default) disables the check.
+     * phases such as the Bayesian warm-up, where the block is evaluated
+     * before it is recorded. Null (the default) disables the check.
      */
     std::shared_ptr<const std::atomic<bool>> cancel;
 };
@@ -140,11 +107,6 @@ struct OptimizeOutcome
     std::vector<double> best_trace;
     /** Total objective calls (>= history.size()). */
     std::size_t evaluations = 0;
-    /** Distinct points among the recorded evaluations — the budget
-     *  consumed under unique accounting. Tracked (and nonzero) only
-     *  when `StoppingCriteria::unique_evaluations` is set; the default
-     *  path skips the bookkeeping entirely. */
-    std::size_t unique_evaluations = 0;
     /** 1-based index into `history` where the best value appeared —
      *  the "iterations to converge" metric of Fig. 15. */
     std::size_t evaluations_to_best = 0;
@@ -241,13 +203,8 @@ class OutcomeRecorder
     bool has_budget(std::size_t upcoming) const;
 
     /** Count an objective call that is not recorded in the history
-     *  (e.g. SPSA's +/- gradient probes). Probes always consume budget,
-     *  even under `StoppingCriteria::unique_evaluations`. */
-    void count_evaluation()
-    {
-        ++outcome_.evaluations;
-        ++probe_evaluations_;
-    }
+     *  (e.g. SPSA's +/- gradient probes); it consumes budget. */
+    void count_evaluation() { ++outcome_.evaluations; }
 
     /** Record a discrete evaluation; throws EarlyStop when a criterion
      *  fires (after the value is recorded). */
@@ -264,26 +221,28 @@ class OutcomeRecorder
 
   private:
     void after_record(double value, bool improved);
-    /** Count one continuous point toward the unique tally (no-op on
-     *  repeats). */
-    void note_point(std::size_t point_hash);
-    /** Evaluations charged against `max_evaluations_`. */
-    std::size_t budget_consumed() const;
 
     StoppingCriteria criteria_;
     std::size_t max_evaluations_;
     ProgressCallback progress_;
-    std::chrono::steady_clock::time_point start_;
     std::size_t since_improvement_ = 0;
-    /** Recorded configurations (unique-evaluation accounting). */
-    ConfigSet seen_configs_;
-    /** Hashes of recorded continuous points (likewise). */
-    std::unordered_set<std::size_t> seen_points_;
-    /** Probe calls counted via count_evaluation (never deduplicable). */
-    std::size_t probe_evaluations_ = 0;
     std::optional<StopReason> stopped_;
     OptimizeOutcome outcome_;
 };
+
+/**
+ * Evaluate `block` and record each configuration in block order; the
+ * returned values are in the same order. Uses `context.batch` when set
+ * (one fan-out, then the records). Otherwise each configuration is
+ * evaluated and recorded before the next is evaluated, so an early
+ * stop costs no objective call beyond the one that triggered it.
+ * Either way the recorded trajectory is the same. Throws
+ * `OutcomeRecorder::EarlyStop` like `record`.
+ */
+std::vector<double> record_block(const std::vector<std::vector<int>>& block,
+                                 const DiscreteObjective& objective,
+                                 const SearchContext& context,
+                                 OutcomeRecorder& recorder);
 
 /** Throws std::invalid_argument unless `space` is non-empty with all
  *  positive cardinalities. */

@@ -99,8 +99,7 @@ make_portfolio_optimizer(const OptimizerConfig& config)
                                      "\": " + error.what());
         }
     }
-    return std::make_unique<PortfolioSearch>(
-        std::move(arms), config.portfolio, config.kind);
+    return std::make_unique<PortfolioSearch>(std::move(arms), config.kind);
 }
 
 template <typename Interface>

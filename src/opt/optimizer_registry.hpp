@@ -63,8 +63,6 @@ struct OptimizerConfig
     TemperingOptions tempering;
     NelderMeadOptions nelder_mead;
     SpsaOptions spsa;
-    /** Orchestration knobs for "portfolio:..." kinds. */
-    PortfolioOptions portfolio;
 };
 
 /** Default config for `kind` (convenience for field initializers). */

@@ -14,27 +14,6 @@ namespace {
  *  block allocation on huge budgets and spaces. */
 constexpr std::size_t kChunk = 4096;
 
-/** Record `block` in order, evaluated through `context.batch` when set
- *  (values must come back in block order) or serially otherwise. */
-void
-record_block(const std::vector<std::vector<int>>& block,
-             const DiscreteObjective& objective, const SearchContext& context,
-             OutcomeRecorder& recorder)
-{
-    if (context.batch) {
-        const std::vector<double> values = context.batch(block);
-        CAFQA_REQUIRE(values.size() == block.size(),
-                      "batch evaluator returned wrong value count");
-        for (std::size_t s = 0; s < block.size(); ++s) {
-            recorder.record(block[s], values[s]);
-        }
-    } else {
-        for (const auto& config : block) {
-            recorder.record(config, objective(config));
-        }
-    }
-}
-
 } // namespace
 
 RandomSearchOptimizer::RandomSearchOptimizer(RandomSearchOptions options)
@@ -65,7 +44,6 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
     // is identical either way — and a huge evaluation budget never
     // materializes as one huge allocation.
     ConfigSet seen;
-    std::size_t dry_chunks = 0;
     try {
         for (const auto& config : context.seed_configs) {
             if (seen.insert(config).second) {
@@ -73,26 +51,15 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
             }
         }
 
-        // The budget is re-queried per chunk so unique-evaluation
-        // accounting composes: under `criteria.unique_evaluations`,
-        // recorded repeats do not consume budget, so the loop keeps
-        // drawing until enough *distinct* points have been evaluated.
-        // In that mode a draw that is still a duplicate after the
-        // bounded retries is dropped rather than re-evaluated (it could
-        // never make progress), and two consecutive all-duplicate
-        // chunks end the run — the space is saturated.
-        std::size_t drawn = 0;
+        // Every draw is evaluated, so the draws left are the budget left
+        // (or the sample count when the criteria set no cap).
+        const std::size_t total = criteria.max_evaluations > 0
+            ? recorder.remaining_budget()
+            : options_.samples;
         std::vector<std::vector<int>> block;
-        while (dry_chunks < 2) {
-            const std::size_t remaining = criteria.max_evaluations > 0
-                ? recorder.remaining_budget()
-                : (options_.samples > drawn ? options_.samples - drawn
-                                            : 0);
-            if (remaining == 0) {
-                break;
-            }
+        for (std::size_t drawn = 0; drawn < total; drawn += block.size()) {
             block.clear();
-            const std::size_t chunk = std::min(remaining, kChunk);
+            const std::size_t chunk = std::min(total - drawn, kChunk);
             for (std::size_t s = 0; s < chunk; ++s) {
                 std::vector<int> config = random_config(space, rng);
                 for (int attempt = 0;
@@ -100,27 +67,16 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
                      ++attempt) {
                     config = random_config(space, rng);
                 }
-                ++drawn;
-                if (criteria.unique_evaluations &&
-                    seen.count(config) != 0) {
-                    continue; // exhausted retries: already evaluated
-                }
                 seen.insert(config);
                 block.push_back(std::move(config));
             }
-            if (block.empty()) {
-                ++dry_chunks;
-                continue;
-            }
-            dry_chunks = 0;
             record_block(block, objective, context, recorder);
         }
     } catch (const OutcomeRecorder::EarlyStop&) {
         // A stopping criterion fired; the recorder holds the reason.
     }
 
-    return recorder.finish(dry_chunks >= 2 ? StopReason::SpaceExhausted
-                                           : StopReason::BudgetExhausted);
+    return recorder.finish(StopReason::BudgetExhausted);
 }
 
 OptimizeOutcome
@@ -131,14 +87,13 @@ ExhaustiveOptimizer::minimize(const DiscreteObjective& objective,
 {
     validate_space(space);
     validate_seed_configs(context.seed_configs, space);
-    // Only criteria that terminate unconditionally count as bounds: an
-    // unreached target value or a never-stalling patience window would
-    // still enumerate the whole space.
-    const bool bounded =
-        criteria.max_evaluations > 0 || criteria.max_seconds > 0.0;
-    CAFQA_REQUIRE(bounded || space.log10_size() <= 7.35,
+    // Only an evaluation cap terminates unconditionally: an unreached
+    // target value or a never-stalling patience window would still
+    // enumerate the whole space.
+    CAFQA_REQUIRE(criteria.max_evaluations > 0 ||
+                      space.log10_size() <= 7.35,
                   "space too large to enumerate exhaustively; set an "
-                  "evaluation or wall-clock budget to bound the run");
+                  "evaluation budget to bound the run");
     OutcomeRecorder recorder(criteria, criteria.max_evaluations,
                              context.progress);
 

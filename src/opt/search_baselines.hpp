@@ -52,9 +52,9 @@ class RandomSearchOptimizer final : public DiscreteOptimizer
  * Exhaustive ascending enumeration of the whole space (registry key
  * "exhaustive"). Guaranteed to find the global optimum when allowed to
  * finish (`stop_reason == SpaceExhausted`); combine with an evaluation
- * or wall-clock budget on larger spaces. Refuses spaces beyond ~2*10^7
- * configurations (4^12 passes, 4^13 does not) unless some stopping
- * criterion bounds the run. Honors `SearchContext::batch` by evaluating
+ * budget on larger spaces. Refuses spaces beyond ~2*10^7
+ * configurations (4^12 passes, 4^13 does not) unless an evaluation
+ * budget bounds the run. Honors `SearchContext::batch` by evaluating
  * the scan in bounded blocks — the trajectory is identical to the
  * serial path.
  */

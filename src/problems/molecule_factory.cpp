@@ -126,15 +126,13 @@ make_molecular_system(const std::string& name, double bond_length_angstrom,
     system.total_orbitals = basis.size();
     const chem::AoIntegrals ints =
         chem::compute_ao_integrals(system.molecule, basis);
-    const chem::ScfOptions& scf_options =
-        options.use_custom_scf ? options.scf : spec.scf;
-    chem::ScfResult scf = chem::rhf(system.molecule, ints, scf_options);
-    if (!scf.converged && !options.use_custom_scf) {
+    chem::ScfResult scf = chem::rhf(system.molecule, ints, spec.scf);
+    if (!scf.converged) {
         // Stretched geometries can defeat plain DIIS (the paper hits the
         // same with Psi4 at large H2O bonds). Retry once with heavy
         // damping and a level shift; keep whichever run is variationally
         // better.
-        chem::ScfOptions retry = scf_options;
+        chem::ScfOptions retry = spec.scf;
         retry.max_iterations = 500;
         retry.damping = 0.5;
         retry.damping_iterations = 12;

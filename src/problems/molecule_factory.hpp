@@ -50,10 +50,6 @@ struct MolecularSystemOptions
     std::size_t active_override = 0;
     /** Override the default frozen orbital count. */
     long frozen_override = -1;
-    /** Set to use `scf` below instead of the per-molecule defaults. */
-    bool use_custom_scf = false;
-    /** SCF controls when use_custom_scf is set. */
-    chem::ScfOptions scf;
 };
 
 /** A fully prepared VQE problem instance. */

@@ -5,10 +5,16 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "opt/discrete_sampling.hpp"
 
 namespace cafqa {
 
 namespace {
+
+/** Temperature of the hottest replica (exploration). */
+constexpr double kMaxTemperature = 1.0;
+/** Sweeps between replica-exchange rounds. */
+constexpr std::size_t kSwapInterval = 2;
 
 /** One replica: current state, its value, and a private RNG. */
 struct Replica
@@ -19,24 +25,6 @@ struct Replica
 
     explicit Replica(std::uint64_t seed) : rng(seed) {}
 };
-
-/** Evaluate `block` through the batch hook when available, else
- *  serially — same values either way, only the fan-out differs. */
-std::vector<double>
-evaluate_block(const DiscreteObjective& objective,
-               const SearchContext& context,
-               const std::vector<std::vector<int>>& block)
-{
-    if (context.batch) {
-        return context.batch(block);
-    }
-    std::vector<double> values;
-    values.reserve(block.size());
-    for (const auto& config : block) {
-        values.push_back(objective(config));
-    }
-    return values;
-}
 
 } // namespace
 
@@ -57,10 +45,8 @@ ParallelTempering::minimize(const DiscreteObjective& objective,
     CAFQA_REQUIRE(options.replicas >= 1, "need at least one replica");
     CAFQA_REQUIRE(options.sweeps >= 1, "need at least one sweep");
     CAFQA_REQUIRE(options.min_temperature > 0.0 &&
-                      options.max_temperature >= options.min_temperature,
-                  "temperature ladder must satisfy 0 < min <= max");
-    CAFQA_REQUIRE(options.swap_interval >= 1,
-                  "swap interval must be at least one sweep");
+                      kMaxTemperature >= options.min_temperature,
+                  "temperature ladder must satisfy 0 < min <= 1");
 
     const std::size_t replicas = options.replicas;
     // Geometric ladder: replica 0 coldest (exploitation), last hottest.
@@ -71,7 +57,7 @@ ParallelTempering::minimize(const DiscreteObjective& objective,
             : 0.0;
         temperature[r] =
             options.min_temperature *
-            std::pow(options.max_temperature / options.min_temperature, t);
+            std::pow(kMaxTemperature / options.min_temperature, t);
     }
 
     // One private RNG per replica plus a dedicated swap RNG: the swap
@@ -101,10 +87,9 @@ ParallelTempering::minimize(const DiscreteObjective& objective,
         std::vector<int> start;
         double start_value = 0.0;
         if (!context.seed_configs.empty()) {
-            const std::vector<double> values =
-                evaluate_block(objective, context, context.seed_configs);
+            const std::vector<double> values = record_block(
+                context.seed_configs, objective, context, recorder);
             for (std::size_t i = 0; i < context.seed_configs.size(); ++i) {
-                recorder.record(context.seed_configs[i], values[i]);
                 if (start.empty() || values[i] < start_value) {
                     start = context.seed_configs[i];
                     start_value = values[i];
@@ -123,17 +108,16 @@ ParallelTempering::minimize(const DiscreteObjective& objective,
                 starts.push_back(random_config(space, replica.rng));
             }
             const std::vector<double> values =
-                evaluate_block(objective, context, starts);
+                record_block(starts, objective, context, recorder);
             for (std::size_t r = 0; r < replicas; ++r) {
                 population[r].config = starts[r];
                 population[r].value = values[r];
-                recorder.record(starts[r], values[r]);
             }
         }
 
         for (std::size_t sweep = 1; sweep < sweeps; ++sweep) {
             // Propose one mutation per replica (RNG draws in replica
-            // order), evaluate the block, then record in the same
+            // order), then evaluate and record the block in the same
             // order — the batched and serial paths share one recorded
             // trajectory.
             std::vector<std::vector<int>> proposals;
@@ -153,10 +137,7 @@ ParallelTempering::minimize(const DiscreteObjective& objective,
                 proposals.push_back(std::move(proposal));
             }
             const std::vector<double> values =
-                evaluate_block(objective, context, proposals);
-            for (std::size_t r = 0; r < replicas; ++r) {
-                recorder.record(proposals[r], values[r]);
-            }
+                record_block(proposals, objective, context, recorder);
 
             // Metropolis accept per replica at its own temperature.
             for (std::size_t r = 0; r < replicas; ++r) {
@@ -174,9 +155,8 @@ ParallelTempering::minimize(const DiscreteObjective& objective,
             // even/odd pairing per round. The acceptance draw is
             // consumed for every considered pair, so the schedule is a
             // pure function of the seed.
-            if (sweep % options.swap_interval == 0 && replicas > 1) {
-                const std::size_t first =
-                    (sweep / options.swap_interval) % 2;
+            if (sweep % kSwapInterval == 0 && replicas > 1) {
+                const std::size_t first = (sweep / kSwapInterval) % 2;
                 for (std::size_t i = first; i + 1 < replicas; i += 2) {
                     Replica& cold = population[i];
                     Replica& hot = population[i + 1];

@@ -13,6 +13,14 @@ namespace cafqa {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/** Evaluations each live arm runs between synchronization barriers
+ *  (one "round"). */
+constexpr std::size_t kSyncEvals = 32;
+/** Rounds every arm is immune from killing. */
+constexpr std::size_t kGraceRounds = 2;
+/** Rounds without improving its own best before a dominated arm is
+ *  killed. */
+constexpr std::size_t kStaleRounds = 8;
 
 /** Orchestrator state shared by the arm threads. All fields are
  *  guarded by `control_mutex` except the per-arm kill tokens (atomics
@@ -65,7 +73,6 @@ struct Control
     bool target_seen CAFQA_GUARDED_BY(control_mutex) = false;
 
     // Set once before the arm threads start, read-only afterwards.
-    PortfolioOptions options;
     std::shared_ptr<const std::atomic<bool>> parent_cancel;
     ProgressCallback progress;
 
@@ -135,7 +142,7 @@ struct Control
         for (std::size_t i = 0; i < arms.size(); ++i) {
             live_count += live(i) ? 1 : 0;
         }
-        if (round > options.grace_rounds && live_count > 1) {
+        if (round > kGraceRounds && live_count > 1) {
             std::size_t best_arm = arms.size();
             std::size_t worst_arm = arms.size();
             for (std::size_t i = 0; i < arms.size(); ++i) {
@@ -152,10 +159,9 @@ struct Control
                 }
             }
             if (worst_arm != best_arm &&
-                arms[worst_arm].best >
-                    arms[best_arm].best + options.kill_margin &&
+                arms[worst_arm].best > arms[best_arm].best &&
                 round - arms[worst_arm].last_improve_round >=
-                    options.stale_rounds) {
+                    kStaleRounds) {
                 kill(worst_arm);
             }
         }
@@ -169,7 +175,7 @@ struct Control
             if (!live(i) || !arms[i].pending) {
                 continue;
             }
-            if (pool_capped && pool >= options.sync_evals) {
+            if (pool_capped && pool >= kSyncEvals) {
                 arms[i].restart_budget = pool;
             } else {
                 arms[i].finished = true;
@@ -183,10 +189,10 @@ struct Control
                 continue;
             }
             if (!pool_capped) {
-                arms[i].allowance = options.sync_evals;
+                arms[i].allowance = kSyncEvals;
                 continue;
             }
-            const std::size_t grant = std::min(options.sync_evals, pool);
+            const std::size_t grant = std::min(kSyncEvals, pool);
             pool -= grant;
             arms[i].allowance = grant;
             if (grant == 0) {
@@ -216,7 +222,6 @@ combine_attempts(std::vector<OptimizeOutcome> attempts)
                                 attempt.history.begin(),
                                 attempt.history.end());
         combined.evaluations += attempt.evaluations;
-        combined.unique_evaluations += attempt.unique_evaluations;
         if (!attempt.best_config.empty() &&
             attempt.best_value < combined.best_value) {
             combined.best_value = attempt.best_value;
@@ -243,16 +248,14 @@ combine_attempts(std::vector<OptimizeOutcome> attempts)
 } // namespace
 
 PortfolioSearch::PortfolioSearch(std::vector<PortfolioArm> arms,
-                                 PortfolioOptions options, std::string key)
-    : arms_(std::move(arms)), options_(options), key_(std::move(key))
+                                 std::string key)
+    : arms_(std::move(arms)), key_(std::move(key))
 {
     CAFQA_REQUIRE(!arms_.empty(), "portfolio needs at least one arm");
     for (const PortfolioArm& arm : arms_) {
         CAFQA_REQUIRE(arm.optimizer != nullptr,
                       "portfolio arm has no optimizer");
     }
-    CAFQA_REQUIRE(options_.sync_evals >= 1,
-                  "sync_evals must be at least 1");
     auto& registry = telemetry::MetricsRegistry::instance();
     arm_evals_metrics_.reserve(arms_.size());
     for (const PortfolioArm& arm : arms_) {
@@ -289,22 +292,20 @@ PortfolioSearch::minimize(const DiscreteObjective& objective,
     // budget per arm; kills hand what is left back to the pool and
     // restarts spend it.
     control.pool = criteria.max_evaluations * n;
-    control.options = options_;
     control.parent_cancel = criteria.cancel;
     control.progress = context.progress;
 
     // Round zero's allowances, granted before any thread starts.
     for (std::size_t i = 0; i < n; ++i) {
         if (control.pool_capped) {
-            const std::size_t grant =
-                std::min(options_.sync_evals, control.pool);
+            const std::size_t grant = std::min(kSyncEvals, control.pool);
             control.pool -= grant;
             control.arms[i].allowance = grant;
             if (grant == 0) {
                 control.kill(i);
             }
         } else {
-            control.arms[i].allowance = options_.sync_evals;
+            control.arms[i].allowance = kSyncEvals;
         }
     }
     setup_lock.unlock();
@@ -522,7 +523,6 @@ PortfolioSearch::minimize(const DiscreteObjective& objective,
         report_.trace_arm.insert(report_.trace_arm.end(),
                                  outcomes[i].history.size(), i);
         merged.evaluations += outcomes[i].evaluations;
-        merged.unique_evaluations += outcomes[i].unique_evaluations;
         offset += outcomes[i].history.size();
     }
 
@@ -557,8 +557,7 @@ PortfolioSearch::minimize(const DiscreteObjective& objective,
         merged.stop_reason = StopReason::Cancelled;
     } else if (control.target_seen) {
         merged.stop_reason = StopReason::TargetReached;
-    } else if (control.pool_capped &&
-               control.pool < options_.sync_evals) {
+    } else if (control.pool_capped && control.pool < kSyncEvals) {
         // The leftover (if any) is too small to fund another round —
         // the pool is spent.
         merged.stop_reason = StopReason::BudgetExhausted;

@@ -20,18 +20,22 @@
  * concurrently) and the kill rule buys back compute.
  *
  * Scheduling is round-based so results do not depend on thread timing:
- * every arm draws `sync_evals` evaluations from the shared pool
+ * every arm draws 32 evaluations (one round) from the shared pool
  * (`arms * budget` total), then blocks at a generation barrier.
  * Kill/restart decisions happen only when every live arm has arrived —
- * a deterministic cut for any thread count. An arm is killed only when
- * it is strictly dominated AND has not improved for `stale_rounds`
- * rounds (domination alone is not enough: slow-burn strategies trail
- * mid-run and win late). A killed arm's unspent budget stays in the
- * pool, and an arm that exhausts its own budget while the pool still
- * holds reclaimed evaluations is RESTARTED, warm-started from its best
- * configuration — the "budget rebalanced to survivors" contract. A
- * killed arm records at most one further evaluation (the recorder
- * checks its cancel token after each record).
+ * a deterministic cut for any thread count. After 2 grace rounds (which
+ * let slow starters such as the Bayesian warm-up matter), at most the
+ * single worst arm is killed per round, and only when it is strictly
+ * dominated AND has not improved for 8 rounds (domination alone is not
+ * enough: slow-burn strategies trail mid-run and win late; 8 rounds
+ * never misfires on the bench race problems while still reclaiming a
+ * stuck arm's budget well before a typical run ends). A killed arm's
+ * unspent budget stays in the pool, and an arm that exhausts its own
+ * budget while the pool still holds reclaimed evaluations is
+ * RESTARTED, warm-started from its best configuration — the "budget
+ * rebalanced to survivors" contract. A killed arm records at most one
+ * further evaluation (the recorder checks its cancel token after each
+ * record).
  *
  * Evaluation is concurrent when `SearchContext::objective_factory` is
  * set (the pipeline supplies per-arm `clone()`d backends that share
@@ -49,30 +53,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace cafqa {
-
-/** Orchestration controls for `PortfolioSearch`. */
-struct PortfolioOptions
-{
-    /** Evaluations each live arm runs between synchronization
-     *  barriers (one "round"). Smaller = faster kills, more barrier
-     *  overhead. */
-    std::size_t sync_evals = 32;
-    /** Rounds every arm is immune from killing — lets slow starters
-     *  (Bayesian warm-up) survive long enough to matter. */
-    std::size_t grace_rounds = 2;
-    /** An arm is dominated when its best trails the incumbent by more
-     *  than this (0 = any strictly worse best); at most the single
-     *  worst arm is killed per round. */
-    double kill_margin = 0.0;
-    /** A dominated arm is killed only after this many rounds without
-     *  improving its own best — transiently trailing strategies
-     *  (annealing before it cools) are spared while genuinely stuck
-     *  ones are cut. The default (8 rounds = 256 evaluations at the
-     *  default sync) never misfires on the bench race problems while
-     *  still reclaiming a stuck arm's budget well before a typical
-     *  run ends. */
-    std::size_t stale_rounds = 8;
-};
 
 /** One racing strategy: its registry key and the optimizer itself. */
 struct PortfolioArm
@@ -129,8 +109,7 @@ class PortfolioSearch final : public DiscreteOptimizer
 
     /** `key` is the full registry key ("portfolio:anneal+bayes"),
      *  reported by `name()`. */
-    PortfolioSearch(std::vector<PortfolioArm> arms,
-                    PortfolioOptions options, std::string key);
+    PortfolioSearch(std::vector<PortfolioArm> arms, std::string key);
 
     std::string_view name() const override { return key_; }
 
@@ -144,7 +123,6 @@ class PortfolioSearch final : public DiscreteOptimizer
 
   private:
     std::vector<PortfolioArm> arms_;
-    PortfolioOptions options_;
     std::string key_;
     Report report_;
     /** Registry references fetched in the constructor — registration

@@ -10,6 +10,10 @@ namespace cafqa {
 
 namespace {
 
+/** Max tolerated |imag coefficient|: the sum must be Hermitian for its
+ *  stabilizer expectation to be the real number the engine returns. */
+constexpr double kHermitianTolerance = 1e-8;
+
 /** Column references a Pauli letter contributes to the symplectic
  *  product: an X/Y support bit flips against the Z columns, a Z/Y
  *  support bit against the X columns. */
@@ -33,7 +37,7 @@ StabilizerExpectationEngine::StabilizerExpectationEngine(
 {
     CAFQA_REQUIRE(num_qubits_ >= 1,
                   "expectation engine needs at least one qubit");
-    require_hermitian(op, options.hermitian_tolerance);
+    require_hermitian(op, kHermitianTolerance);
 
     coefficients_.reserve(op.num_terms());
     for (const auto& term : op.terms()) {
@@ -44,11 +48,7 @@ StabilizerExpectationEngine::StabilizerExpectationEngine(
     // strategy choice, and the per-term pass compiles from it — so it
     // is computed at most once and reused.
     std::vector<MeasurementGroup> qwc_groups;
-    const bool need_qwc =
-        options.strategy == EvalStrategy::Auto ||
-        (options.strategy == EvalStrategy::PerTerm &&
-         options.use_grouping);
-    if (need_qwc) {
+    if (options.strategy != EvalStrategy::Transposed) {
         qwc_groups = group_qubitwise_commuting(op);
     }
 
@@ -67,18 +67,7 @@ StabilizerExpectationEngine::StabilizerExpectationEngine(
 
     if (transposed_) {
         compile_transposed(op);
-    } else if (options.use_grouping) {
-        compile_per_term(op, qwc_groups);
     } else {
-        // One trivial group per term.
-        qwc_groups.clear();
-        qwc_groups.reserve(op.num_terms());
-        for (std::size_t t = 0; t < op.num_terms(); ++t) {
-            MeasurementGroup group;
-            group.term_indices.push_back(t);
-            group.basis = op.terms()[t].string;
-            qwc_groups.push_back(std::move(group));
-        }
         compile_per_term(op, qwc_groups);
     }
 }
@@ -95,10 +84,10 @@ void
 StabilizerExpectationEngine::compile_per_term(
     const PauliSum& op, const std::vector<MeasurementGroup>& groups)
 {
-    // One measurement group per QWC class (or per term when grouping is
-    // off): each group's basis names the distinct tableau columns its
-    // terms can touch, so the evaluation pass gathers those columns
-    // once and every member term XORs a subset of the gathered block.
+    // One measurement group per QWC class: each group's basis names the
+    // distinct tableau columns its terms can touch, so the evaluation
+    // pass gathers those columns once and every member term XORs a
+    // subset of the gathered block.
     groups_.reserve(groups.size());
     for (const auto& group : groups) {
         CompiledGroup compiled;

@@ -59,13 +59,6 @@ enum class EvalStrategy : std::uint8_t {
 struct ExpectationEngineOptions
 {
     EvalStrategy strategy = EvalStrategy::Auto;
-    /** Precompile the per-term pass through the QWC grouping (shared
-     *  column gather + group-level screening). Disabling falls back to
-     *  one group per term; results are bit-identical either way. */
-    bool use_grouping = true;
-    /** Max tolerated |imag coefficient|; the sum must be Hermitian for
-     *  its stabilizer expectation to be the real number we return. */
-    double hermitian_tolerance = 1e-8;
 };
 
 /** A PauliSum compiled for single-pass evaluation on stabilizer states. */
@@ -74,7 +67,7 @@ class StabilizerExpectationEngine
   public:
     /**
      * Precompile `op`. Throws std::invalid_argument when the sum is not
-     * Hermitian within `options.hermitian_tolerance` — a silent
+     * Hermitian (some |imag coefficient| above 1e-8) — a silent
      * `coefficient.real()` would hide mapping bugs that produce complex
      * coefficients.
      */

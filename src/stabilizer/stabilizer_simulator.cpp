@@ -5,6 +5,13 @@
 
 namespace cafqa {
 
+namespace {
+
+/** Max tolerated |imag coefficient| of a summed observable. */
+constexpr double kHermitianTolerance = 1e-8;
+
+} // namespace
+
 StabilizerSimulator::StabilizerSimulator(std::size_t num_qubits)
     : tableau_(num_qubits)
 {}
@@ -43,12 +50,11 @@ StabilizerSimulator::expectation(const PauliString& pauli) const
 }
 
 double
-StabilizerSimulator::expectation(const PauliSum& op,
-                                 double hermitian_tolerance) const
+StabilizerSimulator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(op.num_qubits() == num_qubits(),
                   "operator qubit count mismatch");
-    require_hermitian(op, hermitian_tolerance);
+    require_hermitian(op, kHermitianTolerance);
     double total = 0.0;
     for (const auto& term : op.terms()) {
         const int e = tableau_.expectation(term.string);

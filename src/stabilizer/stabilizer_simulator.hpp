@@ -50,12 +50,11 @@ class StabilizerSimulator
 
     /**
      * Exact expectation of a Hermitian Pauli sum. Throws when any
-     * coefficient carries an imaginary part above `hermitian_tolerance`
-     * — silently taking `.real()` would hide mapping bugs that produce
+     * coefficient carries an imaginary part above 1e-8 — silently
+     * taking `.real()` would hide mapping bugs that produce
      * non-Hermitian sums.
      */
-    double expectation(const PauliSum& op,
-                       double hermitian_tolerance = 1e-8) const;
+    double expectation(const PauliSum& op) const;
 
     const SymplecticTableau& tableau() const { return tableau_; }
 

@@ -2,14 +2,16 @@
 // registry composition ("cached:<kind>" / BackendConfig::cache), exact
 // cached==uncached parity through the pipeline, LRU eviction and stats
 // accounting, determinism across thread counts (clones share one
-// cache), correctness under concurrent access, and the
-// unique-evaluation budget accounting in OutcomeRecorder.
+// cache), correctness under concurrent access, and exact continuous
+// keys.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
-#include <map>
+#include <cstdint>
+#include <limits>
 
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
@@ -322,140 +324,40 @@ TEST(CachingBackend, ConcurrentClonesShareOneCacheCorrectly)
     EXPECT_LE(stats.entries, 16u + 4u); // capacity, rounded up per shard
 }
 
-TEST(CachingBackend, ContinuousQuantizationSharesEntriesWithinResolution)
+TEST(CachingBackend, ContinuousKeysAreExactBitPatterns)
 {
-    CacheOptions options = cache_on();
-    options.resolution = 1e-6;
-    auto wrapper = CachingContinuousBackend(
-        std::make_unique<IdealEvaluator>(tiny_ansatz()), options);
-    const PauliSum op = PauliSum::from_terms(2, {{1.0, "ZZ"}});
-
-    wrapper.prepare({0.5, 1.0});
-    const double first = wrapper.expectation(op);
-    // Within one quantization step: served from the cache.
-    wrapper.prepare({0.5 + 1e-9, 1.0});
-    EXPECT_DOUBLE_EQ(wrapper.expectation(op), first);
-    EXPECT_EQ(wrapper.cache_stats().hits, 1u);
-    // Beyond the step: a genuine re-evaluation.
-    wrapper.prepare({0.5 + 1e-3, 1.0});
-    wrapper.expectation(op);
-    EXPECT_EQ(wrapper.cache_stats().misses, 2u);
-    EXPECT_EQ(wrapper.cache_stats().preparations, 2u);
-}
-
-TEST(OutcomeRecorder, UniqueEvaluationBudgetIgnoresRepeats)
-{
-    const std::vector<int> a{0, 0};
-    const std::vector<int> b{1, 0};
-    const std::vector<int> c{2, 0};
-
-    // Plain accounting: the third record exhausts a budget of 3.
-    {
-        StoppingCriteria criteria;
-        criteria.max_evaluations = 3;
-        OutcomeRecorder recorder(criteria, criteria.max_evaluations, {});
-        recorder.record(a, 1.0);
-        recorder.record(b, 2.0);
-        EXPECT_THROW(recorder.record(a, 1.0),
-                     OutcomeRecorder::EarlyStop);
+    // Every point reads back exactly what the wrapped backend computes
+    // for it. Keys once quantized each parameter at 1e-12 and clamped
+    // at the int64 range, so every angle above ~9.2e6 rad shared one
+    // entry with its neighbours (and NaN with the large negative
+    // angles): 1e7 + 1 was served the value of 1e7.
+    CachingContinuousBackend cached(
+        std::make_unique<IdealEvaluator>(tiny_ansatz()), cache_on());
+    IdealEvaluator uncached(tiny_ansatz());
+    const PauliSum op =
+        PauliSum::from_terms(2, {{1.0, "ZZ"}, {0.5, "XI"}});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> thetas = {1e7, 1e7 + 1.0, -1e7, nan};
+    for (const double theta : thetas) {
+        const std::vector<double> point = {theta, 0.3};
+        cached.prepare(point);
+        uncached.prepare(point);
+        const double want = uncached.expectation(op);
+        const double got = cached.expectation(op);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "theta = " << theta << ": cached " << got << ", uncached "
+            << want;
     }
+    EXPECT_EQ(cached.cache_stats().misses, thetas.size());
+    EXPECT_EQ(cached.cache_stats().hits, 0u);
 
-    // Unique accounting: repeats of recorded points are free; only the
-    // third *distinct* point exhausts the budget.
-    StoppingCriteria criteria;
-    criteria.max_evaluations = 3;
-    criteria.unique_evaluations = true;
-    OutcomeRecorder recorder(criteria, criteria.max_evaluations, {});
-    recorder.record(a, 1.0);
-    recorder.record(b, 2.0);
-    recorder.record(a, 1.0);
-    recorder.record(b, 2.0);
-    EXPECT_EQ(recorder.remaining_budget(), 1u);
-    EXPECT_THROW(recorder.record(c, 3.0), OutcomeRecorder::EarlyStop);
-
-    const OptimizeOutcome outcome =
-        recorder.finish(StopReason::BudgetExhausted);
-    EXPECT_EQ(outcome.evaluations, 5u);
-    EXPECT_EQ(outcome.unique_evaluations, 3u);
-    EXPECT_EQ(outcome.history.size(), 5u);
-    EXPECT_EQ(outcome.stop_reason, StopReason::BudgetExhausted);
-}
-
-TEST(OutcomeRecorder, UniqueTallyIsOptIn)
-{
-    // With unique accounting on (and no budget cap) the distinct-point
-    // tally is reported...
-    StoppingCriteria criteria;
-    criteria.unique_evaluations = true;
-    OutcomeRecorder tracked(criteria, 0, {});
-    tracked.record(std::vector<int>{0}, 1.0);
-    tracked.record(std::vector<int>{1}, 2.0);
-    tracked.record(std::vector<int>{0}, 1.0);
-    const OptimizeOutcome with_flag = tracked.finish(StopReason::Stalled);
-    EXPECT_EQ(with_flag.evaluations, 3u);
-    EXPECT_EQ(with_flag.unique_evaluations, 2u);
-
-    // ...and with it off (the default), the bookkeeping is skipped
-    // entirely — the field stays 0 rather than paying a per-evaluation
-    // hash-set insert for a disabled feature.
-    OutcomeRecorder untracked(StoppingCriteria{}, 0, {});
-    untracked.record(std::vector<int>{0}, 1.0);
-    untracked.record(std::vector<int>{1}, 2.0);
-    const OptimizeOutcome without_flag =
-        untracked.finish(StopReason::Stalled);
-    EXPECT_EQ(without_flag.evaluations, 2u);
-    EXPECT_EQ(without_flag.unique_evaluations, 0u);
-}
-
-TEST(OutcomeRecorder, ContinuousUniqueIdentityMatchesCacheQuantization)
-{
-    // With unique_resolution set (as the pipeline does from
-    // CacheOptions::resolution), points within one quantization step
-    // count as the same unique evaluation — exactly the points the
-    // cache serves as hits.
-    StoppingCriteria criteria;
-    criteria.unique_evaluations = true;
-    criteria.unique_resolution = 1e-6;
-    OutcomeRecorder recorder(criteria, 0, {});
-    recorder.record(std::vector<double>{0.5}, 1.0);
-    recorder.record(std::vector<double>{0.5 + 1e-9}, 1.0); // cache hit
-    recorder.record(std::vector<double>{0.5 + 1e-3}, 2.0); // cache miss
-    const OptimizeOutcome outcome =
-        recorder.finish(StopReason::BudgetExhausted);
-    EXPECT_EQ(outcome.evaluations, 3u);
-    EXPECT_EQ(outcome.unique_evaluations, 2u);
-}
-
-TEST(RandomSearch, UniqueBudgetKeepsDrawingPastDuplicates)
-{
-    // 4-config space, budget 4 with unique accounting: the run must
-    // evaluate every configuration exactly once (duplicate draws are
-    // dropped, not re-dispatched) and end once the distinct-point
-    // budget — or the space — is exhausted.
-    DiscreteSpace space;
-    space.cardinalities = {2, 2};
-    std::map<std::vector<int>, int> counts;
-    auto objective = [&](const std::vector<int>& config) {
-        ++counts[config];
-        return static_cast<double>(config[0] * 2 + config[1]);
-    };
-    StoppingCriteria criteria;
-    criteria.max_evaluations = 4;
-    criteria.unique_evaluations = true;
-    RandomSearchOptions options;
-    options.samples = 0;
-    options.seed = 33;
-    RandomSearchOptimizer optimizer(options);
-    const OptimizeOutcome outcome =
-        optimizer.minimize(objective, space, criteria);
-
-    EXPECT_EQ(counts.size(), 4u);
-    for (const auto& [config, count] : counts) {
-        EXPECT_EQ(count, 1) << "config re-evaluated";
-    }
-    EXPECT_EQ(outcome.unique_evaluations, 4u);
-    EXPECT_EQ(outcome.history.size(), 4u);
-    EXPECT_EQ(outcome.best_value, 0.0);
+    // A repeat of the same bit pattern is a hit with the same value.
+    cached.prepare({1e7 + 1.0, 0.3});
+    uncached.prepare({1e7 + 1.0, 0.3});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.expectation(op)),
+              std::bit_cast<std::uint64_t>(uncached.expectation(op)));
+    EXPECT_EQ(cached.cache_stats().hits, 1u);
 }
 
 TEST(CacheStats, JsonRoundTripsEveryCounter)

@@ -275,10 +275,10 @@ TEST(PortfolioSearch, DominatedArmIsKilledAndBudgetFlowsToSurvivor)
     const PortfolioSearch::ArmReport& stuck = report.arms[1];
 
     // The stuck arm is dominated from its first round and never
-    // improves, so it is killed once both the grace window
-    // (grace_rounds) and the staleness window (stale_rounds) have
-    // passed — eight 32-eval rounds — and records at most one further
-    // value while its recorder observes the token.
+    // improves, so it is killed once both the grace window (2 rounds)
+    // and the staleness window (8 rounds) have passed — eight 32-eval
+    // rounds — and records at most one further value while its
+    // recorder observes the token.
     EXPECT_TRUE(stuck.killed);
     EXPECT_EQ(stuck.outcome.stop_reason, StopReason::Cancelled);
     EXPECT_LE(stuck.outcome.history.size(), 8u * 32u + 1u);

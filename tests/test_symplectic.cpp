@@ -187,15 +187,11 @@ TEST_P(SymplecticDifferential, EngineMatchesLegacySumBitForBit)
     const StabilizerExpectationEngine auto_engine(op);
     const StabilizerExpectationEngine grouped(
         op, ExpectationEngineOptions{.strategy = EvalStrategy::PerTerm});
-    const StabilizerExpectationEngine ungrouped(
-        op, ExpectationEngineOptions{.strategy = EvalStrategy::PerTerm,
-                                     .use_grouping = false});
     const StabilizerExpectationEngine transposed(
         op,
         ExpectationEngineOptions{.strategy = EvalStrategy::Transposed});
     EXPECT_EQ(auto_engine.expectation(packed), reference);
     EXPECT_EQ(grouped.expectation(packed), reference);
-    EXPECT_EQ(ungrouped.expectation(packed), reference);
     EXPECT_EQ(transposed.expectation(packed), reference);
 
     ThreadPool pool(3);
