@@ -1,14 +1,17 @@
 /**
  * @file
  * Runtime lock-order validator behind the `CAFQA_LOCK_ORDER_CHECK`
- * CMake option. Every named `cafqa::Mutex` acquisition is checked
- * against the committed acquisition-order manifest
- * (`tools/lint/lock_order.manifest`, compiled at configure time into
- * the generated table this file includes): if the calling thread
- * already holds a named mutex with no manifest edge to the one being
- * acquired, the process aborts with both endpoints named — BEFORE
- * blocking, so an inversion dies deterministically instead of
- * deadlocking only when the schedule cooperates.
+ * CMake option — the tree's only lock-order check. Every named
+ * `cafqa::Mutex` acquisition is checked against the committed
+ * acquisition-order manifest (`tools/lint/lock_order.manifest`,
+ * compiled at configure time into the generated table this file
+ * includes): if the calling thread already holds a named mutex with no
+ * manifest edge to the one being acquired, the process aborts with both
+ * endpoints named — BEFORE blocking, so an inversion dies
+ * deterministically instead of deadlocking only when the schedule
+ * cooperates. It sees every acquisition the run makes, including those
+ * behind a `std::function`. `test_lock_order` checks that the manifest
+ * is acyclic, so no named-mutex cycle can pass.
  *
  * Unnamed mutexes (tests, benches, short-lived locals) participate in
  * the relock-detection but never in the ordering check. The held-stack
@@ -28,8 +31,8 @@
 
 // Generated by CMake from tools/lint/lock_order.manifest. Defines:
 //   kCafqaLockOrderManifestPath  — source-relative manifest path
-//   kCafqaLockOrderEdges[]       — {from, to} name pairs (static and
-//                                  dynamic edges; nullptr sentinel)
+//   kCafqaLockOrderEdges[]       — {from, to} name pairs (nullptr
+//                                  sentinel)
 #include "cafqa_lock_order_table.inc"
 
 namespace cafqa::detail {

@@ -30,16 +30,15 @@
  *    reads inside a predicate lambda could not be proven.
  *  - Every long-lived mutex carries a REGISTERED NAME (the string
  *    passed to the constructor, equal to the declared identifier minus
- *    any trailing underscore). The name feeds two layers of lock-order
- *    enforcement: the static analyzer in `tools/lint` extracts the
- *    acquisition graph per name and diffs it against the committed
- *    manifest `tools/lint/lock_order.manifest`, and under the
+ *    any trailing underscore; `tools/lint_invariants` checks the
+ *    convention and that no name is registered twice). Under the
  *    `CAFQA_LOCK_ORDER_CHECK` CMake option every acquisition is
- *    validated at runtime against the same manifest (compiled to a
- *    static table) using a thread-local held-stack — an acquisition
- *    whose (held, next) name pair has no manifest edge aborts with
- *    both endpoints named. Unnamed mutexes (tests, benches) are
- *    exempt from the runtime check.
+ *    validated at runtime against the committed acyclic manifest
+ *    `tools/lint/lock_order.manifest` (compiled to a static table)
+ *    using a thread-local held-stack — an acquisition whose (held,
+ *    next) name pair has no manifest edge aborts with both endpoints
+ *    named. Unnamed mutexes (tests, benches) are exempt from the
+ *    runtime check.
  */
 #ifndef CAFQA_COMMON_THREAD_SAFETY_HPP
 #define CAFQA_COMMON_THREAD_SAFETY_HPP

@@ -311,9 +311,8 @@ JobServer::register_callback_gauges()
 {
     auto& registry = telemetry::MetricsRegistry::instance();
     // Each callback runs under `metrics_mutex` at scrape time and takes
-    // its owner's lock — the `dynamic metrics_mutex -> queue_mutex` and
-    // `dynamic metrics_mutex -> shard_mutex` edges in the lock-order
-    // manifest.
+    // its owner's lock — the `metrics_mutex -> queue_mutex` and
+    // `metrics_mutex -> shard_mutex` edges in the lock-order manifest.
     registry.set_callback_gauge(
         "cafqa_server_queue_depth", {},
         [this] { return static_cast<double>(queue_.size()); },
@@ -469,7 +468,7 @@ JobServer::handle_line(const std::shared_ptr<Connection>& connection,
         metrics_.metrics_requests.add();
         // No named lock is held here (reader context): the scrape takes
         // metrics_mutex and, inside the callback gauges, queue_mutex /
-        // shard_mutex — the declared dynamic manifest edges.
+        // shard_mutex — the declared manifest edges.
         auto& registry = telemetry::MetricsRegistry::instance();
         connection->send(
             event_metrics(telemetry::wall_timestamp_seconds(),

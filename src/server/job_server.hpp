@@ -196,8 +196,7 @@ class JobServer
 
     /** Register/clear the scrape-time callback gauges (queue depth,
      *  cache residency). Their lock acquisitions under `metrics_mutex`
-     *  are the declared `dynamic metrics_mutex -> ...` manifest
-     *  edges. */
+     *  are the declared `metrics_mutex -> ...` manifest edges. */
     void register_callback_gauges();
     void clear_callback_gauges();
 

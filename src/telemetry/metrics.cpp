@@ -509,8 +509,8 @@ MetricsRegistry::prometheus() const
                        render_real(series.gauge->value()) + "\n";
             } else if (series.callback) {
                 // Scrape-path callback: runs under metrics_mutex, so
-                // any lock it takes is a declared `dynamic
-                // metrics_mutex -> ...` manifest edge.
+                // any lock it takes is a declared
+                // `metrics_mutex -> ...` manifest edge.
                 out += name + block + " " +
                        render_real(series.callback()) + "\n";
             } else if (series.histogram) {

@@ -227,7 +227,7 @@ class MetricsRegistry
      * depth, cache residency). `fn` runs under `metrics_mutex`, so it
      * may take its owner's locks — every such acquisition is a
      * scrape-path lock edge and must be declared in the lock-order
-     * manifest (`dynamic metrics_mutex -> ...`). Re-registering the
+     * manifest (`metrics_mutex -> ...`). Re-registering the
      * same series replaces the callback; owners whose lifetime ends
      * before the process (a stopped server) MUST `clear_callback_gauge`
      * before dying or a later scrape calls into freed state.

@@ -7,15 +7,12 @@
  * (`lint_tree`); these tests pin the rules' behaviour instead.
  */
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lint/linter.hpp"
-#include "lint/lock_order.hpp"
 
 namespace {
 
@@ -23,19 +20,11 @@ using cafqa::lint::FileReport;
 using cafqa::lint::Finding;
 using cafqa::lint::lint_file;
 using cafqa::lint::lint_source;
+using cafqa::lint::TreeFacts;
 
 std::string fixture(const std::string& name)
 {
     return std::string(CAFQA_LINT_FIXTURE_DIR) + "/" + name;
-}
-
-cafqa::lint::SourceFile read_fixture(const std::string& name)
-{
-    const std::string path = fixture(name);
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return {path, buffer.str()};
 }
 
 std::vector<std::string> rules_hit(const FileReport& report)
@@ -193,19 +182,22 @@ TEST(LintRules, CatchThatHandlesIsFine)
 TEST(LintRules, UnorderedDeclInHeaderCaughtInSource)
 {
     // The real layout: members are declared unordered in a header but
-    // iterated in the matching .cpp. The driver passes the cross-file
-    // name union in.
-    const auto names = cafqa::lint::unordered_container_names(
+    // iterated in the matching .cpp. lint_invariants passes the tree facts
+    // in.
+    TreeFacts facts;
+    cafqa::lint::collect_tree_facts(
+        "src/core/widget.hpp",
         "#include <unordered_map>\n"
         "struct S {\n"
         "  std::unordered_map<std::uint64_t, std::thread> readers_\n"
         "      GUARDED_BY(mutex_);\n"
-        "};\n");
-    ASSERT_EQ(names.count("readers_"), 1u);
+        "};\n",
+        facts);
+    ASSERT_EQ(facts.unordered.count("readers_"), 1u);
     const FileReport report = lint_source(
         "src/core/widget.cpp",
         "void f(S& s) { for (auto& [id, r] : s.readers_) { use(r); } }\n",
-        names);
+        facts);
     EXPECT_EQ(count_rule(report, "unordered-iter"), 1u);
 }
 
@@ -274,205 +266,113 @@ TEST(LintRules, AllowMentionsOutsideLineCommentsAreNotDirectives)
     EXPECT_TRUE(report.findings.empty());
 }
 
-TEST(LockPass, CycleDetectedAcrossFiles)
+TEST(LockRules, BlockingUnderLockFixture)
 {
-    const auto graph = cafqa::lint::analyze_lock_order(
-        {read_fixture("lock_cycle/ring_a.cpp"),
-         read_fixture("lock_cycle/ring_b.cpp")});
-    ASSERT_EQ(graph.mutexes.size(), 2u);
-    ASSERT_EQ(graph.edges.size(), 2u);
-    const auto cycles = cafqa::lint::find_lock_cycles(graph, nullptr);
-    ASSERT_EQ(cycles.size(), 1u);
-    EXPECT_EQ(cycles[0].rule, "lock-cycle");
-    // Both endpoints of the inversion must be named with evidence.
-    EXPECT_NE(cycles[0].message.find("\"alpha_mutex\" -> \"beta_mutex\" "
-                                     "(" +
-                                     fixture("lock_cycle/ring_a.cpp")),
-              std::string::npos)
-        << cycles[0].message;
-    EXPECT_NE(cycles[0].message.find("\"beta_mutex\" -> \"alpha_mutex\" "
-                                     "(" +
-                                     fixture("lock_cycle/ring_b.cpp")),
-              std::string::npos)
-        << cycles[0].message;
+    const FileReport report = lint_file(fixture("bad_blocking.cpp"));
+    EXPECT_EQ(count_rule(report, "blocking-under-lock"), 2u)
+        << "join under lock + wait on other mutex";
 }
 
-TEST(LockPass, ManifestDriftBothWays)
+TEST(LockRules, BlockingUnderLockIsSuppressibleViaLintAllow)
 {
-    const auto graph = cafqa::lint::analyze_lock_order(
-        {read_fixture("lock_cycle/ring_a.cpp")});
-    const auto manifest_file = read_fixture("lock_cycle/drift.manifest");
-    cafqa::lint::LockManifest manifest;
-    std::string error;
-    ASSERT_TRUE(cafqa::lint::parse_lock_manifest(manifest_file.text,
-                                                 manifest, error))
-        << error;
-    const auto drift = cafqa::lint::check_lock_manifest(
-        graph, manifest, manifest_file.path);
-    ASSERT_EQ(drift.size(), 2u);
-    // One new (undeclared) edge, one stale manifest edge.
-    EXPECT_NE(drift[0].message.find("\"alpha_mutex\" -> \"beta_mutex\""),
-              std::string::npos);
-    EXPECT_NE(drift[1].message.find("stale"), std::string::npos);
-}
-
-TEST(LockPass, ManifestRoundTripIsClean)
-{
-    const auto graph = cafqa::lint::analyze_lock_order(
-        {read_fixture("lock_cycle/ring_a.cpp")});
-    const std::string rendered =
-        cafqa::lint::render_lock_manifest(graph, nullptr);
-    cafqa::lint::LockManifest manifest;
-    std::string error;
-    ASSERT_TRUE(cafqa::lint::parse_lock_manifest(rendered, manifest, error))
-        << error;
-    EXPECT_TRUE(cafqa::lint::check_lock_manifest(graph, manifest,
-                                                 "round.manifest")
-                    .empty());
-    EXPECT_EQ(manifest.mutexes.size(), 2u);
-    EXPECT_EQ(manifest.static_edges.size(), 1u);
-}
-
-TEST(LockPass, DynamicEdgesSurviveRegenerationAndFeedCycles)
-{
-    const auto graph = cafqa::lint::analyze_lock_order(
-        {read_fixture("lock_cycle/ring_a.cpp")});
-    cafqa::lint::LockManifest previous;
-    std::string error;
-    ASSERT_TRUE(cafqa::lint::parse_lock_manifest(
-        "mutex alpha_mutex\nmutex beta_mutex\n"
-        "dynamic beta_mutex -> alpha_mutex\n",
-        previous, error));
-    // Regeneration carries the dynamic edge forward...
-    const std::string rendered =
-        cafqa::lint::render_lock_manifest(graph, &previous);
-    EXPECT_NE(rendered.find("dynamic beta_mutex -> alpha_mutex"),
-              std::string::npos);
-    // ...and the cycle check sees discovered ∪ manifest edges.
-    const auto cycles = cafqa::lint::find_lock_cycles(graph, &previous);
-    ASSERT_EQ(cycles.size(), 1u);
-    EXPECT_NE(cycles[0].message.find("(manifest)"), std::string::npos);
-}
-
-TEST(LockPass, BlockingUnderLockFixture)
-{
-    const auto source = read_fixture("bad_blocking.cpp");
-    const auto graph = cafqa::lint::analyze_lock_order({source});
-    const auto it = graph.file_findings.find(source.path);
-    ASSERT_NE(it, graph.file_findings.end());
-    std::size_t blocking = 0;
-    for (const auto& finding : it->second) {
-        blocking += finding.rule == "blocking-under-lock" ? 1 : 0;
-    }
-    EXPECT_EQ(blocking, 2u) << "join under lock + wait on other mutex";
-}
-
-TEST(LockPass, FileFindingsAreSuppressibleViaLintAllow)
-{
-    const cafqa::lint::SourceFile source{
+    const FileReport report = lint_source(
         "src/core/widget.cpp",
         "void f() {\n"
         "  cafqa::MutexLock lock(state_mutex_);\n"
         "  // lint:allow(blocking-under-lock) bounded by a timeout\n"
         "  worker_.join();\n"
         "}\n"
-        "cafqa::Mutex state_mutex_{\"state_mutex\"};\n"};
-    const auto graph = cafqa::lint::analyze_lock_order({source});
-    const auto it = graph.file_findings.find(source.path);
-    ASSERT_NE(it, graph.file_findings.end());
-    const FileReport report =
-        lint_source(source.path, source.text, {}, it->second);
+        "cafqa::Mutex state_mutex_{\"state_mutex\"};\n");
     EXPECT_TRUE(report.findings.empty());
     EXPECT_EQ(report.allows_used, 1u);
 }
 
-TEST(LockPass, NamingConventionsEnforced)
+TEST(LockRules, NamingConventionsEnforced)
 {
-    const cafqa::lint::SourceFile source{
+    const FileReport report = lint_source(
         "src/core/widget.cpp",
         "cafqa::Mutex anon_mutex_;\n"
         "cafqa::Mutex odd_mutex_{\"completely_else\"};\n"
         "cafqa::Mutex twin_mutex_{\"twin_mutex\"};\n"
-        "cafqa::Mutex other_twin_{\"twin_mutex\"};\n"};
-    const auto graph = cafqa::lint::analyze_lock_order({source});
-    const auto it = graph.file_findings.find(source.path);
-    ASSERT_NE(it, graph.file_findings.end());
-    std::vector<std::string> rules;
-    for (const auto& finding : it->second) {
-        rules.push_back(finding.rule);
-    }
-    EXPECT_NE(std::find(rules.begin(), rules.end(), "unnamed-mutex"),
-              rules.end());
-    EXPECT_NE(std::find(rules.begin(), rules.end(), "mutex-name-mismatch"),
-              rules.end());
-    EXPECT_NE(std::find(rules.begin(), rules.end(), "duplicate-mutex"),
-              rules.end());
+        "cafqa::Mutex other_twin_{\"twin_mutex\"};\n");
+    EXPECT_EQ(count_rule(report, "unnamed-mutex"), 1u);
+    // odd_mutex_ and other_twin_ both break the naming convention.
+    EXPECT_EQ(count_rule(report, "mutex-name-mismatch"), 2u);
+    const auto duplicate = std::find_if(
+        report.findings.begin(), report.findings.end(),
+        [](const Finding& f) { return f.rule == "duplicate-mutex"; });
+    ASSERT_NE(duplicate, report.findings.end());
+    EXPECT_EQ(duplicate->line, 4u);
+    EXPECT_NE(duplicate->message.find("src/core/widget.cpp:3"),
+              std::string::npos)
+        << duplicate->message;
 }
 
-TEST(LockPass, RequiresSeedsInterproceduralEdges)
+TEST(LockRules, RequiresHelperDeclaredInHeaderStartsHeld)
 {
-    // push() holds queue_mutex and calls push_locked(), whose
-    // CAFQA_REQUIRES seeds the held set; notify() then acquires
-    // cv_mutex inside push_locked, so the closure must produce
-    // queue_mutex -> cv_mutex.
-    const cafqa::lint::SourceFile source{
-        "src/core/widget.cpp",
+    // The header carries the CAFQA_REQUIRES contract; the .cpp defines
+    // the helper without it, so the lock is held from the first line.
+    TreeFacts facts;
+    cafqa::lint::collect_tree_facts(
+        "src/core/widget.hpp",
         "struct Q {\n"
-        "  void push() {\n"
-        "    cafqa::MutexLock lock(queue_mutex_);\n"
-        "    push_locked();\n"
-        "  }\n"
-        "  void push_locked() CAFQA_REQUIRES(queue_mutex_);\n"
-        "  cafqa::Mutex queue_mutex_{\"queue_mutex\"};\n"
-        "  cafqa::Mutex cv_mutex_{\"cv_mutex\"};\n"
-        "};\n"
-        "void Q::push_locked()\n"
+        "  void send_locked(int fd) const CAFQA_REQUIRES(write_mutex_);\n"
+        "  cafqa::Mutex write_mutex_{\"write_mutex\"};\n"
+        "};\n",
+        facts);
+    const FileReport report = lint_source(
+        "src/core/widget.cpp",
+        "void Q::send_locked(int fd) const\n"
         "{\n"
-        "  cafqa::MutexLock lock(cv_mutex_);\n"
-        "}\n"};
-    const auto graph = cafqa::lint::analyze_lock_order({source});
-    bool found = false;
-    for (const auto& edge : graph.edges) {
-        found = found || (edge.from == "queue_mutex" &&
-                          edge.to == "cv_mutex");
-    }
-    EXPECT_TRUE(found);
+        "  ::send(fd, nullptr, 0, 0);\n"
+        "}\n"
+        "void Q::other(int fd)\n"
+        "{\n"
+        "  ::send(fd, nullptr, 0, 0);\n"
+        "}\n",
+        facts);
+    ASSERT_EQ(count_rule(report, "blocking-under-lock"), 1u);
+    EXPECT_EQ(report.findings[0].line, 3u);
+    EXPECT_NE(report.findings[0].message.find("::send() while holding "
+                                              "\"write_mutex\""),
+              std::string::npos)
+        << report.findings[0].message;
 }
 
-TEST(LockPass, LambdaBodiesDoNotInheritHeldLocks)
+TEST(LockRules, LambdaBodiesDoNotInheritHeldLocks)
 {
     // The lambda runs later on another thread: the enclosing lock is
-    // NOT held around its body, so no state -> inner edge may appear.
-    const cafqa::lint::SourceFile source{
+    // NOT held around its body.
+    const FileReport report = lint_source(
         "src/core/widget.cpp",
         "void f() {\n"
         "  cafqa::MutexLock lock(state_mutex_);\n"
-        "  auto task = [] {\n"
-        "    cafqa::MutexLock inner(inner_mutex_);\n"
+        "  auto task = [this] {\n"
+        "    worker_.join();\n"
         "  };\n"
+        "  pool.submit([&](std::size_t) { worker_.join(); });\n"
         "}\n"
-        "cafqa::Mutex state_mutex_{\"state_mutex\"};\n"
-        "cafqa::Mutex inner_mutex_{\"inner_mutex\"};\n"};
-    const auto graph = cafqa::lint::analyze_lock_order({source});
-    EXPECT_TRUE(graph.edges.empty());
+        "cafqa::Mutex state_mutex_{\"state_mutex\"};\n");
+    EXPECT_TRUE(report.findings.empty())
+        << report.findings.front().line << ": "
+        << report.findings.front().message;
 }
 
-TEST(LockPass, UnlockRelockDance)
+TEST(LockRules, CallAfterUnlockIsNotFlagged)
 {
-    // Between unlock() and lock() the mutex is not held, so only the
-    // re-acquisition after lock() sees the second mutex... and the
-    // second acquisition while unlocked produces no edge.
-    const cafqa::lint::SourceFile source{
+    // Between unlock() and lock() the mutex is not held.
+    const FileReport report = lint_source(
         "src/core/widget.cpp",
         "void f() {\n"
-        "  cafqa::MutexLock lock(a_mutex_);\n"
+        "  cafqa::MutexLock lock(state_mutex_);\n"
         "  lock.unlock();\n"
-        "  cafqa::MutexLock other(b_mutex_);\n"
+        "  worker_.join();\n"
+        "  lock.lock();\n"
+        "  worker_.join();\n"
         "}\n"
-        "cafqa::Mutex a_mutex_{\"a_mutex\"};\n"
-        "cafqa::Mutex b_mutex_{\"b_mutex\"};\n"};
-    const auto graph = cafqa::lint::analyze_lock_order({source});
-    EXPECT_TRUE(graph.edges.empty());
+        "cafqa::Mutex state_mutex_{\"state_mutex\"};\n");
+    ASSERT_EQ(count_rule(report, "blocking-under-lock"), 1u);
+    EXPECT_EQ(report.findings[0].line, 6u);
 }
 
 } // namespace

@@ -1,20 +1,90 @@
 /**
  * @file
- * Runtime lock-order validator tests (src/common/lock_order_check.cpp).
- * Only meaningful in a `CAFQA_LOCK_ORDER_CHECK=ON` build — the
- * `lock-order` CI lane; elsewhere the suite reduces to one skip.
+ * Lock-order manifest and runtime validator tests
+ * (src/common/lock_order_check.cpp). The manifest's edge table is
+ * generated on every configure, so its acyclicity is checked in every
+ * build; the validator's death tests need a `CAFQA_LOCK_ORDER_CHECK=ON`
+ * build (the `lock-order` CI lane) and reduce to one skip elsewhere.
  *
  * Mutex names are deliberately passed through `const char* const`
- * variables: the static lock-order pass reads names from string
+ * variables: the linter's duplicate-mutex rule reads names from string
  * literals in the declaration, so these locals stay invisible to it
- * (no duplicate-name or drift findings from a test re-staging the
- * production names) while the runtime validator sees the real names.
+ * while the runtime validator sees the real production names.
  */
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/thread_safety.hpp"
 
+// Generated by CMake from tools/lint/lock_order.manifest.
+#include "cafqa_lock_order_table.inc"
+
 namespace {
+
+using Edge = std::pair<std::string, std::string>;
+
+/** True if the directed graph `edges` has a cycle (self-loops too). */
+bool has_cycle(const std::vector<Edge>& edges)
+{
+    std::map<std::string, std::vector<std::string>> next;
+    for (const auto& [from, to] : edges) {
+        next[from].push_back(to);
+    }
+    enum class Mark { OnPath, Done };
+    std::map<std::string, Mark> marks;
+    std::function<bool(const std::string&)> finds_cycle =
+        [&](const std::string& node) {
+            const auto mark = marks.find(node);
+            if (mark != marks.end()) {
+                return mark->second == Mark::OnPath;
+            }
+            marks[node] = Mark::OnPath;
+            const auto out = next.find(node);
+            if (out != next.end()) {
+                for (const std::string& to : out->second) {
+                    if (finds_cycle(to)) {
+                        return true;
+                    }
+                }
+            }
+            marks[node] = Mark::Done;
+            return false;
+        };
+    for (const auto& entry : next) {
+        if (finds_cycle(entry.first)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(LockOrderManifest, EdgesAreAcyclic)
+{
+    // The check itself must see a cycle when there is one...
+    EXPECT_TRUE(has_cycle({{"alpha_mutex", "beta_mutex"},
+                           {"beta_mutex", "gamma_mutex"},
+                           {"gamma_mutex", "alpha_mutex"}}));
+    EXPECT_TRUE(has_cycle({{"alpha_mutex", "alpha_mutex"}}));
+    EXPECT_FALSE(has_cycle({{"alpha_mutex", "beta_mutex"},
+                            {"beta_mutex", "gamma_mutex"},
+                            {"alpha_mutex", "gamma_mutex"}}));
+    // ...and the committed manifest has none, so every ordering the
+    // validator lets through is consistent with one global lock order.
+    std::vector<Edge> edges;
+    for (const auto& edge : kCafqaLockOrderEdges) {
+        if (edge.from == nullptr) {
+            break; // sentinel
+        }
+        edges.emplace_back(edge.from, edge.to);
+    }
+    ASSERT_FALSE(edges.empty());
+    EXPECT_FALSE(has_cycle(edges));
+}
 
 #if defined(CAFQA_LOCK_ORDER_CHECK)
 
@@ -26,6 +96,10 @@ using cafqa::MutexLock;
 // bookkeeping) and no reverse edge.
 const char* const kQueue = "queue_mutex";
 const char* const kJobs = "jobs_mutex";
+// The manifest has metrics_mutex -> shard_mutex (a scrape reads the
+// cache residency) and no reverse edge.
+const char* const kMetrics = "metrics_mutex";
+const char* const kShard = "shard_mutex";
 
 TEST(LockOrderRuntime, ManifestOrderIsQuiet)
 {
@@ -49,6 +123,21 @@ TEST(LockOrderRuntime, InvertedAcquisitionAbortsWithEdgeNamed)
         },
         "cafqa lock-order violation: acquisition while holding: "
         "\"queue_mutex\" -> \"jobs_mutex\" has no edge");
+    // The same inversion with the second acquisition behind a
+    // std::function, where reading the caller's source shows no
+    // acquisition at all: still caught, still naming both endpoints.
+    EXPECT_DEATH(
+        {
+            Mutex metrics{kMetrics};
+            Mutex shard{kShard};
+            const std::function<void()> scrape = [&metrics] {
+                MutexLock inner(metrics);
+            };
+            MutexLock outer(shard);
+            scrape();
+        },
+        "cafqa lock-order violation: acquisition while holding: "
+        "\"shard_mutex\" -> \"metrics_mutex\" has no edge");
 }
 
 TEST(LockOrderRuntime, ManualLockPathIsCheckedToo)

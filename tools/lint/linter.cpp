@@ -10,6 +10,10 @@
 namespace cafqa::lint {
 namespace {
 
+const char* const kIdentChars =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_";
+const char* const kSpace = " \t\r\n";
+
 bool
 is_ident(char c)
 {
@@ -119,15 +123,9 @@ std::vector<std::string>
 split_lines(const std::string& text)
 {
     std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t end = text.find('\n', start);
-        if (end == std::string::npos) {
-            lines.push_back(text.substr(start));
-            break;
-        }
-        lines.push_back(text.substr(start, end - start));
-        start = end + 1;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        lines.push_back(line);
     }
     return lines;
 }
@@ -147,15 +145,10 @@ line_of(const std::string& text, std::size_t offset)
 std::string
 trim(const std::string& s)
 {
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) {
-        ++b;
-    }
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) {
-        --e;
-    }
-    return s.substr(b, e - b);
+    const std::size_t b = s.find_first_not_of(kSpace);
+    return b == std::string::npos
+               ? std::string()
+               : s.substr(b, s.find_last_not_of(kSpace) + 1 - b);
 }
 
 bool
@@ -284,6 +277,55 @@ check_line_rules(const std::string& path,
     }
 }
 
+/** Position of the bracket closing the `(`, `[` or `{` at `open`
+ *  (`code.size()` if it is unbalanced). */
+std::size_t
+matching_close(const std::string& code, std::size_t open)
+{
+    const char opener = code[open];
+    const char closer = opener == '(' ? ')' : opener == '[' ? ']' : '}';
+    int depth = 0;
+    for (std::size_t i = open; i < code.size(); ++i) {
+        depth += code[i] == opener ? 1 : code[i] == closer ? -1 : 0;
+        if (depth == 0) {
+            return i;
+        }
+    }
+    return code.size();
+}
+
+std::size_t
+skip_ws(const std::string& code, std::size_t i)
+{
+    return std::min(code.find_first_not_of(kSpace, i), code.size());
+}
+
+/** Index of the last non-space character before `i`, or npos. */
+std::size_t
+prev_sig(const std::string& code, std::size_t i)
+{
+    return i == 0 ? std::string::npos : code.find_last_not_of(kSpace, i - 1);
+}
+
+/** The identifier ending at `last`; empty if there is none. */
+std::string
+ident_ending_at(const std::string& code, std::size_t last)
+{
+    if (last == std::string::npos || !is_ident(code[last])) {
+        return {};
+    }
+    const std::size_t before = code.find_last_not_of(kIdentChars, last);
+    const std::size_t begin = before == std::string::npos ? 0 : before + 1;
+    return code.substr(begin, last + 1 - begin);
+}
+
+/** Last identifier in `expr` (`r.factories`, `lock(this->mutex_)`). */
+std::string
+last_ident(const std::string& expr)
+{
+    return ident_ending_at(expr, expr.find_last_of(kIdentChars));
+}
+
 /**
  * Names declared with an unordered container type. Heuristic: find
  * `unordered_map<...>` (and set/multi variants), angle-match to the
@@ -311,14 +353,9 @@ unordered_names_in_code(const std::string& code)
             }
             ++i;
         }
-        while (i < code.size() &&
-               std::isspace(static_cast<unsigned char>(code[i]))) {
-            ++i;
-        }
-        std::string name;
-        while (i < code.size() && is_ident(code[i])) {
-            name += code[i++];
-        }
+        i = skip_ws(code, i);
+        const std::string name =
+            code.substr(i, code.find_first_not_of(kIdentChars, i) - i);
         if (!name.empty() &&
             !std::isdigit(static_cast<unsigned char>(name[0]))) {
             names.insert(name);
@@ -379,21 +416,7 @@ check_unordered_iteration(const std::string& path, const std::string& code,
             code.substr(colon + 1, close - colon - 1);
         // The identifier actually iterated is the last one in the
         // range expression (`jobs_`, `r.factories`, `this->index_`).
-        std::string last;
-        std::string current;
-        for (const char c : range) {
-            if (is_ident(c)) {
-                current += c;
-            } else {
-                if (!current.empty()) {
-                    last = current;
-                }
-                current.clear();
-            }
-        }
-        if (!current.empty()) {
-            last = current;
-        }
+        const std::string last = last_ident(range);
         if (!last.empty() && names.count(last) > 0) {
             findings.push_back(
                 {path, line_of(code, static_cast<std::size_t>(it->position())),
@@ -415,18 +438,7 @@ check_catch_swallow(const std::string& path, const std::string& code,
          it != std::sregex_iterator(); ++it) {
         const std::size_t brace =
             static_cast<std::size_t>(it->position() + it->length()) - 1;
-        int depth = 0;
-        std::size_t end = code.size();
-        for (std::size_t i = brace; i < code.size(); ++i) {
-            if (code[i] == '{') {
-                ++depth;
-            } else if (code[i] == '}') {
-                if (--depth == 0) {
-                    end = i;
-                    break;
-                }
-            }
-        }
+        const std::size_t end = matching_close(code, brace);
         const std::string body = code.substr(brace + 1, end - brace - 1);
         static const std::regex handled_re(
             R"(\bthrow\b|current_exception)");
@@ -440,6 +452,335 @@ check_catch_swallow(const std::string& path, const std::string& code,
         }
     }
 }
+
+/**
+ * Name of the function whose parameter list ends just before `pos`,
+ * looking past trailing `const`/`noexcept`/`override`/`final` and
+ * annotation macros (`CAFQA_REQUIRES(...)`). Empty when `pos` does not
+ * follow a parameter list.
+ */
+std::string
+function_before(const std::string& code, std::size_t pos)
+{
+    static const std::set<std::string> kQualifiers = {"const", "noexcept",
+                                                      "override", "final"};
+    for (std::size_t p = prev_sig(code, pos); p != std::string::npos;) {
+        const std::string qualifier = ident_ending_at(code, p);
+        if (kQualifiers.count(qualifier) != 0) {
+            p = prev_sig(code, p + 1 - qualifier.size());
+            continue;
+        }
+        if (code[p] != ')') {
+            return {};
+        }
+        for (int depth = 0;; --p) {
+            depth += code[p] == ')' ? 1 : code[p] == '(' ? -1 : 0;
+            if (depth == 0 || p == 0) {
+                break;
+            }
+        }
+        const std::size_t name_end = prev_sig(code, p);
+        const std::string name = ident_ending_at(code, name_end);
+        if (name.rfind("CAFQA_", 0) != 0) {
+            return name;
+        }
+        p = prev_sig(code, name_end + 1 - name.size());
+    }
+    return {};
+}
+
+/** The thread-safety wrappers and the runtime validator implement the
+ *  locking idiom rather than use it. */
+bool
+lock_exempt(const std::string& path)
+{
+    return path_contains(path, "thread_safety.hpp") ||
+           path_contains(path, "lock_order_check.cpp");
+}
+
+struct MutexDecl
+{
+    std::string ident;
+    std::string name; // empty: unnamed
+    std::size_t line = 0;
+};
+
+/** `cafqa::Mutex` declarations; the registered name is the first
+ *  string literal of the initializer, read from the raw `text`. */
+std::vector<MutexDecl>
+mutex_decls(const std::string& code, const std::string& text)
+{
+    static const std::regex decl_re(R"(\bMutex\s+([A-Za-z_]\w*)\s*([;{=(]))");
+    static const std::regex literal_re("\"([^\"]*)\"");
+    std::vector<MutexDecl> decls;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), decl_re);
+         it != std::sregex_iterator(); ++it) {
+        MutexDecl decl{(*it)[1], "",
+                       line_of(code, static_cast<std::size_t>(it->position()))};
+        const auto open = static_cast<std::size_t>(it->position(2));
+        if (code[open] == '{' || code[open] == '(') {
+            const std::string init =
+                text.substr(open, matching_close(code, open) - open);
+            std::smatch literal;
+            if (std::regex_search(init, literal, literal_re)) {
+                decl.name = literal[1];
+            }
+        }
+        decls.push_back(decl);
+    }
+    return decls;
+}
+
+/** Registered mutexes and `CAFQA_REQUIRES` contracts of one file. */
+void
+add_lock_facts(const std::string& path, const std::string& code,
+               const std::string& text, TreeFacts& facts)
+{
+    if (lock_exempt(path)) {
+        return;
+    }
+    for (const MutexDecl& decl : mutex_decls(code, text)) {
+        if (!decl.name.empty()) {
+            facts.mutex_names.emplace(decl.ident, decl.name);
+            facts.first_declaration.emplace(
+                decl.name, path + ":" + std::to_string(decl.line));
+        }
+    }
+    static const std::regex requires_re(R"(\bCAFQA_REQUIRES\s*\(([^)]*)\))");
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), requires_re);
+         it != std::sregex_iterator(); ++it) {
+        const std::string function =
+            function_before(code, static_cast<std::size_t>(it->position()));
+        std::stringstream args(function.empty() ? "" : it->str(1));
+        for (std::string arg; std::getline(args, arg, ',');) {
+            facts.held_on_entry[function].insert(last_ident(arg));
+        }
+    }
+}
+
+void
+check_mutex_names(const std::string& path, const std::string& code,
+                  const std::string& text, const TreeFacts& facts,
+                  std::vector<Finding>& findings)
+{
+    for (const MutexDecl& decl : mutex_decls(code, text)) {
+        if (decl.name.empty()) {
+            if (path_contains(path, "src/")) {
+                findings.push_back(
+                    {path, decl.line, "unnamed-mutex",
+                     "cafqa::Mutex '" + decl.ident +
+                         "' has no registered name; pass one so the "
+                         "runtime lock-order validator can track it"});
+            }
+            continue;
+        }
+        const std::string expected =
+            decl.ident.substr(0, decl.ident.find_last_not_of('_') + 1);
+        if (decl.name != expected) {
+            findings.push_back(
+                {path, decl.line, "mutex-name-mismatch",
+                 "mutex '" + decl.ident + "' registers name \"" + decl.name +
+                     "\"; convention is \"" + expected +
+                     "\" (identifier minus trailing underscores)"});
+        }
+        const std::string& first = facts.first_declaration.at(decl.name);
+        if (first != path + ":" + std::to_string(decl.line)) {
+            findings.push_back({path, decl.line, "duplicate-mutex",
+                                "registered mutex name \"" + decl.name +
+                                    "\" already declared at " + first});
+        }
+    }
+}
+
+/** A lock the blocking-under-lock walk considers taken. */
+struct Held
+{
+    std::string var;  // MutexLock variable; empty for a REQUIRES seed
+    std::string name; // registered mutex name; empty if unnamed
+    int depth = 0;    // brace depth whose closing releases it
+    bool active = true;
+};
+
+/** `"a", "b"` for the named held locks other than `except`. */
+std::string
+held_list(const std::vector<Held>& held, const std::string& except = "")
+{
+    std::string out;
+    for (const Held& entry : held) {
+        if (entry.active && !entry.name.empty() && entry.name != except) {
+            out += (out.empty() ? "\"" : ", \"") + entry.name + "\"";
+        }
+    }
+    return out;
+}
+
+/** The blocking-under-lock rule over one file: a lexical walk that
+ *  tracks `MutexLock` scopes by brace depth. */
+struct LockWalk
+{
+    const std::string& path;
+    const std::string& code;
+    const TreeFacts& facts;
+    std::vector<Finding>& findings;
+
+    /** Registered name of the mutex `expr` names, or empty. */
+    std::string mutex_name(const std::string& expr) const
+    {
+        const auto named = facts.mutex_names.find(last_ident(expr));
+        return named == facts.mutex_names.end() ? "" : named->second;
+    }
+
+    /** Walk `[begin, end)` starting from `held`. */
+    void walk(std::size_t begin, std::size_t end, std::vector<Held> held)
+    {
+        int depth = 0;
+        for (std::size_t i = begin; i < end;) {
+            const char c = code[i];
+            if (c == '{') {
+                ++depth;
+                const auto seeds =
+                    facts.held_on_entry.find(function_before(code, i));
+                if (seeds != facts.held_on_entry.end()) {
+                    for (const std::string& ident : seeds->second) {
+                        held.push_back({"", mutex_name(ident), depth, true});
+                    }
+                }
+                ++i;
+            } else if (c == '}') {
+                --depth;
+                std::erase_if(held, [depth](const Held& entry) {
+                    return entry.depth > depth;
+                });
+                ++i;
+            } else if (c == '[') {
+                i = skip_brackets(i, end);
+            } else if (is_ident(c) && (i == 0 || !is_ident(code[i - 1]))) {
+                i = word(i, end, depth, held);
+            } else {
+                ++i;
+            }
+        }
+    }
+
+    /** An attribute, a subscript, or a lambda whose body is walked on
+     *  its own: it runs later, on whatever thread calls it, so it
+     *  inherits no locks. Returns the index to resume at. */
+    std::size_t skip_brackets(std::size_t i, std::size_t end)
+    {
+        if (i + 1 < end && code[i + 1] == '[') {
+            return std::min(code.find("]]", i + 2), end - 2) + 2;
+        }
+        const std::size_t prev = prev_sig(code, i);
+        if (prev != std::string::npos &&
+            (code[prev] == ')' || code[prev] == ']' ||
+             (is_ident(code[prev]) &&
+              ident_ending_at(code, prev) != "return"))) {
+            return i + 1; // subscript
+        }
+        const std::size_t captures = matching_close(code, i);
+        std::size_t body = skip_ws(code, captures + 1);
+        if (body < end && code[body] == '(') {
+            body = skip_ws(code, matching_close(code, body) + 1);
+        }
+        body = std::min(code.find_first_of("{;,)", body), end);
+        if (body == end || code[body] != '{') {
+            return captures + 1;
+        }
+        const std::size_t close = matching_close(code, body);
+        walk(body + 1, close, {});
+        return close + 1;
+    }
+
+    /** The identifier at `i`: a `MutexLock` declaration or a call.
+     *  Returns the index to resume at. */
+    std::size_t word(std::size_t i, std::size_t end, int depth,
+                     std::vector<Held>& held)
+    {
+        const std::size_t wend =
+            std::min(code.find_first_not_of(kIdentChars, i), end);
+        const std::string name = code.substr(i, wend - i);
+        const std::size_t open = skip_ws(code, wend);
+        if (name == "MutexLock") {
+            const std::size_t vend =
+                std::min(code.find_first_not_of(kIdentChars, open), end);
+            const std::size_t init = skip_ws(code, vend);
+            if (vend == open || init >= end ||
+                (code[init] != '(' && code[init] != '{')) {
+                return wend;
+            }
+            const std::size_t close = matching_close(code, init);
+            held.push_back(
+                {code.substr(open, vend - open),
+                 mutex_name(code.substr(init + 1, close - init - 1)), depth,
+                 true});
+            return close + 1;
+        }
+        if (open < end && code[open] == '(') {
+            call(i, name, open, held);
+        }
+        return wend;
+    }
+
+    void call(std::size_t i, const std::string& name, std::size_t open,
+              std::vector<Held>& held)
+    {
+        const std::size_t prev = prev_sig(code, i);
+        const char p = prev == std::string::npos ? ' ' : code[prev];
+        const char pp = prev == std::string::npos || prev == 0 ? ' '
+                                                               : code[prev - 1];
+        const bool member = p == '.' || (p == '>' && pp == '-');
+        const bool colons = p == ':' && pp == ':';
+        // The receiver (`lock` in `lock.unlock()`) or namespace.
+        const std::size_t before = prev_sig(code, p == '.' ? prev : prev - 1);
+        const std::string qualifier =
+            member || colons ? ident_ending_at(code, before) : "";
+        if (member && (name == "unlock" || name == "lock")) {
+            for (auto it = held.rbegin(); it != held.rend(); ++it) {
+                if (!it->var.empty() && it->var == qualifier) {
+                    it->active = name == "lock";
+                    break;
+                }
+            }
+            return;
+        }
+        if (member && name == "wait") {
+            // CondVar::wait(lock): only OTHER held mutexes block here.
+            const std::string args =
+                code.substr(open + 1, matching_close(code, open) - open - 1);
+            const std::string var = last_ident(args.substr(0, args.find(',')));
+            const auto lock =
+                std::find_if(held.begin(), held.end(), [&var](const Held& h) {
+                    return !h.var.empty() && h.var == var;
+                });
+            if (lock != held.end()) {
+                const std::string others = held_list(held, lock->name);
+                if (!others.empty()) {
+                    flag(i, "CondVar::wait on \"" + lock->name +
+                                "\" while also holding " + others);
+                }
+                return;
+            }
+        }
+        static const std::set<std::string> kSocketCalls = {
+            "send", "recv", "accept", "connect", "poll"};
+        static const std::set<std::string> kBlockingCalls = {
+            "parallel_for", "execute_run_spec", "sleep_for", "sleep_until",
+            "join"};
+        const bool global = colons && qualifier.empty();
+        const std::string holding = held_list(held);
+        if (!holding.empty() && ((global && kSocketCalls.count(name) != 0) ||
+                                 kBlockingCalls.count(name) != 0)) {
+            flag(i, "blocking call " + std::string(global ? "::" : "") +
+                        name + "() while holding " + holding);
+        }
+    }
+
+    void flag(std::size_t pos, const std::string& message)
+    {
+        findings.push_back(
+            {path, line_of(code, pos), "blocking-under-lock", message});
+    }
+};
 
 } // namespace
 
@@ -456,16 +797,19 @@ rule_names()
     return kRules;
 }
 
-std::set<std::string>
-unordered_container_names(const std::string& text)
+void
+collect_tree_facts(const std::string& display_path, const std::string& text,
+                   TreeFacts& facts)
 {
-    return unordered_names_in_code(blank_comments_and_strings(text));
+    const std::string code = blank_comments_and_strings(text);
+    const std::set<std::string> names = unordered_names_in_code(code);
+    facts.unordered.insert(names.begin(), names.end());
+    add_lock_facts(display_path, code, text, facts);
 }
 
 FileReport
 lint_source(const std::string& display_path, const std::string& text,
-            const std::set<std::string>& cross_file_unordered,
-            const std::vector<Finding>& extra_candidates)
+            const TreeFacts& tree)
 {
     FileReport report;
     const std::vector<std::string> raw_lines = split_lines(text);
@@ -474,11 +818,17 @@ lint_source(const std::string& display_path, const std::string& text,
     const std::string code = blank_comments_and_strings(text);
     const std::vector<std::string> code_lines = split_lines(code);
 
-    std::vector<Finding> candidates = extra_candidates;
+    std::vector<Finding> candidates;
     check_line_rules(display_path, code_lines, candidates);
-    check_unordered_iteration(display_path, code, cross_file_unordered,
-                              candidates);
+    check_unordered_iteration(display_path, code, tree.unordered, candidates);
     check_catch_swallow(display_path, code, candidates);
+    if (!lock_exempt(display_path)) {
+        TreeFacts facts = tree;
+        add_lock_facts(display_path, code, text, facts);
+        check_mutex_names(display_path, code, text, facts, candidates);
+        LockWalk{display_path, code, facts, candidates}.walk(0, code.size(),
+                                                             {});
+    }
 
     // Resolve each allow to the line it suppresses: a trailing allow
     // (code before the comment) covers its own line; an allow on a
@@ -527,8 +877,7 @@ lint_source(const std::string& display_path, const std::string& text,
 }
 
 FileReport
-lint_file(const std::string& path,
-          const std::set<std::string>& cross_file_unordered)
+lint_file(const std::string& path, const TreeFacts& tree)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -539,7 +888,7 @@ lint_file(const std::string& path,
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return lint_source(path, buffer.str(), cross_file_unordered);
+    return lint_source(path, buffer.str(), tree);
 }
 
 std::map<std::string, std::size_t>

@@ -28,19 +28,26 @@
  *                   No `system_clock` outside telemetry/bench paths —
  *                   logic keyed to wall time is irreproducible; use
  *                   steady_clock for durations.
+ *   blocking-under-lock
+ *                   No socket I/O (`::send`, `::recv`, `::accept`,
+ *                   `::connect`, `::poll`), `parallel_for`,
+ *                   `execute_run_spec`, sleeps, `join`, or
+ *                   `CondVar::wait` on a DIFFERENT mutex while a named
+ *                   mutex is held. Intraprocedural: `MutexLock v(m)`
+ *                   scopes are tracked by brace depth (with
+ *                   `v.unlock()`/`v.lock()`), a lambda body starts with
+ *                   nothing held, and a function declared anywhere with
+ *                   `CAFQA_REQUIRES(m)` starts with `m` held.
+ *   unnamed-mutex   `cafqa::Mutex` in src/ without a registered name
+ *                   (invisible to the runtime lock-order validator).
+ *   mutex-name-mismatch
+ *                   Registered name != identifier minus trailing
+ *                   underscores.
+ *   duplicate-mutex Two declarations registering the same name.
  *
- * The lock-order pass (tools/lint/lock_order.hpp) contributes four
- * more per-file rules, routed through the same `lint:allow` machinery
- * via `lint_source`'s `extra_candidates` parameter:
- *
- *   blocking-under-lock   Socket I/O, `parallel_for`, `Pipeline::run`,
- *                         sleeps, `join`, or `CondVar::wait` on a
- *                         DIFFERENT mutex while a named mutex is held.
- *   unnamed-mutex         `cafqa::Mutex` in src/ without a registered
- *                         name (invisible to the order analysis).
- *   mutex-name-mismatch   Registered name != identifier minus trailing
- *                         underscores.
- *   duplicate-mutex       Two declarations registering the same name.
+ * The acquisition ORDER itself is not linted: the runtime validator
+ * (`CAFQA_LOCK_ORDER_CHECK`, src/common/lock_order_check.cpp) checks
+ * every named acquisition against `tools/lint/lock_order.manifest`.
  *
  * Suppression: a violating line (or the line directly above it) may
  * carry a `lint:allow(<rule>) <reason>` line comment. The reason is
@@ -83,29 +90,35 @@ struct FileReport
 /** The enforced rule names (excludes the meta rule `bad-allow`). */
 const std::vector<std::string>& rule_names();
 
-/**
- * Names declared with an unordered container type in `text`. The
- * `unordered-iter` rule needs these ACROSS files: members are
- * declared unordered in a header but iterated in the matching .cpp,
- * so the driver collects the union over the whole tree first and
- * passes it back in via `cross_file_unordered`.
- */
-std::set<std::string> unordered_container_names(const std::string& text);
+/** Facts the per-file rules need from the WHOLE tree (a header
+ *  declares a member unordered, or a helper `CAFQA_REQUIRES`, that the
+ *  matching .cpp uses), collected over every file before linting. */
+struct TreeFacts
+{
+    /** Names declared with an unordered container type. */
+    std::set<std::string> unordered;
+    /** Registered mutex name by declared identifier (first wins). */
+    std::map<std::string, std::string> mutex_names;
+    /** First declaration (`file:line`) of each registered name. */
+    std::map<std::string, std::string> first_declaration;
+    /** Mutex identifiers held on entry, by bare function name. */
+    std::map<std::string, std::set<std::string>> held_on_entry;
+};
+
+/** Add the facts of one file to `facts` (earlier files win ties). */
+void collect_tree_facts(const std::string& display_path,
+                        const std::string& text, TreeFacts& facts);
 
 /** Lint an in-memory buffer. `display_path` labels findings and
  *  drives the path-based exemptions (thread_safety.hpp, thread_pool,
- *  server/). `extra_candidates` are findings produced by other passes
- *  (the lock-order pass) for THIS file, merged in before `lint:allow`
- *  resolution so they are suppressible like native rules. */
+ *  server/). The buffer's own facts need not be in `tree`. */
 FileReport lint_source(const std::string& display_path,
                        const std::string& text,
-                       const std::set<std::string>& cross_file_unordered = {},
-                       const std::vector<Finding>& extra_candidates = {});
+                       const TreeFacts& tree = {});
 
 /** Lint a file on disk. Unreadable file -> one finding with rule
  *  "io-error". */
-FileReport lint_file(const std::string& path,
-                     const std::set<std::string>& cross_file_unordered = {});
+FileReport lint_file(const std::string& path, const TreeFacts& tree = {});
 
 /** Aggregate per-rule hit counts (the CI summary table). */
 std::map<std::string, std::size_t>

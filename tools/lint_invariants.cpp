@@ -1,20 +1,12 @@
 /**
  * @file
  * `lint_invariants` — walk C++ sources and enforce the project
- * invariants documented in tools/lint/linter.hpp, plus the lock-order
- * pass documented in tools/lint/lock_order.hpp.
+ * invariants documented in tools/lint/linter.hpp.
  *
  *   lint_invariants [options] <file-or-directory>...
  *
  *   --list-rules              print rule names and exit
  *   --format=text|json|github output format (default text)
- *   --lock-manifest=PATH      diff the discovered lock graph against
- *                             the committed acquisition-order manifest
- *   --write-lock-manifest     regenerate the manifest in place
- *                             (carrying its `dynamic` edges forward)
- *                             instead of reporting drift
- *   --lock-dot=PATH           write the lock graph as Graphviz DOT
- *   --lock-json=PATH          write the lock graph as JSON
  *
  * Directories are walked recursively for .hpp/.h/.hh/.cpp/.cc/.cxx
  * files (deterministic sorted order); `lint_fixtures` and
@@ -25,20 +17,19 @@
  * Exit codes:
  *   0  clean (honoured `lint:allow` suppressions are fine)
  *   1  at least one finding
- *   2  usage error, nonexistent path, unreadable file, or malformed
- *      manifest
+ *   2  usage error, nonexistent path, or unreadable file
  */
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/linter.hpp"
-#include "lint/lock_order.hpp"
 
 namespace fs = std::filesystem;
 
@@ -47,11 +38,9 @@ namespace {
 bool
 lintable(const fs::path& path)
 {
-    static const std::vector<std::string> kExtensions = {
-        ".hpp", ".h", ".hh", ".cpp", ".cc", ".cxx"};
-    const std::string ext = path.extension().string();
-    return std::find(kExtensions.begin(), kExtensions.end(), ext) !=
-           kExtensions.end();
+    static const std::set<std::string> kExtensions = {".hpp", ".h",  ".hh",
+                                                      ".cpp", ".cc", ".cxx"};
+    return kExtensions.count(path.extension().string()) != 0;
 }
 
 /** Subtrees that exist to FAIL the linter; a directory walk skips
@@ -74,14 +63,6 @@ json_escape(const std::string& s)
     return out;
 }
 
-bool
-write_text_file(const std::string& path, const std::string& text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-    return static_cast<bool>(out);
-}
-
 } // namespace
 
 int
@@ -89,10 +70,6 @@ main(int argc, char** argv)
 {
     std::vector<std::string> files;
     std::string format = "text";
-    std::string manifest_path;
-    std::string dot_path;
-    std::string json_path;
-    bool write_manifest = false;
     bool saw_path = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -105,9 +82,7 @@ main(int argc, char** argv)
         if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: lint_invariants [--list-rules] "
-                "[--format=text|json|github] [--lock-manifest=PATH] "
-                "[--write-lock-manifest] [--lock-dot=PATH] "
-                "[--lock-json=PATH] <path>...\n");
+                "[--format=text|json|github] <path>...\n");
             return 0;
         }
         if (arg.rfind("--format=", 0) == 0) {
@@ -118,22 +93,6 @@ main(int argc, char** argv)
                              format.c_str());
                 return 2;
             }
-            continue;
-        }
-        if (arg.rfind("--lock-manifest=", 0) == 0) {
-            manifest_path = arg.substr(16);
-            continue;
-        }
-        if (arg == "--write-lock-manifest") {
-            write_manifest = true;
-            continue;
-        }
-        if (arg.rfind("--lock-dot=", 0) == 0) {
-            dot_path = arg.substr(11);
-            continue;
-        }
-        if (arg.rfind("--lock-json=", 0) == 0) {
-            json_path = arg.substr(12);
             continue;
         }
         if (arg.rfind("--", 0) == 0) {
@@ -166,111 +125,35 @@ main(int argc, char** argv)
                      "usage: lint_invariants [options] <path>...\n");
         return 2;
     }
-    if (write_manifest && manifest_path.empty()) {
-        std::fprintf(stderr, "lint_invariants: --write-lock-manifest "
-                             "requires --lock-manifest=PATH\n");
-        return 2;
-    }
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
-    // Phase 1: read everything once. Unordered container names are
-    // collected across the WHOLE tree (a member declared unordered in
-    // a header is still caught when the matching .cpp iterates it),
-    // and the lock-order pass needs every TU for its interprocedural
-    // summaries.
-    std::set<std::string> unordered;
-    std::vector<std::string> contents(files.size());
-    std::vector<bool> readable(files.size(), false);
-    std::vector<cafqa::lint::SourceFile> sources;
+    // Phase 1: read everything once and collect the tree-wide facts
+    // (unordered container names, registered mutexes, REQUIRES
+    // contracts): a header declares what the matching .cpp uses.
+    cafqa::lint::TreeFacts facts;
+    std::vector<std::optional<std::string>> contents(files.size());
     for (std::size_t i = 0; i < files.size(); ++i) {
         std::ifstream in(files[i], std::ios::binary);
         if (in) {
             std::ostringstream buffer;
             buffer << in.rdbuf();
             contents[i] = buffer.str();
-            readable[i] = true;
-            const auto names =
-                cafqa::lint::unordered_container_names(contents[i]);
-            unordered.insert(names.begin(), names.end());
-            sources.push_back({files[i], contents[i]});
+            cafqa::lint::collect_tree_facts(files[i], *contents[i], facts);
         }
     }
 
-    const cafqa::lint::LockGraph graph =
-        cafqa::lint::analyze_lock_order(sources);
-
-    // Phase 2: lint each file; the lock pass's per-file findings ride
-    // through the same lint:allow resolution as the native rules.
+    // Phase 2: lint each file against those facts.
     std::vector<cafqa::lint::Finding> findings;
     std::size_t allows_used = 0;
     for (std::size_t i = 0; i < files.size(); ++i) {
-        std::vector<cafqa::lint::Finding> extra;
-        const auto it = graph.file_findings.find(files[i]);
-        if (it != graph.file_findings.end()) { extra = it->second; }
         cafqa::lint::FileReport report =
-            readable[i]
-                ? cafqa::lint::lint_source(files[i], contents[i], unordered,
-                                           extra)
-                : cafqa::lint::lint_file(files[i], unordered);
+            contents[i]
+                ? cafqa::lint::lint_source(files[i], *contents[i], facts)
+                : cafqa::lint::lint_file(files[i], facts);
         allows_used += report.allows_used;
         findings.insert(findings.end(), report.findings.begin(),
                         report.findings.end());
-    }
-
-    // Phase 3: graph-level checks (not suppressible; the manifest is
-    // the reviewed escape hatch).
-    cafqa::lint::LockManifest manifest;
-    const cafqa::lint::LockManifest* manifest_ptr = nullptr;
-    if (!manifest_path.empty()) {
-        std::ifstream in(manifest_path, std::ios::binary);
-        std::ostringstream buffer;
-        if (in) { buffer << in.rdbuf(); }
-        std::string error;
-        if (!in && !write_manifest) {
-            std::fprintf(stderr, "lint_invariants: cannot open manifest: %s\n",
-                         manifest_path.c_str());
-            return 2;
-        }
-        if (in &&
-            !cafqa::lint::parse_lock_manifest(buffer.str(), manifest, error)) {
-            std::fprintf(stderr, "lint_invariants: %s: %s\n",
-                         manifest_path.c_str(), error.c_str());
-            return 2;
-        }
-        manifest_ptr = &manifest;
-    }
-    if (write_manifest) {
-        const std::string rendered =
-            cafqa::lint::render_lock_manifest(graph, manifest_ptr);
-        if (!write_text_file(manifest_path, rendered)) {
-            std::fprintf(stderr, "lint_invariants: cannot write %s\n",
-                         manifest_path.c_str());
-            return 2;
-        }
-        std::string error;
-        cafqa::lint::parse_lock_manifest(rendered, manifest, error);
-        manifest_ptr = &manifest;
-    } else if (manifest_ptr != nullptr) {
-        const auto drift = cafqa::lint::check_lock_manifest(
-            graph, manifest, manifest_path);
-        findings.insert(findings.end(), drift.begin(), drift.end());
-    }
-    const auto cycles = cafqa::lint::find_lock_cycles(graph, manifest_ptr);
-    findings.insert(findings.end(), cycles.begin(), cycles.end());
-
-    if (!dot_path.empty() &&
-        !write_text_file(dot_path,
-                         cafqa::lint::lock_graph_dot(graph, manifest_ptr))) {
-        std::fprintf(stderr, "lint_invariants: cannot write %s\n",
-                     dot_path.c_str());
-        return 2;
-    }
-    if (!json_path.empty() &&
-        !write_text_file(json_path, cafqa::lint::lock_graph_json(graph))) {
-        std::fprintf(stderr, "lint_invariants: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
     }
 
     bool io_error = false;
