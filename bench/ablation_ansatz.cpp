@@ -43,7 +43,8 @@ print_ablation()
     banner("Ablation: hardware-efficient ansatz structure");
 
     const auto system = problems::make_molecular_system("LiH", 3.4);
-    const double exact = exact_energy(system.hamiltonian);
+    const double exact =
+        converged_energy(lanczos_ground_state(system.hamiltonian));
     std::cout << "LiH @ 3.4 A, exact = " << exact << " Ha, HF error = "
               << Table::sci(system.hf_energy - exact, 2) << " Ha\n\n";
 

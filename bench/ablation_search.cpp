@@ -50,7 +50,7 @@ compare_on(const std::string& molecule, double bond, std::uint64_t seed,
         return problem.objective.evaluate(evaluator);
     };
     const DiscreteSpace space = clifford_search_space(problem.ansatz);
-    const double exact = exact_energy(problem.hamiltonian());
+    const double exact = problem.exact_energy().value();
 
     Table table(molecule + " @ " + Table::num(bond, 2) + " A, " +
                 std::to_string(budget) + "-evaluation budget, space 10^" +

@@ -11,10 +11,12 @@
 #define CAFQA_BENCH_BENCH_COMMON_HPP
 
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/pipeline.hpp"
 #include "problems/molecule_factory.hpp"
@@ -174,14 +176,34 @@ run_molecular_cafqa(const problems::MolecularSystem& system,
     return pipeline.run_clifford_search();
 }
 
-/** Exact ground energy via Lanczos with a scale-aware iteration cap. */
+/** The energy of a converged exact solve. A bench whose every number
+ *  derives from one exact reference stops with a CafqaError when that
+ *  solve hit the Lanczos iteration cap. */
 inline double
-exact_energy(const PauliSum& hamiltonian)
+converged_energy(const GroundState& exact)
 {
-    LanczosOptions options;
-    options.max_iterations = pick(120, 300);
-    options.tolerance = 1e-9;
-    return lanczos_ground_state(hamiltonian, options).energy;
+    if (!exact.converged) {
+        throw CafqaError("exact solve stopped at the Lanczos cap after " +
+                         std::to_string(exact.iterations) +
+                         " iterations (last Ritz change " +
+                         std::to_string(exact.ritz_change) + " Ha)");
+    }
+    return exact.energy;
+}
+
+/** `row` as is when the exact solve converged; otherwise with the
+ *  cells at `columns`, the ones derived from the exact energy, replaced
+ *  by "unconverged". */
+inline std::vector<std::string>
+against_exact(std::vector<std::string> row, const GroundState& exact,
+              std::initializer_list<std::size_t> columns)
+{
+    if (!exact.converged) {
+        for (const std::size_t column : columns) {
+            row.at(column) = "unconverged";
+        }
+    }
+    return row;
 }
 
 /** Standard bench banner. */

@@ -1,8 +1,8 @@
 /**
  * Dense-kernel microbench: the library's compiled statevector
- * expectation, row-contiguous density prepare and compiled sampled
- * estimator against the reference kernels they replaced
- * (tests/reference_dense.hpp), timed in the same run.
+ * expectation, row-contiguous density prepare, compiled sampled
+ * estimator and compiled Lanczos solve against the reference kernels
+ * they replaced (tests/reference_dense.hpp), timed in the same run.
  *
  * Kernels are the three dense tunes of the end-to-end benchmark:
  * - `h2o_statevector`: <H> of the H2O Hamiltonian on a prepared state,
@@ -11,7 +11,10 @@
  *   tfim:chain-8 ansatz;
  * - `h6_sampled`: one 4096-shot `SampledEvaluator` evaluation of the H6
  *   Hamiltonian, against the reference loop fed by a generator with the
- *   same seed (both streams advance in step, round after round).
+ *   same seed (both streams advance in step, round after round);
+ * - `beh2_lanczos`: the exact ground energy of BeH2 at the library's
+ *   default Lanczos settings, against the per-term loop with a full
+ *   eigensolve per iteration; energy and iteration count are compared.
  * Every round compares the two results bit for bit; any difference
  * exits 1.
  *
@@ -44,6 +47,7 @@
 #include "core/sampled_evaluator.hpp"
 #include "pauli/compiled_pauli_sum.hpp"
 #include "problems/problem.hpp"
+#include "statevector/lanczos.hpp"
 
 namespace {
 
@@ -143,6 +147,13 @@ main(int argc, char** argv)
         cafqa::reference::prepare(h6.ansatz, h6_params);
     cafqa::Rng oracle_rng(kSeed);
 
+    // BeH2 exact reference: the solve `molecule:BeH2` runs.
+    const auto beh2 = cafqa::problems::make_problem("molecule:BeH2");
+    const auto energy_and_iterations = [](const cafqa::GroundState& g) {
+        return std::vector<double>{g.energy,
+                                   static_cast<double>(g.iterations)};
+    };
+
     const Kernel kernels[] = {
         {"h2o_statevector", 15,
          [&] {
@@ -174,6 +185,15 @@ main(int argc, char** argv)
          [&] {
              return std::vector<double>{
                  sampled.expectation(h6.hamiltonian())};
+         }},
+        {"beh2_lanczos", 3,
+         [&] {
+             return energy_and_iterations(
+                 cafqa::reference::lanczos_ground_state(beh2.hamiltonian()));
+         },
+         [&] {
+             return energy_and_iterations(
+                 cafqa::lanczos_ground_state(beh2.hamiltonian()));
          }},
     };
 

@@ -20,7 +20,8 @@ print_fig07()
     banner("Fig. 7: H2O @ 4.0 A — CAFQA discrete search trace");
 
     const auto system = problems::make_molecular_system("H2O", 4.0);
-    const double exact = exact_energy(system.hamiltonian);
+    const double exact =
+        converged_energy(lanczos_ground_state(system.hamiltonian));
 
     PipelineConfig config = molecular_pipeline_config(system, 1111);
     config.search.warmup = pick(300, 1000);

@@ -33,21 +33,26 @@ print_fig09()
             "molecule:LiH?bond=" + format_real(bond));
         const CafqaResult cafqa = run_problem_cafqa(
             problem, 2000 + static_cast<std::uint64_t>(bond * 100));
-        const double exact = exact_energy(problem.hamiltonian());
+        const GroundState ground =
+            lanczos_ground_state(problem.hamiltonian());
+        const double exact = ground.energy;
         const double hf = problem.reference_energy.value();
 
-        energy.add_row({Table::num(bond, 2), Table::num(hf, 5),
-                        Table::num(cafqa.best_energy, 5),
-                        Table::num(exact, 5)});
-        accuracy.add_row(
+        energy.add_row(against_exact(
+            {Table::num(bond, 2), Table::num(hf, 5),
+             Table::num(cafqa.best_energy, 5), Table::num(exact, 5)},
+            ground, {3}));
+        accuracy.add_row(against_exact(
             {Table::num(bond, 2), Table::sci(std::abs(hf - exact), 2),
              Table::sci(std::max(std::abs(cafqa.best_energy - exact), 1e-10),
-                        2)});
-        correlation.add_row(
+                        2)},
+            ground, {1, 2}));
+        correlation.add_row(against_exact(
             {Table::num(bond, 2),
              Table::num(correlation_recovered_percent(
                             hf, cafqa.best_energy, exact),
-                        1)});
+                        1)},
+            ground, {1}));
     }
 
     energy.print(std::cout);

@@ -45,26 +45,31 @@ print_fig10()
 
         const double cafqa_best =
             std::min(cafqa_s.best_energy, cafqa_t.best_energy);
-        const double exact = exact_energy(singlet.hamiltonian);
+        const GroundState ground =
+            lanczos_ground_state(singlet.hamiltonian);
+        const double exact = ground.energy;
         const double cafqa_err = std::abs(cafqa_best - exact);
 
-        energy.add_row({Table::num(bond, 2),
-                        Table::num(singlet.hf_energy, 4),
-                        Table::num(cafqa_s.best_energy, 4),
-                        Table::num(cafqa_t.best_energy, 4),
-                        Table::num(cafqa_best, 4), Table::num(exact, 4),
-                        singlet.scf_converged ? "yes" : "NO (extrapolated"
-                                                        " trend in paper)"});
-        accuracy.add_row(
+        energy.add_row(against_exact(
+            {Table::num(bond, 2), Table::num(singlet.hf_energy, 4),
+             Table::num(cafqa_s.best_energy, 4),
+             Table::num(cafqa_t.best_energy, 4), Table::num(cafqa_best, 4),
+             Table::num(exact, 4),
+             singlet.scf_converged ? "yes"
+                                   : "NO (extrapolated trend in paper)"},
+            ground, {5}));
+        accuracy.add_row(against_exact(
             {Table::num(bond, 2),
              Table::sci(std::abs(singlet.hf_energy - exact), 2),
              Table::sci(std::max(cafqa_err, 1e-10), 2),
-             cafqa_err <= chemical_accuracy ? "yes" : "no"});
-        correlation.add_row(
+             cafqa_err <= chemical_accuracy ? "yes" : "no"},
+            ground, {1, 2, 3}));
+        correlation.add_row(against_exact(
             {Table::num(bond, 2),
              Table::num(correlation_recovered_percent(
                             singlet.hf_energy, cafqa_best, exact),
-                        1)});
+                        1)},
+            ground, {1}));
     }
 
     energy.print(std::cout);

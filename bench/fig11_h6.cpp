@@ -50,24 +50,29 @@ print_fig11()
             opt_energy = std::min(opt_energy, sector_cafqa.best_energy);
         }
 
-        const double exact = exact_energy(system.hamiltonian);
-        energy.add_row({Table::num(bond, 2), Table::num(system.hf_energy, 4),
-                        Table::num(cafqa.best_energy, 4),
-                        Table::num(opt_energy, 4), Table::num(exact, 4)});
-        accuracy.add_row(
+        const GroundState ground = lanczos_ground_state(system.hamiltonian);
+        const double exact = ground.energy;
+        energy.add_row(against_exact(
+            {Table::num(bond, 2), Table::num(system.hf_energy, 4),
+             Table::num(cafqa.best_energy, 4), Table::num(opt_energy, 4),
+             Table::num(exact, 4)},
+            ground, {4}));
+        accuracy.add_row(against_exact(
             {Table::num(bond, 2),
              Table::sci(std::abs(system.hf_energy - exact), 2),
              Table::sci(std::max(std::abs(cafqa.best_energy - exact), 1e-10),
                         2),
-             Table::sci(std::max(std::abs(opt_energy - exact), 1e-10), 2)});
-        correlation.add_row(
+             Table::sci(std::max(std::abs(opt_energy - exact), 1e-10), 2)},
+            ground, {1, 2, 3}));
+        correlation.add_row(against_exact(
             {Table::num(bond, 2),
              Table::num(correlation_recovered_percent(
                             system.hf_energy, cafqa.best_energy, exact),
                         1),
              Table::num(correlation_recovered_percent(system.hf_energy,
                                                       opt_energy, exact),
-                        1)});
+                        1)},
+            ground, {1, 2}));
     }
 
     energy.print(std::cout);

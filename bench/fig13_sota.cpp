@@ -39,7 +39,13 @@ evaluate_molecule(const std::string& name, std::size_t num_bonds,
         const auto system = problems::make_molecular_system(name, bond);
         const CafqaResult cafqa = run_molecular_cafqa(
             system, seed + static_cast<std::uint64_t>(bond * 100));
-        const double exact = exact_energy(system.hamiltonian);
+        const GroundState ground = lanczos_ground_state(system.hamiltonian);
+        if (!ground.converged) {
+            std::cout << "# " << name << " @ " << Table::num(bond, 2)
+                      << " A: exact solve unconverged, left out\n";
+            continue;
+        }
+        const double exact = ground.energy;
 
         const double hf_err = std::abs(system.hf_energy - exact);
         const double cafqa_err =

@@ -23,7 +23,8 @@ print_fig14()
     const auto system = problems::make_molecular_system("LiH", 4.8);
     VqaObjective objective;
     objective.hamiltonian = system.hamiltonian;
-    const double exact = exact_energy(system.hamiltonian);
+    const double exact =
+        converged_energy(lanczos_ground_state(system.hamiltonian));
 
     const CafqaResult cafqa = run_molecular_cafqa(system, 1414);
     const std::vector<double> cafqa_init =

@@ -37,19 +37,19 @@ sweep_molecule(const std::string& name, std::size_t max_t,
         CafqaPipeline pipeline(molecular_pipeline_config(system, seed));
         const CafqaResult& base = pipeline.run_clifford_search();
         const TBoostResult& boost = pipeline.run_t_boost(max_t);
-        const double exact = exact_energy(system.hamiltonian);
+        const GroundState ground = lanczos_ground_state(system.hamiltonian);
+        const double exact = ground.energy;
 
         const double rec_clifford = correlation_recovered_percent(
             system.hf_energy, base.best_energy, exact);
         const double rec_kt = correlation_recovered_percent(
             system.hf_energy, boost.best_energy, exact);
-        table.add_row({Table::num(bond, 2),
-                       Table::num(base.best_energy, 5),
-                       Table::num(boost.best_energy, 5),
-                       Table::num(exact, 5),
-                       std::to_string(boost.t_positions.size()),
-                       Table::num(rec_clifford, 1) + " -> " +
-                           Table::num(rec_kt, 1)});
+        table.add_row(against_exact(
+            {Table::num(bond, 2), Table::num(base.best_energy, 5),
+             Table::num(boost.best_energy, 5), Table::num(exact, 5),
+             std::to_string(boost.t_positions.size()),
+             Table::num(rec_clifford, 1) + " -> " + Table::num(rec_kt, 1)},
+            ground, {3, 5}));
     }
     table.print(std::cout);
 }

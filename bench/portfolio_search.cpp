@@ -98,7 +98,7 @@ race_on(const std::string& problem_key, std::uint64_t seed,
         return problem.objective.evaluate(evaluator);
     };
     const DiscreteSpace space = clifford_search_space(problem.ansatz);
-    const double exact = exact_energy(problem.hamiltonian());
+    const double exact = problem.exact_energy().value();
 
     StoppingCriteria criteria;
     criteria.max_evaluations = budget;
@@ -200,7 +200,7 @@ tempering_vs_anneal()
         return problem.objective.evaluate(evaluator);
     };
     const DiscreteSpace space = clifford_search_space(problem.ansatz);
-    const double exact = exact_energy(problem.hamiltonian());
+    const double exact = problem.exact_energy().value();
     const std::size_t budget = pick(400, 2000);
     const std::vector<std::uint64_t> seeds = {71, 7, 13, 29, 42};
 

@@ -5,7 +5,9 @@
  * Follows the gem5 fatal/panic distinction: `CAFQA_REQUIRE` guards
  * user-visible preconditions (bad arguments, unsupported inputs) and throws
  * `std::invalid_argument`; `CAFQA_ASSERT` guards internal invariants that
- * indicate a library bug and throws `std::logic_error`.
+ * indicate a library bug and throws `std::logic_error`. A computation
+ * that ran on valid input but cannot vouch for its result throws
+ * `CafqaError`.
  */
 #ifndef CAFQA_COMMON_ERROR_HPP
 #define CAFQA_COMMON_ERROR_HPP
@@ -14,6 +16,14 @@
 #include <string>
 
 namespace cafqa {
+
+/** A computation on valid input that cannot vouch for its result, such
+ *  as an exact solve stopped at its iteration cap. */
+class CafqaError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Throw std::invalid_argument with file/line context. */
 [[noreturn]] void throw_require_failure(const char* cond, const char* file,

@@ -123,14 +123,18 @@ operator*(double scale, Matrix a)
     return a;
 }
 
-SymmetricEigen
-symmetric_eigen(const Matrix& input)
-{
-    CAFQA_REQUIRE(input.rows() == input.cols(), "matrix must be square");
-    const std::size_t n = input.rows();
-    Matrix a = input;
-    Matrix v = Matrix::identity(n);
+namespace {
 
+/**
+ * Cyclic Jacobi sweeps that diagonalize the symmetric matrix `a` in
+ * place. Each rotation is also applied to the columns of `*v` when `v`
+ * is given; the updates of `a` never read `v`, so the values come out
+ * the same either way.
+ */
+void
+jacobi_diagonalize(Matrix& a, Matrix* v)
+{
+    const std::size_t n = a.rows();
     auto off_diagonal_norm = [&]() {
         double sum = 0.0;
         for (std::size_t p = 0; p < n; ++p) {
@@ -174,21 +178,43 @@ symmetric_eigen(const Matrix& input)
                     a(p, k) = c * apk - s * aqk;
                     a(q, k) = s * apk + c * aqk;
                 }
+                if (v == nullptr) {
+                    continue;
+                }
                 for (std::size_t k = 0; k < n; ++k) {
-                    const double vkp = v(k, p);
-                    const double vkq = v(k, q);
-                    v(k, p) = c * vkp - s * vkq;
-                    v(k, q) = s * vkp + c * vkq;
+                    const double vkp = (*v)(k, p);
+                    const double vkq = (*v)(k, q);
+                    (*v)(k, p) = c * vkp - s * vkq;
+                    (*v)(k, q) = s * vkp + c * vkq;
                 }
             }
         }
     }
+}
 
-    std::vector<std::size_t> order(n);
+/** Indices of the diagonal of `a`, ordered by ascending value. */
+std::vector<std::size_t>
+ascending_diagonal(const Matrix& a)
+{
+    std::vector<std::size_t> order(a.rows());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
         return a(i, i) < a(j, j);
     });
+    return order;
+}
+
+} // namespace
+
+SymmetricEigen
+symmetric_eigen(const Matrix& input)
+{
+    CAFQA_REQUIRE(input.rows() == input.cols(), "matrix must be square");
+    const std::size_t n = input.rows();
+    Matrix a = input;
+    Matrix v = Matrix::identity(n);
+    jacobi_diagonalize(a, &v);
+    const std::vector<std::size_t> order = ascending_diagonal(a);
 
     SymmetricEigen result;
     result.values.resize(n);
@@ -286,7 +312,13 @@ tridiagonal_eigenvalues(const std::vector<double>& alpha,
             t(i + 1, i) = beta[i];
         }
     }
-    return symmetric_eigen(t).values;
+    jacobi_diagonalize(t, nullptr);
+    std::vector<double> values;
+    values.reserve(n);
+    for (const std::size_t i : ascending_diagonal(t)) {
+        values.push_back(t(i, i));
+    }
+    return values;
 }
 
 } // namespace cafqa

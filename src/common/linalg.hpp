@@ -103,7 +103,10 @@ Matrix inverse_sqrt(const Matrix& a, double threshold = 1e-10);
 /**
  * Eigenvalues of a symmetric tridiagonal matrix (diagonal `alpha`,
  * off-diagonal `beta`, beta.size() == alpha.size() - 1), ascending.
- * Used to extract Ritz values from the Lanczos recurrence.
+ * Used to extract Ritz values from the Lanczos recurrence. Runs
+ * `symmetric_eigen`'s rotations on the matrix alone, so the values are
+ * bit-identical to `symmetric_eigen(T).values` without the cost of the
+ * eigenvectors.
  */
 std::vector<double> tridiagonal_eigenvalues(const std::vector<double>& alpha,
                                             const std::vector<double>& beta);

@@ -1,5 +1,6 @@
 #include "core/caching_backend.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -24,18 +25,55 @@ bits_of(double value)
     return std::bit_cast<std::int64_t>(value);
 }
 
-/** Key prefix of a point: discrete steps verbatim, continuous params
- *  as their exact bit patterns (no two distinct doubles share a key),
- *  preceded by the configuration salt when the cache is shared across
- *  configurations. */
+/** How `point_prefix` stores a point; part of the key's tag word. */
+enum class PointEncoding : std::uint64_t
+{
+    /** Discrete steps in [0, 256), one byte each, eight to a word. */
+    PackedSteps = 0,
+    /** Discrete steps, one word each (some step is outside [0, 256)). */
+    WideSteps = 1,
+    /** Continuous parameters as their exact bit patterns. */
+    ParamBits = 2,
+};
+
+/**
+ * Key prefix of a point: one tag word holding the point length and the
+ * encoding; the configuration salt when the cache is shared across
+ * configurations; then the point. Step 8k + j of a packed point is byte
+ * j of word k. The tag fixes how many words the point takes, so the key
+ * length tells whether a salt is present, and each encoding is
+ * injective at a fixed length: distinct points never share a key.
+ */
 template <typename Point>
 EvaluationCache::Key
 point_prefix(const Point& point, std::uint64_t salt)
 {
+    PointEncoding encoding = PointEncoding::ParamBits;
+    if constexpr (std::is_same_v<Point, std::vector<int>>) {
+        const bool bytes = std::all_of(point.begin(), point.end(),
+                                       [](int step) {
+                                           return step >= 0 && step < 256;
+                                       });
+        encoding =
+            bytes ? PointEncoding::PackedSteps : PointEncoding::WideSteps;
+    }
+    const std::uint64_t tag = std::uint64_t{point.size()} |
+                              (static_cast<std::uint64_t>(encoding) << 32);
+
     EvaluationCache::Key key;
-    key.reserve(point.size() + 2);
+    key.push_back(static_cast<std::int64_t>(tag));
     if (salt != 0) {
         key.push_back(static_cast<std::int64_t>(salt));
+    }
+    if (encoding == PointEncoding::PackedSteps) {
+        for (std::size_t i = 0; i < point.size(); i += 8) {
+            std::uint64_t word = 0;
+            for (std::size_t j = 0; j < 8 && i + j < point.size(); ++j) {
+                word |= static_cast<std::uint64_t>(point[i + j]) << (8 * j);
+            }
+            key.push_back(static_cast<std::int64_t>(word));
+        }
+        return key;
     }
     for (const auto p : point) {
         if constexpr (std::is_same_v<Point, std::vector<int>>) {

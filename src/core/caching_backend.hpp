@@ -13,13 +13,14 @@
  * point skips both the preparation and the measurement.
  *
  * Keys are exact: discrete points key on the quarter-turn step vector
- * (the same identity `ConfigSet` uses for sample deduplication),
- * continuous points on the bit pattern of every parameter, so a hit
- * returns exactly what the wrapped backend computed for that very
- * point; the observable is identified by a structural hash over its
- * terms. Storage is a sharded LRU — each shard has its own mutex, so
- * per-worker backend clones produced by `clone()` SHARE the cache and
- * hit each other's entries without serializing on one lock.
+ * (the same identity `ConfigSet` uses for sample deduplication), packed
+ * one byte per step, continuous points on the bit pattern of every
+ * parameter, so a hit returns exactly what the wrapped backend computed
+ * for that very point; the observable is identified by a structural
+ * hash over its terms. Storage is a sharded LRU — each shard has its
+ * own mutex, so per-worker backend clones produced by `clone()` SHARE
+ * the cache and hit each other's entries without serializing on one
+ * lock.
  * `CacheStats` (hits / misses / evictions / bytes / state
  * preparations) is aggregated across shards and surfaced through the
  * pipeline observer (`PipelineEvent::cache` on StageEnd).
@@ -74,7 +75,8 @@ struct CacheStats
     std::size_t evictions = 0;
     /** Currently resident entries. */
     std::size_t entries = 0;
-    /** Approximate resident key+value payload size. */
+    /** Resident key+value payload: 8 bytes per key word plus 8 per
+     *  value (container overhead not counted). */
     std::size_t bytes = 0;
     /** State preparations the wrapped backend actually performed —
      *  the "backend evaluations" a bench compares against an uncached
@@ -105,13 +107,16 @@ struct CacheStats
 class EvaluationCache
 {
   public:
-    /** Point coordinates (steps, or parameter bit patterns) with the
-     *  observable hash appended.
-     *  Lookup compares the whole vector, so two distinct *points* can
-     *  never alias; the observable component is a 64-bit structural
-     *  hash (`observable_hash`), so distinct observables alias only on
-     *  a full 64-bit collision — negligible against the entry counts a
-     *  search produces. */
+    /** A point with the observable hash appended. The point part is
+     *  one tag word (point length and encoding), the configuration salt
+     *  if any, then the coordinates: discrete steps in [0, 256) packed
+     *  eight to a word, other discrete points one word per step,
+     *  continuous points one parameter bit pattern per word. Lookup
+     *  compares the whole vector, and the encoding is injective, so
+     *  two distinct *points* can never alias; the observable component
+     *  is a 64-bit structural hash (`observable_hash`), so distinct
+     *  observables alias only on a full 64-bit collision — negligible
+     *  against the entry counts a search produces. */
     using Key = std::vector<std::int64_t>;
 
     /** Throws std::invalid_argument on a zero capacity or shard count. */
@@ -216,7 +221,7 @@ class CachingBackend final : public Base
     /**
      * Wrap `inner` over an EXISTING cache (the job server's
      * process-wide one). A nonzero `salt` — `backend_config_hash` of
-     * the full configuration — leads every key, so distinct
+     * the full configuration — is part of every key, so distinct
      * circuits/kinds sharing the cache never alias.
      */
     CachingBackend(std::unique_ptr<Base> inner,
@@ -247,7 +252,7 @@ class CachingBackend final : public Base
     std::shared_ptr<EvaluationCache> cache_;
     std::string kind_;
     /** Nonzero when the cache is shared across configurations: mixed
-     *  into every key as a leading word. */
+     *  into every key right after the tag word. */
     std::uint64_t salt_ = 0;
     /** The pending point; unset until the first `prepare`. */
     std::optional<Point> point_;

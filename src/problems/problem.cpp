@@ -23,6 +23,25 @@ namespace {
 /** Largest qubit count for which the Lanczos exact solve is offered. */
 constexpr std::size_t kMaxLanczosQubits = 20;
 
+/** The Lanczos ground energy of `hamiltonian`, or a CafqaError when
+ *  the solve stops at its iteration cap unconverged: an unconverged
+ *  value must never pass for the exact reference. */
+std::optional<double>
+converged_ground_energy(const PauliSum& hamiltonian,
+                        const LanczosOptions& options = {})
+{
+    const GroundState ground = lanczos_ground_state(hamiltonian, options);
+    if (!ground.converged) {
+        throw CafqaError(
+            "exact solve did not converge: the lowest Ritz value still "
+            "moved by " + format_real(ground.ritz_change) +
+            " Ha at the " + std::to_string(options.max_iterations) +
+            "-iteration Lanczos cap (tolerance " +
+            format_real(options.tolerance) + ")");
+    }
+    return ground.energy;
+}
+
 std::string
 lower(std::string text)
 {
@@ -239,8 +258,7 @@ make_molecule_problem(const ProblemKey& key)
             PauliSum hamiltonian = system.hamiltonian;
             problem.exact_solver = [hamiltonian =
                                         std::move(hamiltonian)]() {
-                return std::optional<double>(
-                    lanczos_ground_state(hamiltonian).energy);
+                return converged_ground_energy(hamiltonian);
             };
         } else {
             // Constrained sector: restrict the Krylov basis so the
@@ -251,8 +269,7 @@ make_molecule_problem(const ProblemKey& key)
                                     filter = std::move(filter)]() {
                 LanczosOptions options;
                 options.basis_filter = filter;
-                return std::optional<double>(
-                    lanczos_ground_state(hamiltonian, options).energy);
+                return converged_ground_energy(hamiltonian, options);
             };
         }
     }
@@ -368,8 +385,7 @@ finish_spin_chain(const ProblemKey& key, SpinChainProblem chain,
     if (chain.num_sites <= kMaxLanczosQubits) {
         PauliSum hamiltonian = problem.hamiltonian();
         problem.exact_solver = [hamiltonian = std::move(hamiltonian)]() {
-            return std::optional<double>(
-                lanczos_ground_state(hamiltonian).energy);
+            return converged_ground_energy(hamiltonian);
         };
     }
     return problem;

@@ -1,17 +1,24 @@
 #include "statevector/lanczos.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
+#include "statevector/pair_kernel.hpp"
 
 namespace cafqa {
 
 namespace {
 
 using Vec = std::vector<Complex>;
+
+/** Basis states per block of the matvec: the index bits above 16 are
+ *  constant within a block, so one table lookup gives each parity. */
+constexpr std::size_t kMatvecBlock = std::size_t{1} << 16;
 
 Complex
 dot(const Vec& a, const Vec& b)
@@ -57,8 +64,7 @@ random_unit_vector(std::size_t dim, std::uint64_t seed)
     for (auto& a : v) {
         a = Complex{rng.normal(), rng.normal()};
     }
-    Vec tmp = v;
-    double n = norm(tmp);
+    const double n = norm(v);
     for (auto& a : v) {
         a /= n;
     }
@@ -67,34 +73,71 @@ random_unit_vector(std::size_t dim, std::uint64_t seed)
 
 } // namespace
 
+void
+accumulate_matvec(const CompiledPauliSum& op, const std::vector<Complex>& x,
+                  std::vector<Complex>& y)
+{
+    CAFQA_REQUIRE(op.num_qubits() < 64, "matvec limited to 63 qubits");
+    const std::size_t dim = std::size_t{1} << op.num_qubits();
+    CAFQA_REQUIRE(x.size() == dim && y.size() == dim,
+                  "buffer size mismatch");
+    const std::size_t block = std::min(dim, kMatvecBlock);
+    const double* in = reinterpret_cast<const double*>(x.data());
+    double* out = reinterpret_cast<double*>(y.data());
+    for (const CompiledTerm& term : op.terms()) {
+        const Complex w =
+            term.coefficient * PauliString::i_power(term.phase);
+        // w * 1.0 and w * -1.0 are the plain loop's `w * sign`; each is
+        // kept as a pair-kernel matrix entry (re, im lanes).
+        Lanes re[2];
+        Lanes im[2];
+        for (const unsigned odd : {0u, 1u}) {
+            const Complex signed_w = w * (odd != 0 ? -1.0 : 1.0);
+            re[odd] = Lanes{signed_w.real(), signed_w.real()};
+            im[odd] = Lanes{-signed_w.imag(), signed_w.imag()};
+        }
+        const std::uint64_t low_z = term.z & 0xffff;
+        for (std::uint64_t base = 0; base < dim; base += block) {
+            const unsigned high = std::popcount(base & term.z) & 1u;
+            const double* src = in + 2 * base;
+            for (std::uint64_t i = 0; i < block; ++i) {
+                const unsigned odd = high ^ kParity16[i & low_z];
+                const Lanes a = load_lanes(src + 2 * i);
+                const Lanes swapped = __builtin_shufflevector(a, a, 1, 0);
+                double* dst = out + 2 * ((base + i) ^ term.x);
+                store_lanes(dst, load_lanes(dst) +
+                                     (re[odd] * a + im[odd] * swapped));
+            }
+        }
+    }
+}
+
 GroundState
 lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
 {
     CAFQA_REQUIRE(hamiltonian.num_terms() > 0, "empty Hamiltonian");
     CAFQA_REQUIRE(hamiltonian.max_imag_coefficient() < 1e-8,
                   "Hamiltonian must be Hermitian");
-    const std::size_t n = hamiltonian.num_qubits();
-    const std::size_t dim = std::size_t{1} << n;
-    if (options.want_vector) {
-        CAFQA_REQUIRE(n <= 16,
-                      "eigenvector reconstruction supported up to 16 qubits");
-    }
+    const CompiledPauliSum compiled(hamiltonian);
+    const std::size_t dim = std::size_t{1} << hamiltonian.num_qubits();
 
-    std::vector<double> alpha;
-    std::vector<double> beta;
-    std::vector<Vec> basis; // only filled in want_vector mode
-
-    auto project = [&options](Vec& v) {
-        if (!options.basis_filter) {
-            return;
-        }
-        for (std::uint64_t b = 0; b < v.size(); ++b) {
+    // Basis states outside the sector, zeroed after every matvec.
+    std::vector<std::uint64_t> outside;
+    if (options.basis_filter) {
+        for (std::uint64_t b = 0; b < dim; ++b) {
             if (!options.basis_filter(b)) {
-                v[b] = Complex{0.0, 0.0};
+                outside.push_back(b);
             }
+        }
+    }
+    auto project = [&outside](Vec& v) {
+        for (const std::uint64_t b : outside) {
+            v[b] = Complex{0.0, 0.0};
         }
     };
 
+    std::vector<double> alpha;
+    std::vector<double> beta;
     Vec v_prev(dim, Complex{0.0, 0.0});
     Vec v_cur = random_unit_vector(dim, options.seed);
     if (options.basis_filter) {
@@ -105,17 +148,12 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
     }
     Vec w(dim);
 
-    double best = 0.0;
-    bool have_best = false;
-    std::size_t iters = 0;
-
+    GroundState result;
+    result.ritz_change = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < options.max_iterations; ++j) {
-        ++iters;
-        if (options.want_vector) {
-            basis.push_back(v_cur);
-        }
+        ++result.iterations;
         std::fill(w.begin(), w.end(), Complex{0.0, 0.0});
-        accumulate_apply(hamiltonian, v_cur, w);
+        accumulate_matvec(compiled, v_cur, w);
         project(w); // guard against roundoff leakage out of the sector
 
         const double a_j = dot(v_cur, w).real();
@@ -124,103 +162,24 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
         if (j > 0) {
             axpy(w, Complex{-beta.back(), 0.0}, v_prev);
         }
-        if (options.want_vector) {
-            // Full reorthogonalization keeps the Krylov basis clean.
-            for (const auto& b : basis) {
-                const Complex overlap = dot(b, w);
-                axpy(w, -overlap, b);
-            }
-        }
 
         const double b_j = norm(w);
-        const std::vector<double> ritz =
-            tridiagonal_eigenvalues(alpha, beta);
-        const double current = ritz.front();
-        if (have_best && std::abs(current - best) < options.tolerance) {
-            best = current;
-            break;
+        const double current = tridiagonal_eigenvalues(alpha, beta).front();
+        if (j > 0) {
+            result.ritz_change = std::abs(current - result.energy);
         }
-        best = current;
-        have_best = true;
-
-        if (b_j < 1e-12) {
-            break; // invariant subspace found; Ritz value is exact
+        result.energy = current;
+        if (result.ritz_change < options.tolerance || b_j < 1e-12) {
+            // Settled, or an invariant subspace: the Ritz value is exact.
+            result.converged = true;
+            break;
         }
         beta.push_back(b_j);
         v_prev = v_cur;
         v_cur = w;
         scale(v_cur, 1.0 / b_j);
     }
-
-    GroundState result;
-    result.energy = best;
-    result.iterations = iters;
-
-    if (options.want_vector) {
-        // Eigenvector of the tridiagonal matrix for the smallest Ritz value.
-        const std::size_t m = alpha.size();
-        Matrix t(m, m);
-        for (std::size_t i = 0; i < m; ++i) {
-            t(i, i) = alpha[i];
-            if (i + 1 < m && i < beta.size()) {
-                t(i, i + 1) = beta[i];
-                t(i + 1, i) = beta[i];
-            }
-        }
-        const SymmetricEigen eig = symmetric_eigen(t);
-        Statevector ground(n);
-        auto& amp = ground.amplitudes();
-        std::fill(amp.begin(), amp.end(), Complex{0.0, 0.0});
-        for (std::size_t k = 0; k < m && k < basis.size(); ++k) {
-            const double coeff = eig.vectors(k, 0);
-            for (std::size_t i = 0; i < dim; ++i) {
-                amp[i] += coeff * basis[k][i];
-            }
-        }
-        ground.normalize();
-        result.state = std::move(ground);
-    }
     return result;
-}
-
-std::vector<double>
-dense_spectrum(const PauliSum& hamiltonian)
-{
-    const std::size_t n = hamiltonian.num_qubits();
-    CAFQA_REQUIRE(n <= 8, "dense spectrum limited to 8 qubits");
-    CAFQA_REQUIRE(hamiltonian.max_imag_coefficient() < 1e-8,
-                  "Hamiltonian must be Hermitian");
-    const std::size_t dim = std::size_t{1} << n;
-
-    // Build H column by column via Pauli application.
-    std::vector<Vec> columns(dim, Vec(dim, Complex{0.0, 0.0}));
-    Vec unit(dim);
-    for (std::size_t c = 0; c < dim; ++c) {
-        std::fill(unit.begin(), unit.end(), Complex{0.0, 0.0});
-        unit[c] = Complex{1.0, 0.0};
-        accumulate_apply(hamiltonian, unit, columns[c]);
-    }
-
-    // Real-symmetric embedding [[A, -B], [B, A]] of A + iB doubles each
-    // eigenvalue; keep every other one.
-    Matrix big(2 * dim, 2 * dim);
-    for (std::size_t r = 0; r < dim; ++r) {
-        for (std::size_t c = 0; c < dim; ++c) {
-            const double re = columns[c][r].real();
-            const double im = columns[c][r].imag();
-            big(r, c) = re;
-            big(r + dim, c + dim) = re;
-            big(r, c + dim) = -im;
-            big(r + dim, c) = im;
-        }
-    }
-    const SymmetricEigen eig = symmetric_eigen(big);
-    std::vector<double> values;
-    values.reserve(dim);
-    for (std::size_t i = 0; i < 2 * dim; i += 2) {
-        values.push_back(eig.values[i]);
-    }
-    return values;
 }
 
 } // namespace cafqa

@@ -4,15 +4,25 @@
  * reference of the paper's evaluation (possible only for small problem
  * sizes; here up to ~18-20 qubits).
  *
- * The matvec is a sum of bit-twiddled Pauli applications on a dense
- * vector, so no matrix is ever materialized.
+ * The solve compiles H once (`CompiledPauliSum`) and applies it to a
+ * dense vector term by term, in the sum's order, so no matrix is ever
+ * materialized. Each term's pass picks +w or -w per basis state from a
+ * parity table and forms the complex product the way `pair_kernel.hpp`
+ * does; every update is the same IEEE operation as the plain per-term
+ * loop (`tests/reference_dense.hpp` keeps it as the oracle), so the
+ * energy and the iteration count match it bit for bit. Each iteration
+ * takes the Ritz values from the values-only tridiagonal eigensolve.
+ *
+ * A solve that reaches `max_iterations` before the lowest Ritz value
+ * settles returns `converged == false`; callers that need a reference
+ * value must check it.
  */
 #ifndef CAFQA_STATEVECTOR_LANCZOS_HPP
 #define CAFQA_STATEVECTOR_LANCZOS_HPP
 
 #include <functional>
-#include <optional>
 
+#include "pauli/compiled_pauli_sum.hpp"
 #include "pauli/pauli_sum.hpp"
 #include "statevector/statevector.hpp"
 
@@ -28,12 +38,6 @@ struct LanczosOptions
     /** Seed for the random start vector. */
     std::uint64_t seed = 7;
     /**
-     * Also reconstruct the ground-state vector. This stores the full
-     * Krylov basis (with reorthogonalization), so it is restricted to
-     * small qubit counts; energy-only mode keeps three vectors.
-     */
-    bool want_vector = false;
-    /**
      * Optional symmetry-sector restriction: basis states for which the
      * predicate returns false are projected out of the start vector and
      * after every matvec. The Hamiltonian must preserve the subspace
@@ -46,24 +50,32 @@ struct LanczosOptions
 /** Result of a ground-state solve. */
 struct GroundState
 {
+    /** Lowest Ritz value at the last iteration. */
     double energy = 0.0;
-    /** Present when LanczosOptions::want_vector was set. */
-    std::optional<Statevector> state;
     /** Krylov iterations actually performed. */
     std::size_t iterations = 0;
+    /** False when the solve stopped at `max_iterations` with the lowest
+     *  Ritz value still moving by `tolerance` or more. */
+    bool converged = false;
+    /** |change| of the lowest Ritz value over the last iteration
+     *  (infinity after a single iteration). */
+    double ritz_change = 0.0;
 };
 
-/** Smallest eigenvalue (and optionally eigenvector) of a Hermitian
- *  Pauli sum. */
+/** Smallest eigenvalue of a Hermitian Pauli sum. */
 GroundState lanczos_ground_state(const PauliSum& hamiltonian,
                                  const LanczosOptions& options = {});
 
 /**
- * Dense reference eigenvalues for tiny systems (<= 10 qubits): builds the
- * full matrix as a real-symmetric embedding and diagonalizes it. Used by
- * tests to validate Lanczos.
+ * y += H x, for `x` and `y` of length 2^num_qubits: the Lanczos matvec.
+ * Terms are applied in `op.terms()` order, each as one sweep of
+ * y[b ^ x_t] += (±w_t) x[b] with w_t = coefficient * i^phase, so every
+ * element receives the same sequence of IEEE operations as the plain
+ * per-term loop.
  */
-std::vector<double> dense_spectrum(const PauliSum& hamiltonian);
+void accumulate_matvec(const CompiledPauliSum& op,
+                       const std::vector<Complex>& x,
+                       std::vector<Complex>& y);
 
 } // namespace cafqa
 

@@ -369,21 +369,4 @@ Statevector::normalize()
     }
 }
 
-void
-accumulate_apply(const PauliSum& op, const std::vector<Complex>& x,
-                 std::vector<Complex>& y)
-{
-    CAFQA_REQUIRE(x.size() == y.size(), "buffer size mismatch");
-    for (const auto& term : op.terms()) {
-        const auto [xm, zm] = term.string.first_word_masks();
-        const Complex w =
-            term.coefficient *
-            PauliString::i_power(term.string.phase_exponent());
-        for (std::uint64_t b = 0; b < x.size(); ++b) {
-            const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
-            y[b ^ xm] += w * sign * x[b];
-        }
-    }
-}
-
 } // namespace cafqa

@@ -92,13 +92,6 @@ class Statevector
     std::vector<Complex> amplitudes_;
 };
 
-/**
- * y += coeff * (P_sum x): accumulate a Pauli-sum application; the work
- * buffer form used by the Lanczos matvec.
- */
-void accumulate_apply(const PauliSum& op, const std::vector<Complex>& x,
-                      std::vector<Complex>& y);
-
 } // namespace cafqa
 
 #endif // CAFQA_STATEVECTOR_STATEVECTOR_HPP

@@ -16,6 +16,13 @@
  * - `DensityMatrix`: left multiplies stride down the columns of the
  *   row-major matrix; depolarizing and Kraus channels copy the whole
  *   matrix per Pauli or Kraus operator.
+ * - `accumulate_apply` / `lanczos_ground_state`: the Lanczos matvec as
+ *   one popcount sweep per term through std::complex arithmetic, and
+ *   the Lanczos loop over it that takes its Ritz values from a full
+ *   `symmetric_eigen` (eigenvectors included) every iteration.
+ * - `dense_spectrum` / `dense_ground_state`: eigenvalues and a ground
+ *   state of a small Pauli sum from the dense matrix, the ground truth
+ *   the Lanczos tests (and Fig. 6's exact column) read.
  *
  * Header-only so the test and the bench share one copy.
  */
@@ -28,14 +35,17 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
+#include "common/linalg.hpp"
 #include "common/rng.hpp"
 #include "density/noise_model.hpp"
 #include "pauli/grouping.hpp"
 #include "pauli/pauli_sum.hpp"
+#include "statevector/lanczos.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa::reference {
@@ -425,6 +435,207 @@ simulate_noisy(const Circuit& circuit, const std::vector<double>& params,
         }
     }
     return rho;
+}
+
+/** y += op x, one popcount sweep over every basis state per term. */
+inline void
+accumulate_apply(const PauliSum& op, const std::vector<std::complex<double>>& x,
+                 std::vector<std::complex<double>>& y)
+{
+    CAFQA_REQUIRE(x.size() == y.size(), "buffer size mismatch");
+    for (const auto& term : op.terms()) {
+        const auto [xm, zm] = term.string.first_word_masks();
+        const std::complex<double> w =
+            term.coefficient *
+            PauliString::i_power(term.string.phase_exponent());
+        for (std::uint64_t b = 0; b < x.size(); ++b) {
+            const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
+            y[b ^ xm] += w * sign * x[b];
+        }
+    }
+}
+
+/**
+ * `cafqa::lanczos_ground_state` over `accumulate_apply`, calling the
+ * basis filter for every basis state after every matvec, with each
+ * iteration's Ritz values from a full `symmetric_eigen` of the dense
+ * tridiagonal matrix.
+ */
+inline GroundState
+lanczos_ground_state(const PauliSum& hamiltonian,
+                     const LanczosOptions& options = {})
+{
+    using Vec = std::vector<std::complex<double>>;
+    const auto dot = [](const Vec& a, const Vec& b) {
+        std::complex<double> total{0.0, 0.0};
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            total += std::conj(a[i]) * b[i];
+        }
+        return total;
+    };
+    const auto norm = [](const Vec& a) {
+        double total = 0.0;
+        for (const auto& v : a) {
+            total += std::norm(v);
+        }
+        return std::sqrt(total);
+    };
+    const auto axpy = [](Vec& y, std::complex<double> alpha, const Vec& x) {
+        for (std::size_t i = 0; i < y.size(); ++i) {
+            y[i] += alpha * x[i];
+        }
+    };
+    const auto scale = [](Vec& y, double alpha) {
+        for (auto& v : y) {
+            v *= alpha;
+        }
+    };
+    const auto project = [&options](Vec& v) {
+        if (!options.basis_filter) {
+            return;
+        }
+        for (std::uint64_t b = 0; b < v.size(); ++b) {
+            if (!options.basis_filter(b)) {
+                v[b] = std::complex<double>{0.0, 0.0};
+            }
+        }
+    };
+
+    const std::size_t dim = std::size_t{1} << hamiltonian.num_qubits();
+    Rng rng(options.seed);
+    Vec v_cur(dim);
+    for (auto& a : v_cur) {
+        a = std::complex<double>{rng.normal(), rng.normal()};
+    }
+    const double start_norm = norm(v_cur);
+    for (auto& a : v_cur) {
+        a /= start_norm;
+    }
+    if (options.basis_filter) {
+        project(v_cur);
+        scale(v_cur, 1.0 / norm(v_cur));
+    }
+    Vec v_prev(dim, std::complex<double>{0.0, 0.0});
+    Vec w(dim);
+
+    std::vector<double> alpha;
+    std::vector<double> beta;
+    double best = 0.0;
+    bool have_best = false;
+    GroundState result;
+    result.ritz_change = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < options.max_iterations; ++j) {
+        ++result.iterations;
+        std::fill(w.begin(), w.end(), std::complex<double>{0.0, 0.0});
+        accumulate_apply(hamiltonian, v_cur, w);
+        project(w);
+
+        const double a_j = dot(v_cur, w).real();
+        alpha.push_back(a_j);
+        axpy(w, std::complex<double>{-a_j, 0.0}, v_cur);
+        if (j > 0) {
+            axpy(w, std::complex<double>{-beta.back(), 0.0}, v_prev);
+        }
+        const double b_j = norm(w);
+
+        const std::size_t m = alpha.size();
+        Matrix t(m, m);
+        for (std::size_t i = 0; i < m; ++i) {
+            t(i, i) = alpha[i];
+            if (i + 1 < m) {
+                t(i, i + 1) = beta[i];
+                t(i + 1, i) = beta[i];
+            }
+        }
+        const double current = symmetric_eigen(t).values.front();
+        if (have_best) {
+            result.ritz_change = std::abs(current - best);
+        }
+        if (have_best && std::abs(current - best) < options.tolerance) {
+            best = current;
+            result.converged = true;
+            break;
+        }
+        best = current;
+        have_best = true;
+        if (b_j < 1e-12) {
+            result.converged = true;
+            break;
+        }
+        beta.push_back(b_j);
+        v_prev = v_cur;
+        v_cur = w;
+        scale(v_cur, 1.0 / b_j);
+    }
+    result.energy = best;
+    return result;
+}
+
+/**
+ * The real-symmetric embedding [[A, -B], [B, A]] of H = A + iB, a
+ * Hermitian Pauli sum on at most 8 qubits, diagonalized. H is built
+ * column by column with `accumulate_apply`. Every eigenvalue of H
+ * appears twice; an eigenvector (u; v) gives the eigenvector u + iv.
+ */
+inline SymmetricEigen
+dense_embedded_eigen(const PauliSum& hamiltonian)
+{
+    const std::size_t n = hamiltonian.num_qubits();
+    CAFQA_REQUIRE(n <= 8, "dense spectrum limited to 8 qubits");
+    CAFQA_REQUIRE(hamiltonian.max_imag_coefficient() < 1e-8,
+                  "Hamiltonian must be Hermitian");
+    const std::size_t dim = std::size_t{1} << n;
+
+    std::vector<std::vector<std::complex<double>>> columns(
+        dim, std::vector<std::complex<double>>(dim));
+    std::vector<std::complex<double>> unit(dim);
+    for (std::size_t c = 0; c < dim; ++c) {
+        std::fill(unit.begin(), unit.end(), std::complex<double>{0.0, 0.0});
+        unit[c] = std::complex<double>{1.0, 0.0};
+        accumulate_apply(hamiltonian, unit, columns[c]);
+    }
+    Matrix big(2 * dim, 2 * dim);
+    for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t c = 0; c < dim; ++c) {
+            const double re = columns[c][r].real();
+            const double im = columns[c][r].imag();
+            big(r, c) = re;
+            big(r + dim, c + dim) = re;
+            big(r, c + dim) = -im;
+            big(r + dim, c) = im;
+        }
+    }
+    return symmetric_eigen(big);
+}
+
+/** Every eigenvalue of a Hermitian Pauli sum on at most 8 qubits,
+ *  ascending. */
+inline std::vector<double>
+dense_spectrum(const PauliSum& hamiltonian)
+{
+    const SymmetricEigen eig = dense_embedded_eigen(hamiltonian);
+    std::vector<double> values;
+    values.reserve(eig.values.size() / 2);
+    for (std::size_t i = 0; i < eig.values.size(); i += 2) {
+        values.push_back(eig.values[i]);
+    }
+    return values;
+}
+
+/** A normalized eigenvector of the lowest eigenvalue of a Hermitian
+ *  Pauli sum on at most 8 qubits. */
+inline Statevector
+dense_ground_state(const PauliSum& hamiltonian)
+{
+    const SymmetricEigen eig = dense_embedded_eigen(hamiltonian);
+    Statevector ground(hamiltonian.num_qubits());
+    auto& amplitudes = ground.amplitudes();
+    for (std::size_t i = 0; i < amplitudes.size(); ++i) {
+        amplitudes[i] = std::complex<double>{
+            eig.vectors(i, 0), eig.vectors(i + amplitudes.size(), 0)};
+    }
+    ground.normalize();
+    return ground;
 }
 
 } // namespace cafqa::reference

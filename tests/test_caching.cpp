@@ -2,8 +2,8 @@
 // registry composition ("cached:<kind>" / BackendConfig::cache), exact
 // cached==uncached parity through the pipeline, LRU eviction and stats
 // accounting, determinism across thread counts (clones share one
-// cache), correctness under concurrent access, and exact continuous
-// keys.
+// cache), correctness under concurrent access, exact continuous keys,
+// and byte-packed discrete keys that never alias.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
 
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
@@ -358,6 +360,191 @@ TEST(CachingBackend, ContinuousKeysAreExactBitPatterns)
     EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.expectation(op)),
               std::bit_cast<std::uint64_t>(uncached.expectation(op)));
     EXPECT_EQ(cached.cache_stats().hits, 1u);
+}
+
+/**
+ * A discrete backend whose expectation names its prepared point: each
+ * distinct step vector gets the next integer (plus `offset`) the first
+ * time it is prepared. A cache that aliased two points would return one
+ * point's number for the other.
+ */
+class PointLabelBackend final : public DiscreteBackend
+{
+  public:
+    explicit PointLabelBackend(double offset = 0.0) : offset_(offset) {}
+
+    std::string_view kind() const override { return "point-label"; }
+    std::size_t num_qubits() const override { return 1; }
+    std::size_t num_params() const override { return 0; }
+    void prepare(const std::vector<int>& steps) override { steps_ = steps; }
+
+    double expectation(const PauliSum&) const override
+    {
+        return offset_ + label(steps_);
+    }
+
+    std::unique_ptr<Backend> clone() const override
+    {
+        return std::make_unique<PointLabelBackend>(*this);
+    }
+
+    /** The label of `steps`, assigned on first sight. */
+    double label(const std::vector<int>& steps) const
+    {
+        return labels_
+            ->try_emplace(steps, static_cast<double>(labels_->size()))
+            .first->second;
+    }
+
+  private:
+    double offset_ = 0.0;
+    std::vector<int> steps_;
+    std::shared_ptr<std::map<std::vector<int>, double>> labels_ =
+        std::make_shared<std::map<std::vector<int>, double>>();
+};
+
+TEST(CacheKeys, PackedPointsNeverAlias)
+{
+    // Steps pack eight to a key word, so the interesting lengths sit
+    // at and around word boundaries. A trailing zero step packs to the
+    // same words as the shorter point; only the length in the tag word
+    // tells them apart.
+    const PauliSum op = PauliSum::from_terms(1, {{1.0, "Z"}});
+    for (const std::size_t length : {7u, 8u, 9u, 16u, 17u}) {
+        auto inner = std::make_unique<PointLabelBackend>();
+        const PointLabelBackend* labels = inner.get();
+        CachingDiscreteBackend cached(std::move(inner), cache_on());
+        std::vector<std::vector<int>> points;
+        for (const int last : {0, 1, 2, 3, 255}) {
+            std::vector<int> point(length, 3);
+            point.back() = last;
+            points.push_back(point);
+        }
+        points.push_back(std::vector<int>(length - 1, 3));
+        std::vector<int> longer(length, 3);
+        longer.push_back(0);
+        points.push_back(longer);
+
+        for (int round = 0; round < 2; ++round) {
+            for (const auto& point : points) {
+                cached.prepare(point);
+                EXPECT_EQ(cached.expectation(op), labels->label(point))
+                    << "length " << length << ", round " << round;
+            }
+        }
+        const CacheStats stats = cached.cache_stats();
+        EXPECT_EQ(stats.misses, points.size()) << "length " << length;
+        EXPECT_EQ(stats.hits, points.size()) << "length " << length;
+    }
+}
+
+TEST(CacheKeys, StepsOutsideOneByteKeepTheirOwnKeys)
+{
+    // 256 wraps to 0 and -1 to 255 in one byte; points holding such
+    // steps are keyed one word per step under their own tag.
+    const PauliSum op = PauliSum::from_terms(1, {{1.0, "Z"}});
+    auto inner = std::make_unique<PointLabelBackend>();
+    const PointLabelBackend* labels = inner.get();
+    CachingDiscreteBackend cached(std::move(inner), cache_on());
+    // {256, 0} would pack to the word of {0, 1}, and {-1, 0, ..., 0} to
+    // that of eight 255s, if out-of-range steps were packed.
+    const std::vector<std::vector<int>> points = {
+        {0},
+        {256},
+        {255},
+        {-1},
+        {0, 1},
+        {256, 0},
+        {1, 1},
+        {257},
+        {-1, 0, 0, 0, 0, 0, 0, 0},
+        std::vector<int>(8, 255),
+        {0, 0, 0, 0, 0, 0, 0, 0, 1},
+        {0, 0, 0, 0, 0, 0, 0, 0, 257}};
+    for (int round = 0; round < 2; ++round) {
+        for (const auto& point : points) {
+            cached.prepare(point);
+            EXPECT_EQ(cached.expectation(op), labels->label(point))
+                << "round " << round << ", first step " << point.front();
+        }
+    }
+    EXPECT_EQ(cached.cache_stats().misses, points.size());
+    EXPECT_EQ(cached.cache_stats().hits, points.size());
+}
+
+TEST(CacheKeys, SaltedAndUnsaltedKeysNeverAlias)
+{
+    // One shared cache, three wrappers over the same points: unsalted,
+    // and two different salts. Each must read back its own backend.
+    const PauliSum op = PauliSum::from_terms(1, {{1.0, "Z"}});
+    const auto cache = std::make_shared<EvaluationCache>(cache_on());
+    std::vector<std::unique_ptr<CachingDiscreteBackend>> wrappers;
+    const std::uint64_t salts[] = {0, 1, 0x9e3779b97f4a7c15ull};
+    for (std::size_t w = 0; w < 3; ++w) {
+        wrappers.push_back(std::make_unique<CachingDiscreteBackend>(
+            std::make_unique<PointLabelBackend>(1000.0 * double(w)), cache,
+            salts[w]));
+    }
+    const std::vector<std::vector<int>> points = {
+        {}, {0}, {1, 2, 3}, {0, 0, 0, 0, 0, 0, 0, 0}, {300, 1}};
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t w = 0; w < wrappers.size(); ++w) {
+            for (std::size_t p = 0; p < points.size(); ++p) {
+                wrappers[w]->prepare(points[p]);
+                EXPECT_EQ(wrappers[w]->expectation(op),
+                          1000.0 * double(w) + double(p))
+                    << "salt " << salts[w] << ", point " << p;
+            }
+        }
+    }
+    EXPECT_EQ(cache->stats().entries, wrappers.size() * points.size());
+    EXPECT_EQ(cache->stats().hits, wrappers.size() * points.size());
+
+    // Salt 300 then the packed word of {1, 2} (0x0201 = 513) is, word
+    // for word, the unsalted wide point {300, 513}; the tag's encoding
+    // field keeps the two keys apart.
+    CachingDiscreteBackend salted(std::make_unique<PointLabelBackend>(10.0),
+                                  cache, 300);
+    CachingDiscreteBackend wide(std::make_unique<PointLabelBackend>(20.0),
+                                cache, 0);
+    for (int round = 0; round < 2; ++round) {
+        salted.prepare({1, 2});
+        EXPECT_EQ(salted.expectation(op), 10.0) << "round " << round;
+        wide.prepare({300, 513});
+        EXPECT_EQ(wide.expectation(op), 20.0) << "round " << round;
+    }
+}
+
+TEST(CacheKeys, StatsBytesCountThePackedWords)
+{
+    // bytes = 8 per key word + 8 per value. A key is the tag word, the
+    // salt if any, the point, and the observable hash.
+    const PauliSum op = PauliSum::from_terms(1, {{1.0, "Z"}});
+    const auto bytes_after = [&op](const auto& point, std::uint64_t salt) {
+        const auto cache = std::make_shared<EvaluationCache>(cache_on());
+        CachingDiscreteBackend cached(std::make_unique<PointLabelBackend>(),
+                                      cache, salt);
+        cached.prepare(point);
+        cached.expectation(op);
+        return cache->stats().bytes;
+    };
+    constexpr std::size_t kWord = 8;
+    // 17 one-byte steps: three packed words.
+    EXPECT_EQ(bytes_after(std::vector<int>(17, 3), 0), (1 + 3 + 1 + 1) * kWord);
+    EXPECT_EQ(bytes_after(std::vector<int>(17, 3), 7),
+              (1 + 1 + 3 + 1 + 1) * kWord);
+    EXPECT_EQ(bytes_after(std::vector<int>(8, 1), 0), (1 + 1 + 1 + 1) * kWord);
+    // A step of 256 keeps one word per step.
+    std::vector<int> wide(17, 3);
+    wide[4] = 256;
+    EXPECT_EQ(bytes_after(wide, 0), (1 + 17 + 1 + 1) * kWord);
+
+    // Continuous points keep one bit pattern per parameter.
+    CachingContinuousBackend continuous(
+        std::make_unique<IdealEvaluator>(tiny_ansatz()), cache_on());
+    continuous.prepare({0.25, -1.5});
+    continuous.expectation(PauliSum::from_terms(2, {{1.0, "ZZ"}}));
+    EXPECT_EQ(continuous.cache_stats().bytes, (1 + 2 + 1 + 1) * kWord);
 }
 
 TEST(CacheStats, JsonRoundTripsEveryCounter)

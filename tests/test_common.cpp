@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -142,6 +143,40 @@ TEST(TridiagonalEigenvalues, KnownValues)
         const double expected =
             2.0 - 2.0 * std::cos(k * M_PI / static_cast<double>(n + 1));
         EXPECT_NEAR(values[k - 1], expected, 1e-10);
+    }
+}
+
+TEST(TridiagonalEigenvalues, ValuesOnlyMatchFullEigensolveByBits)
+{
+    // The values-only sweep skips the eigenvector rotations; the values
+    // must still be those of symmetric_eigen on the dense matrix, bit
+    // for bit, including the ordering of near-degenerate pairs.
+    Rng rng(2305);
+    for (std::size_t n = 1; n <= 64; n += (n < 8 ? 1 : 7)) {
+        std::vector<double> alpha(n);
+        std::vector<double> beta(n - 1);
+        for (auto& a : alpha) {
+            a = rng.normal();
+        }
+        for (auto& b : beta) {
+            // Some couplings vanish, splitting the matrix into blocks.
+            b = rng.uniform_int(0, 5) == 0 ? 0.0 : rng.normal();
+        }
+        Matrix t(n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            t(i, i) = alpha[i];
+            if (i + 1 < n) {
+                t(i, i + 1) = beta[i];
+                t(i + 1, i) = beta[i];
+            }
+        }
+        const std::vector<double> got = tridiagonal_eigenvalues(alpha, beta);
+        const std::vector<double> want = symmetric_eigen(t).values;
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "n = " << n;
     }
 }
 

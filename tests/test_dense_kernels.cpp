@@ -2,8 +2,9 @@
 // they replaced (tests/reference_dense.hpp): the compiled statevector
 // expectation, the compiled sampled estimator and the row-contiguous
 // density-matrix gates and channels must agree by exact bits, not to a
-// tolerance. Also pins the observable memo's identity contract: a hash
-// hit counts only when the full term list matches.
+// tolerance. The same holds for the Lanczos matvec and solve against the
+// per-term loop they replaced. Also pins the observable memo's identity
+// contract: a hash hit counts only when the full term list matches.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +22,11 @@
 #include "core/sampled_evaluator.hpp"
 #include "density/noise_model.hpp"
 #include "pauli/compiled_pauli_sum.hpp"
+#include "problems/molecule_factory.hpp"
 #include "problems/problem.hpp"
 #include "stabilizer/expectation_engine.hpp"
 #include "stabilizer/stabilizer_simulator.hpp"
+#include "statevector/lanczos.hpp"
 
 namespace cafqa {
 namespace {
@@ -371,6 +374,164 @@ TEST(DenseKernels, DensityProblemPrepareMatchesByBits)
             reference::simulate_noisy(problem.ansatz, params, NoiseModel{});
         EXPECT_TRUE(same_matrix(got, want)) << "seed " << seed;
     }
+}
+
+// ------------------------------------------------------------------ lanczos
+
+/** Random Hermitian sum over all four letters with real coefficients,
+ *  except that with `imaginary` every fourth string appears twice, as
+ *  (a + ib) P and then (-ib) P: complex coefficients whose imaginary
+ *  parts cancel in the operator. Every third term reuses an earlier
+ *  term's X mask. */
+PauliSum
+random_hermitian_sum(std::size_t n, std::size_t terms, std::uint64_t seed,
+                     bool imaginary)
+{
+    Rng rng(seed);
+    PauliSum op(n);
+    std::vector<PauliString> x_shapes;
+    for (std::size_t t = 0; t < terms; ++t) {
+        PauliString p(n);
+        for (std::size_t q = 0; q < n; ++q) {
+            p.set_letter(q, static_cast<PauliLetter>(rng.uniform_int(0, 3)));
+        }
+        if (!x_shapes.empty() && t % 3 == 0) {
+            const PauliString& shape = x_shapes[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(
+                                       x_shapes.size()) - 1))];
+            for (std::size_t q = 0; q < n; ++q) {
+                p.set_letter(q, PauliLetter::I);
+                if (shape.x_bit(q)) {
+                    p.set_letter(q, rng.uniform_int(0, 1) == 0
+                                        ? PauliLetter::X
+                                        : PauliLetter::Y);
+                } else if (rng.uniform_int(0, 1) == 0) {
+                    p.set_letter(q, PauliLetter::Z);
+                }
+            }
+        }
+        x_shapes.push_back(p);
+        const double a = rng.normal();
+        if (imaginary && t % 4 == 3) {
+            const double b = rng.normal();
+            op.add_term({a, b}, p);
+            op.add_term({0.0, -b}, p);
+        } else {
+            op.add_term(a, p);
+        }
+    }
+    return op;
+}
+
+std::vector<Complex>
+random_vector(std::size_t n, std::uint64_t seed)
+{
+    return random_state(n, seed).amplitudes();
+}
+
+bool
+same_vector(const std::vector<Complex>& got, const std::vector<Complex>& want)
+{
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       got.size() * sizeof(Complex)) == 0;
+}
+
+/** Library solve and oracle loop agree by bits in every field. */
+void
+expect_same_solve(const PauliSum& h, const LanczosOptions& options,
+                  const std::string& label)
+{
+    const GroundState got = lanczos_ground_state(h, options);
+    const GroundState want = reference::lanczos_ground_state(h, options);
+    EXPECT_SAME_BITS(got.energy, want.energy) << label;
+    EXPECT_EQ(got.iterations, want.iterations) << label;
+    EXPECT_EQ(got.converged, want.converged) << label;
+    EXPECT_SAME_BITS(got.ritz_change, want.ritz_change) << label;
+}
+
+TEST(LanczosKernels, CompiledMatvecMatchesOracleByBitsOnRandomSums)
+{
+    // 17 qubits is the first size with two 2^16-state parity blocks.
+    for (std::size_t n = 1; n <= 17; ++n) {
+        const PauliSum h =
+            random_hermitian_sum(n, n <= 12 ? 40 : 12, n, true);
+        ASSERT_GT(h.max_imag_coefficient(), 0.0) << n;
+        // Accumulates onto a nonzero y, as the oracle does.
+        const std::vector<Complex> x = random_vector(n, 100 + n);
+        std::vector<Complex> got = random_vector(n, 200 + n);
+        std::vector<Complex> want = got;
+        accumulate_matvec(CompiledPauliSum(h), x, got);
+        reference::accumulate_apply(h, x, want);
+        EXPECT_TRUE(same_vector(got, want)) << n << " qubits";
+    }
+}
+
+TEST(LanczosKernels, CompiledMatvecMatchesOracleByBitsOnProblems)
+{
+    for (const char* key : {"molecule:H2", "molecule:LiH", "molecule:H6",
+                            "molecule:BeH2", "molecule:H2O",
+                            "tfim:chain-12"}) {
+        const problems::Problem problem = problems::make_problem(key);
+        const PauliSum& h = problem.hamiltonian();
+        const std::vector<Complex> x = random_vector(problem.num_qubits, 3);
+        std::vector<Complex> got(x.size());
+        std::vector<Complex> want(x.size());
+        accumulate_matvec(CompiledPauliSum(h), x, got);
+        reference::accumulate_apply(h, x, want);
+        EXPECT_TRUE(same_vector(got, want)) << key;
+    }
+}
+
+TEST(LanczosKernels, GroundStateMatchesOracleLoopByBits)
+{
+    for (const char* key : {"molecule:H2", "molecule:LiH", "molecule:H6",
+                            "molecule:BeH2", "tfim:chain-12"}) {
+        const problems::Problem problem = problems::make_problem(key);
+        expect_same_solve(problem.hamiltonian(), {}, key);
+    }
+
+    // A sector-restricted solve: the LiH cation's (charge 1) sector.
+    problems::MolecularSystemOptions cation;
+    cation.sector_charge = 1;
+    cation.sector_spin_2sz = 1;
+    const auto lih = problems::make_molecular_system("LiH", 1.6, cation);
+    LanczosOptions sector;
+    sector.basis_filter = problems::sector_filter(lih);
+    expect_same_solve(lih.hamiltonian, sector, "LiH charge=1 sector");
+
+    // Real random sums, to convergence and stopped at a small cap.
+    for (std::size_t n = 2; n <= 8; ++n) {
+        const PauliSum h = random_hermitian_sum(n, 30, 50 + n, false);
+        LanczosOptions capped;
+        capped.max_iterations = 3;
+        capped.seed = n;
+        expect_same_solve(h, {}, std::to_string(n) + " qubits");
+        expect_same_solve(h, capped, std::to_string(n) + " qubits, capped");
+    }
+}
+
+TEST(LanczosKernels, ConvergedFlagsTheIterationCap)
+{
+    const problems::Problem h6 = problems::make_problem("molecule:H6");
+    const GroundState full = lanczos_ground_state(h6.hamiltonian());
+    EXPECT_TRUE(full.converged);
+    EXPECT_LT(full.ritz_change, LanczosOptions{}.tolerance);
+    EXPECT_LT(full.iterations, LanczosOptions{}.max_iterations);
+
+    LanczosOptions capped;
+    capped.max_iterations = 5;
+    const GroundState stopped = lanczos_ground_state(h6.hamiltonian(),
+                                                     capped);
+    EXPECT_FALSE(stopped.converged);
+    EXPECT_EQ(stopped.iterations, 5u);
+    EXPECT_GE(stopped.ritz_change, capped.tolerance);
+
+    // An invariant subspace ends the solve exactly: Z on one qubit.
+    const GroundState exact =
+        lanczos_ground_state(PauliSum::from_terms(1, {{1.0, "Z"}}));
+    EXPECT_TRUE(exact.converged);
+    EXPECT_DOUBLE_EQ(exact.energy, -1.0);
 }
 
 // ----------------------------------------------------- observable identity

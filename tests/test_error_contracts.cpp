@@ -154,7 +154,16 @@ TEST(ErrorContracts, LanczosGuards)
     options.basis_filter = [](std::uint64_t) { return false; };
     EXPECT_THROW(lanczos_ground_state(h, options), std::invalid_argument);
 
-    EXPECT_THROW(dense_spectrum(non_hermitian), std::invalid_argument);
+    // The matvec takes buffers of exactly 2^n amplitudes.
+    const CompiledPauliSum compiled(h);
+    std::vector<Complex> x(4);
+    std::vector<Complex> short_y(3);
+    EXPECT_THROW(accumulate_matvec(compiled, x, short_y),
+                 std::invalid_argument);
+    std::vector<Complex> long_x(8);
+    std::vector<Complex> long_y(8);
+    EXPECT_THROW(accumulate_matvec(compiled, long_x, long_y),
+                 std::invalid_argument);
 }
 
 TEST(ErrorContracts, ChemistryGuards)

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "../tests/reference_dense.hpp"
 #include "chem/basis.hpp"
 #include "chem/fermion.hpp"
 #include "chem/molecule.hpp"
@@ -129,8 +130,8 @@ TEST(QubitHamiltonian, JordanWignerAndParityShareSpectrum)
     const PauliSum h_jw = chem::build_qubit_hamiltonian(fx.mo, jw);
     const PauliSum h_parity = chem::build_qubit_hamiltonian(fx.mo, parity);
 
-    const auto spec_jw = dense_spectrum(h_jw);
-    const auto spec_parity = dense_spectrum(h_parity);
+    const auto spec_jw = reference::dense_spectrum(h_jw);
+    const auto spec_parity = reference::dense_spectrum(h_parity);
     ASSERT_EQ(spec_jw.size(), spec_parity.size());
     for (std::size_t i = 0; i < spec_jw.size(); ++i) {
         EXPECT_NEAR(spec_jw[i], spec_parity[i], 1e-8) << "level " << i;
@@ -166,8 +167,8 @@ TEST(Z2Reduction, PreservesGroundEnergyInSector)
 
     // The reduced ground energy must match the full ground energy
     // (H2 singlet ground state lives in the (1,1) sector).
-    const auto full_spec = dense_spectrum(h_full);
-    const auto red_spec = dense_spectrum(h_red);
+    const auto full_spec = reference::dense_spectrum(h_full);
+    const auto red_spec = reference::dense_spectrum(h_red);
     EXPECT_NEAR(red_spec.front(), full_spec.front(), 1e-8);
 
     // Every reduced eigenvalue appears in the full spectrum.
@@ -223,7 +224,7 @@ TEST(QubitHamiltonian, H2FciEnergyRecoversCorrelation)
     const FermionEncoding parity(EncodingKind::Parity, 4);
     const PauliSum h = reduce_two_qubits(
         chem::build_qubit_hamiltonian(fx.mo, parity), ParitySector{1, 1});
-    const auto spectrum = dense_spectrum(h);
+    const auto spectrum = reference::dense_spectrum(h);
     const double fci = spectrum.front();
     // Correlation energy of H2/STO-3G near equilibrium is ~0.02 Hartree.
     EXPECT_LT(fci, fx.scf.energy - 0.005);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "../tests/reference_dense.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/pipeline.hpp"
 #include "exhaustive_search.hpp"
@@ -209,7 +210,7 @@ TEST(SpinChains, TfimExactEnergyMatchesIndependentDiagonalization)
     for (const char* x : {"XIII", "IXII", "IIXI", "IIIX"}) {
         reference.add_term(-h, PauliString::from_label(x));
     }
-    const double expected = dense_spectrum(reference).front();
+    const double expected = reference::dense_spectrum(reference).front();
 
     const Problem problem = make_problem("tfim:chain-4?h=1.3");
     ASSERT_TRUE(problem.exact_energy().has_value());
@@ -252,7 +253,7 @@ TEST(SpinChains, XxzExactEnergyMatchesIndependentDiagonalization)
     for (const char* zz : {"ZZI", "IZZ"}) {
         reference.add_term(delta, PauliString::from_label(zz));
     }
-    const double expected = dense_spectrum(reference).front();
+    const double expected = reference::dense_spectrum(reference).front();
 
     const Problem problem = make_problem("xxz:chain-3?delta=0.5");
     ASSERT_TRUE(problem.exact_energy().has_value());

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "../tests/reference_dense.hpp"
 #include "chem/fermion.hpp"
 #include "circuit/efficient_su2.hpp"
 #include "common/rng.hpp"
@@ -119,8 +120,8 @@ TEST_P(SeededProperty, EncodingIndependentQuadraticSpectra)
         op.chop_to_hermitian(1e-9);
         return op;
     };
-    const auto spec_jw = dense_spectrum(build(EncodingKind::JordanWigner));
-    const auto spec_parity = dense_spectrum(build(EncodingKind::Parity));
+    const auto spec_jw = reference::dense_spectrum(build(EncodingKind::JordanWigner));
+    const auto spec_parity = reference::dense_spectrum(build(EncodingKind::Parity));
     ASSERT_EQ(spec_jw.size(), spec_parity.size());
     for (std::size_t i = 0; i < spec_jw.size(); ++i) {
         EXPECT_NEAR(spec_jw[i], spec_parity[i], 1e-8);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "../tests/reference_dense.hpp"
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "statevector/lanczos.hpp"
@@ -146,7 +147,7 @@ TEST(Lanczos, TransverseFieldIsingChain)
     h.simplify();
 
     const GroundState gs = lanczos_ground_state(h);
-    const std::vector<double> dense = dense_spectrum(h);
+    const std::vector<double> dense = reference::dense_spectrum(h);
     EXPECT_NEAR(gs.energy, dense.front(), 1e-8);
 }
 
@@ -169,33 +170,20 @@ TEST(Lanczos, RandomHamiltoniansMatchDenseSpectrum)
         if (h.num_terms() == 0) {
             continue;
         }
-        const GroundState gs =
-            lanczos_ground_state(h, {.max_iterations = 200,
-                                     .tolerance = 1e-12,
-                                     .seed = 5,
-                                     .want_vector = false});
-        const std::vector<double> dense = dense_spectrum(h);
+        LanczosOptions options;
+        options.max_iterations = 200;
+        options.tolerance = 1e-12;
+        options.seed = 5;
+        const GroundState gs = lanczos_ground_state(h, options);
+        const std::vector<double> dense = reference::dense_spectrum(h);
         EXPECT_NEAR(gs.energy, dense.front(), 1e-7) << "trial " << trial;
     }
-}
-
-TEST(Lanczos, EigenvectorReconstruction)
-{
-    const PauliSum h = PauliSum::from_terms(
-        2, {{1.0, "XX"}, {0.5, "ZI"}, {0.5, "IZ"}, {0.2, "ZZ"}});
-    const GroundState gs = lanczos_ground_state(
-        h, {.max_iterations = 100, .tolerance = 1e-12, .seed = 5,
-            .want_vector = true});
-    ASSERT_TRUE(gs.state.has_value());
-    // Rayleigh quotient of the reconstructed state equals the energy.
-    EXPECT_NEAR(gs.state->expectation(h), gs.energy, 1e-8);
-    EXPECT_NEAR(gs.state->norm_squared(), 1.0, 1e-10);
 }
 
 TEST(DenseSpectrum, PauliEigenvaluesAreSigns)
 {
     const PauliSum h = PauliSum::from_terms(1, {{1.0, "Y"}});
-    const std::vector<double> spectrum = dense_spectrum(h);
+    const std::vector<double> spectrum = reference::dense_spectrum(h);
     ASSERT_EQ(spectrum.size(), 2u);
     EXPECT_NEAR(spectrum[0], -1.0, 1e-10);
     EXPECT_NEAR(spectrum[1], 1.0, 1e-10);
