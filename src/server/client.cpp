@@ -158,11 +158,4 @@ BlockingClient::read_line()
     }
 }
 
-void
-BlockingClient::finish_sending()
-{
-    CAFQA_REQUIRE(fd_ >= 0, "client not connected");
-    ::shutdown(fd_, SHUT_WR);
-}
-
 } // namespace cafqa::server

@@ -17,8 +17,8 @@
  * here for the thread-safety annotations to guard (the server side
  * holds all shared state, under `cafqa::Mutex`). The load bench and
  * tests that want concurrent traffic open one client per thread; the
- * server's per-connection `write_mutex` keeps each response line
- * intact regardless.
+ * server posts each response as a whole line to its connection's
+ * outbox, so lines never interleave regardless.
  */
 #ifndef CAFQA_SERVER_CLIENT_HPP
 #define CAFQA_SERVER_CLIENT_HPP
@@ -51,10 +51,6 @@ class BlockingClient
     /** Next line from the server; blocks. nullopt once the server
      *  closed the stream (after its bye, or on a dropped connection). */
     std::optional<std::string> read_line();
-
-    /** Half-close our sending side (tells the server we are done
-     *  submitting; responses keep flowing). */
-    void finish_sending();
 
   private:
     explicit BlockingClient(int fd);

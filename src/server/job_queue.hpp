@@ -1,7 +1,7 @@
 /**
  * @file
- * Bounded, client-fair job queue between the server's connection
- * readers and its worker pool.
+ * Bounded, client-fair job queue between the server's I/O thread and
+ * its worker pool.
  *
  * Admission control: capacity is a hard bound — a push over it returns
  * `Admit::QueueFull` (the caller replies "rejected" with the reason)

@@ -1,6 +1,7 @@
 #include "server/job_server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -8,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -24,6 +26,17 @@ namespace {
 fail_errno(const std::string& what)
 {
     throw std::runtime_error(what + ": " + std::strerror(errno));
+}
+
+/** Every server socket is non-blocking: the I/O thread never waits. */
+constexpr int kSocketFlags = SOCK_NONBLOCK | SOCK_CLOEXEC;
+
+/** One byte down the (non-blocking) wake pipe; signal-safe. */
+void
+wake(int pipe_fd)
+{
+    const char byte = 'x';
+    [[maybe_unused]] const ssize_t n = ::write(pipe_fd, &byte, 1);
 }
 
 void
@@ -75,51 +88,124 @@ remove_stale_unix_socket(const std::string& path)
 
 } // namespace
 
-JobServer::Connection::~Connection()
+/** One client socket. The fields above `write_mutex` belong to the I/O
+ *  thread; any thread may `post`. */
+struct JobServer::Connection
 {
-    close_fd(fd);
-}
-
-void
-JobServer::Connection::send(const std::string& line)
-{
-    MutexLock lock(write_mutex);
-    send_locked(line);
-}
-
-void
-JobServer::Connection::send_locked(const std::string& line)
-{
-    if (!open.load(std::memory_order_relaxed)) {
-        return;
+    Connection(int socket, int wake, std::uint64_t number,
+               std::size_t max_line_bytes)
+        : fd(socket), wake_fd(wake), id(number), framer(max_line_bytes)
+    {
     }
-    const std::string framed = line + "\n";
+
+    int fd;
+    int wake_fd; // written when the outbox stops being empty
+    std::uint64_t id;
+    LineFramer framer;
+    /** Output taken from `outbox`; bytes from `sent` on are unsent. */
+    std::string sending;
     std::size_t sent = 0;
-    while (sent < framed.size()) {
-        // lint:allow(blocking-under-lock) write_mutex IS the per-socket
-        // write serializer, so sending under it is the point; the
-        // socket carries SO_SNDTIMEO, bounding how long a stalled peer
-        // can hold the lock.
-        const ssize_t n = ::send(fd, framed.data() + sent,
-                                 framed.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            // EAGAIN/EWOULDBLOCK: the SO_SNDTIMEO bound expired — the
-            // peer stopped reading and its socket buffer is full. Any
-            // other errno: peer gone (EPIPE/ECONNRESET/...). Either
-            // way, drop the connection so a worker blocked in
-            // `respond` cannot stall job processing; the half-close
-            // below kicks the reader out of recv so the connection
-            // reaps instead of lingering.
-            open.store(false, std::memory_order_relaxed);
-            ::shutdown(fd, SHUT_RDWR);
+    /** When unsent output last moved: the stall clock. */
+    std::chrono::steady_clock::time_point progress;
+
+    Mutex write_mutex{"write_mutex"};
+    /** Whole lines posted but not yet taken by the I/O thread. */
+    std::string outbox CAFQA_GUARDED_BY(write_mutex);
+    /** False once closing or dropped: later posts are discarded, and
+     *  the I/O thread closes the socket once the outbox is flushed. */
+    bool open CAFQA_GUARDED_BY(write_mutex) = true;
+
+    void post(const std::string& line) CAFQA_EXCLUDES(write_mutex)
+    {
+        MutexLock lock(write_mutex);
+        post_locked(line);
+    }
+
+    /** `post` for a caller already holding `write_mutex` (used to order
+     *  `accepted` ahead of the worker's `started`). */
+    void post_locked(const std::string& line) CAFQA_REQUIRES(write_mutex)
+    {
+        if (!open) {
             return;
         }
-        sent += static_cast<std::size_t>(n);
+        const bool was_idle = outbox.empty();
+        outbox += line;
+        outbox += '\n';
+        if (was_idle) {
+            wake(wake_fd);
+        }
     }
-}
+
+    /** Post `line` as the connection's last output. */
+    void post_last(const std::string& line) CAFQA_EXCLUDES(write_mutex)
+    {
+        MutexLock lock(write_mutex);
+        post_locked(line);
+        open = false;
+    }
+
+    /** Discard pending output and close the socket (I/O thread only). */
+    void drop() CAFQA_EXCLUDES(write_mutex)
+    {
+        {
+            MutexLock lock(write_mutex);
+            open = false;
+            outbox.clear();
+        }
+        close_fd(fd);
+    }
+
+    /** Send posted output without blocking (I/O thread only). False
+     *  means drop the connection: the peer is gone, it is closing and
+     *  flushed, or its output has stalled for `stall_ms`. Otherwise
+     *  `timeout_ms` falls to the time left before the stall bound. */
+    bool flush(std::chrono::steady_clock::time_point now,
+               std::size_t stall_ms, int& timeout_ms)
+        CAFQA_EXCLUDES(write_mutex)
+    {
+        if (fd < 0) {
+            return false;
+        }
+        for (;;) {
+            if (sent == sending.size()) {
+                sending.clear();
+                sent = 0;
+                bool still_open = false;
+                {
+                    MutexLock lock(write_mutex);
+                    sending.swap(outbox);
+                    still_open = open;
+                }
+                if (sending.empty()) {
+                    return still_open; // a closing one closes once flushed
+                }
+                progress = now;
+            }
+            const ssize_t n = ::send(fd, sending.data() + sent,
+                                     sending.size() - sent, MSG_NOSIGNAL);
+            if (n > 0) {
+                sent += static_cast<std::size_t>(n);
+                progress = now;
+            } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                break;
+            } else if (errno != EINTR) {
+                return false; // peer gone (EPIPE, ECONNRESET, ...)
+            }
+        }
+        if (stall_ms == 0) {
+            return true;
+        }
+        const auto deadline = progress + std::chrono::milliseconds(stall_ms);
+        if (now >= deadline) {
+            return false; // the client stopped reading
+        }
+        const int left = static_cast<int>(
+            std::chrono::ceil<std::chrono::milliseconds>(deadline - now)
+                .count());
+        timeout_ms = timeout_ms < 0 ? left : std::min(timeout_ms, left);
+        return true;
+    }
+};
 
 JobServer::Telemetry
 JobServer::make_telemetry()
@@ -189,10 +275,15 @@ void
 JobServer::start()
 {
     CAFQA_REQUIRE(!started_, "job server already started");
-    if (::pipe(wake_pipe_) != 0) {
+    if (::pipe2(wake_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) {
         fail_errno("pipe");
     }
 
+    listen_fd_ = ::socket(options_.unix_path.empty() ? AF_INET : AF_UNIX,
+                          SOCK_STREAM | kSocketFlags, 0);
+    if (listen_fd_ < 0) {
+        fail_errno("socket");
+    }
     if (!options_.unix_path.empty()) {
         sockaddr_un address{};
         address.sun_family = AF_UNIX;
@@ -202,10 +293,6 @@ JobServer::start()
         std::strncpy(address.sun_path, options_.unix_path.c_str(),
                      sizeof(address.sun_path) - 1);
         remove_stale_unix_socket(options_.unix_path);
-        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listen_fd_ < 0) {
-            fail_errno("socket(AF_UNIX)");
-        }
         if (::bind(listen_fd_,
                    reinterpret_cast<const sockaddr*>(&address),
                    sizeof(address)) != 0) {
@@ -221,10 +308,6 @@ JobServer::start()
             throw std::runtime_error("bad listen address: " +
                                      options_.host);
         }
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listen_fd_ < 0) {
-            fail_errno("socket(AF_INET)");
-        }
         const int yes = 1;
         ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &yes,
                      sizeof(yes));
@@ -234,14 +317,13 @@ JobServer::start()
             fail_errno("bind(" + options_.host + ":" +
                        std::to_string(options_.port) + ")");
         }
-        sockaddr_in bound{};
-        socklen_t bound_size = sizeof(bound);
+        socklen_t bound_size = sizeof(address);
         if (::getsockname(listen_fd_,
-                          reinterpret_cast<sockaddr*>(&bound),
+                          reinterpret_cast<sockaddr*>(&address),
                           &bound_size) != 0) {
             fail_errno("getsockname");
         }
-        port_ = ntohs(bound.sin_port);
+        port_ = ntohs(address.sin_port);
     }
     if (::listen(listen_fd_, 64) != 0) {
         fail_errno("listen");
@@ -249,60 +331,115 @@ JobServer::start()
 
     register_callback_gauges();
     started_ = true;
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    workers_.reserve(options_.workers);
+    live_workers_.store(options_.workers);
+    threads_.reserve(options_.workers + 1);
+    threads_.emplace_back([this] { io_loop(); });
     for (std::size_t i = 0; i < options_.workers; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
+        threads_.emplace_back([this] { worker_loop(); });
     }
 }
 
 void
-JobServer::accept_loop()
+JobServer::io_loop()
 {
+    std::vector<std::shared_ptr<Connection>> connections;
+    std::vector<pollfd> fds;
+    std::uint64_t next_id = 1;
+    bool said_bye = false;
     for (;;) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_pipe_[0], POLLIN, 0},
-        };
-        if (::poll(fds, 2, -1) < 0) {
+        if (!said_bye && live_workers_.load() == 0) {
+            // Every record is posted once the workers and `shutdown` are done.
+            std::optional<bool> drain;
+            {
+                MutexLock lock(shutdown_mutex_);
+                drain = drain_;
+            }
+            if (drain) {
+                for (const auto& connection : connections) {
+                    connection->post_last(event_bye(*drain ? "drain" : "now"));
+                }
+                said_bye = true;
+            }
+        }
+        const auto now = std::chrono::steady_clock::now();
+        int timeout_ms = -1;
+        std::erase_if(connections, [&](const auto& connection) {
+            const bool keep =
+                connection->flush(now, options_.send_timeout_ms, timeout_ms);
+            if (!keep) {
+                connection->drop();
+            }
+            return !keep;
+        });
+        if (said_bye && connections.empty()) {
+            return;
+        }
+
+        // Backpressure: a connection with unsent output is polled for
+        // POLLOUT only, so a client that stops reading stops being read.
+        fds.assign({{wake_pipe_[0], POLLIN, 0},
+                    {shutdown_requested_.load() ? -1 : listen_fd_, POLLIN,
+                     0}});
+        for (const auto& connection : connections) {
+            const bool pending = connection->sent < connection->sending.size();
+            fds.push_back({connection->fd,
+                           static_cast<short>(pending ? POLLOUT : POLLIN), 0});
+        }
+        if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
             if (errno == EINTR) {
                 continue;
             }
-            return;
+            break;
         }
-        if (fds[1].revents != 0) {
-            return; // shutdown
+        if (fds[0].revents != 0) {
+            char bytes[256];
+            while (::read(wake_pipe_[0], bytes, sizeof(bytes)) > 0) {
+            }
         }
-        if ((fds[0].revents & POLLIN) == 0) {
-            continue;
+        for (std::size_t i = 0; i < connections.size(); ++i) {
+            if ((fds[i + 2].events & POLLIN) != 0 && fds[i + 2].revents != 0) {
+                read_from(connections[i]);
+            }
         }
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            continue;
+        while ((fds[1].revents & POLLIN) != 0) {
+            const int fd =
+                ::accept4(listen_fd_, nullptr, nullptr, kSocketFlags);
+            if (fd < 0) {
+                break; // backlog empty
+            }
+            connections.push_back(std::make_shared<Connection>(
+                fd, wake_pipe_[1], next_id++, options_.max_line_bytes));
         }
-        if (options_.send_timeout_ms > 0) {
-            // Bound every write so a client that stops reading cannot
-            // park a worker inside `respond` forever (see
-            // Connection::send_locked).
-            timeval bound{};
-            bound.tv_sec =
-                static_cast<time_t>(options_.send_timeout_ms / 1000);
-            bound.tv_usec = static_cast<suseconds_t>(
-                (options_.send_timeout_ms % 1000) * 1000);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &bound,
-                         sizeof(bound));
+    }
+    for (const auto& connection : connections) {
+        connection->drop();
+    }
+}
+
+void
+JobServer::read_from(const std::shared_ptr<Connection>& connection)
+{
+    char buffer[4096];
+    const ssize_t n = ::recv(connection->fd, buffer, sizeof(buffer), 0);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return;
+    }
+    if (n <= 0) {
+        connection->drop(); // end of stream, or the peer is gone
+        return;
+    }
+    std::vector<std::string> lines;
+    const bool ok = connection->framer.feed(
+        std::string_view(buffer, static_cast<std::size_t>(n)), lines);
+    for (const std::string& line : lines) {
+        if (!line.empty()) {
+            handle_line(connection, line);
         }
-        auto connection = std::make_shared<Connection>();
-        connection->fd = fd;
-        {
-            MutexLock lock(connections_mutex_);
-            connection->id = next_connection_id_++;
-            connections_[connection->id] = connection;
-            readers_.emplace(
-                connection->id,
-                std::thread([this, connection] { reader_loop(connection); }));
-        }
-        reap_finished_readers();
+    }
+    if (!ok) {
+        connection->post_last(event_error(
+            "request line exceeds " +
+            std::to_string(connection->framer.max_line_bytes()) + " bytes"));
     }
 }
 
@@ -343,66 +480,6 @@ JobServer::clear_callback_gauges()
 }
 
 void
-JobServer::reap_finished_readers()
-{
-    std::vector<std::thread> finished;
-    {
-        MutexLock lock(connections_mutex_);
-        finished.reserve(finished_readers_.size());
-        for (const std::uint64_t id : finished_readers_) {
-            const auto it = readers_.find(id);
-            if (it != readers_.end()) {
-                finished.push_back(std::move(it->second));
-                readers_.erase(it);
-            }
-        }
-        finished_readers_.clear();
-    }
-    // Join outside the lock: a reader announces itself finished as its
-    // very last locked action, so these joins only wait out a return.
-    for (std::thread& reader : finished) {
-        reader.join();
-    }
-}
-
-void
-JobServer::reader_loop(std::shared_ptr<Connection> connection)
-{
-    LineFramer framer(options_.max_line_bytes);
-    std::vector<std::string> lines;
-    char buffer[4096];
-    for (;;) {
-        const ssize_t n = ::recv(connection->fd, buffer, sizeof(buffer), 0);
-        if (n < 0 && errno == EINTR) {
-            continue;
-        }
-        if (n <= 0) {
-            break;
-        }
-        lines.clear();
-        const bool ok = framer.feed(
-            std::string_view(buffer, static_cast<std::size_t>(n)), lines);
-        for (const std::string& line : lines) {
-            if (!line.empty()) {
-                handle_line(connection, line);
-            }
-        }
-        if (!ok) {
-            connection->send(event_error(
-                "request line exceeds " +
-                std::to_string(framer.max_line_bytes()) + " bytes"));
-            break;
-        }
-    }
-    connection->open.store(false, std::memory_order_relaxed);
-    MutexLock lock(connections_mutex_);
-    connections_.erase(connection->id);
-    // Announce exit LAST so whoever joins us (accept loop reap, or
-    // wait()) only ever waits for this return statement.
-    finished_readers_.push_back(connection->id);
-}
-
-void
 JobServer::handle_line(const std::shared_ptr<Connection>& connection,
                        const std::string& line)
 {
@@ -422,7 +499,7 @@ JobServer::handle_line(const std::shared_ptr<Connection>& connection,
                 id->is_string) {
                 rejected_.fetch_add(1, std::memory_order_relaxed);
                 metrics_.reject_bad_spec.add();
-                connection->send(event_rejected(id->value, error.what()));
+                connection->post(event_rejected(id->value, error.what()));
                 return;
             }
             // lint:allow(catch-swallow) best-effort probe: we only
@@ -431,7 +508,7 @@ JobServer::handle_line(const std::shared_ptr<Connection>& connection,
             // client on the very next line either way.
         } catch (...) {
         }
-        connection->send(event_error(error.what()));
+        connection->post(event_error(error.what()));
         return;
     }
     switch (request.op) {
@@ -452,25 +529,25 @@ JobServer::handle_line(const std::shared_ptr<Connection>& connection,
         if (token) {
             token->store(true, std::memory_order_relaxed);
             cancelled_.fetch_add(1, std::memory_order_relaxed);
-            connection->send(event_cancelled(request.id));
+            connection->post(event_cancelled(request.id));
         } else {
-            connection->send(event_error("unknown or finished job id \"" +
+            connection->post(event_error("unknown or finished job id \"" +
                                          request.id + "\""));
         }
         break;
       }
       case Op::Stats:
         metrics_.stats_requests.add();
-        connection->send(event_stats(
+        connection->post(event_stats(
             counters(), cache_ ? cache_->stats() : CacheStats{}));
         break;
       case Op::Metrics: {
         metrics_.metrics_requests.add();
-        // No named lock is held here (reader context): the scrape takes
+        // No named lock is held here (I/O thread): the scrape takes
         // metrics_mutex and, inside the callback gauges, queue_mutex /
         // shard_mutex — the declared manifest edges.
         auto& registry = telemetry::MetricsRegistry::instance();
-        connection->send(
+        connection->post(
             event_metrics(telemetry::wall_timestamp_seconds(),
                           registry.prometheus(), registry.json()));
         break;
@@ -495,7 +572,7 @@ JobServer::handle_submit(const std::shared_ptr<Connection>& connection,
     } catch (const std::exception& error) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         metrics_.reject_bad_spec.add();
-        connection->send(event_rejected(id, error.what()));
+        connection->post(event_rejected(id, error.what()));
         return;
     }
 
@@ -507,13 +584,12 @@ JobServer::handle_submit(const std::shared_ptr<Connection>& connection,
     job.spec = std::move(request.spec);
     job.cancel = token;
     job.respond = [connection](const std::string& line) {
-        connection->send(line);
+        connection->post(line);
     };
 
     // Hold the connection's write lock ACROSS the push so `accepted`
-    // hits the wire before the worker — which may pop the job
-    // immediately — can interleave its `started` event. (No deadlock:
-    // the queue lock is never held while writing to a connection.)
+    // is posted before the worker — which may pop the job immediately —
+    // can post its `started` event.
     MutexLock lock(connection->write_mutex);
     bool fresh_id;
     Admit admit = Admit::Accepted;
@@ -534,7 +610,7 @@ JobServer::handle_submit(const std::shared_ptr<Connection>& connection,
     if (!fresh_id) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         metrics_.reject_duplicate.add();
-        connection->send_locked(event_rejected(
+        connection->post_locked(event_rejected(
             id, "duplicate job id (still queued or running)"));
         return;
     }
@@ -543,11 +619,11 @@ JobServer::handle_submit(const std::shared_ptr<Connection>& connection,
         (admit == Admit::QueueFull ? metrics_.reject_queue_full
                                    : metrics_.reject_draining)
             .add();
-        connection->send_locked(event_rejected(id, to_string(admit)));
+        connection->post_locked(event_rejected(id, to_string(admit)));
         return;
     }
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    connection->send_locked(event_accepted(id, queue_.size()));
+    connection->post_locked(event_accepted(id, queue_.size()));
 }
 
 void
@@ -559,6 +635,9 @@ JobServer::worker_loop()
         process_job(*job);
         metrics_.busy_workers.add(-1.0);
         busy_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (live_workers_.fetch_sub(1) == 1) {
+        wake(wake_pipe_[1]); // the I/O thread may now say bye
     }
 }
 
@@ -631,10 +710,6 @@ JobServer::shutdown(bool drain)
     if (!shutdown_requested_.compare_exchange_strong(expected, true)) {
         return; // first call wins
     }
-    {
-        MutexLock lock(shutdown_mutex_);
-        drain_ = drain;
-    }
     queue_.close();
     if (!drain) {
         // Cancel everything: in-flight jobs stop at their next recorded
@@ -652,10 +727,12 @@ JobServer::shutdown(bool drain)
             flush_cancelled(job);
         }
     }
-    // Wake the accept loop (signal-safe: one byte down a pipe).
-    const char byte = 'x';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+    {
+        MutexLock lock(shutdown_mutex_);
+        drain_ = drain;
+    }
     shutdown_cv_.notify_all();
+    wake(wake_pipe_[1]);
 }
 
 void
@@ -663,15 +740,12 @@ JobServer::wait()
 {
     {
         MutexLock lock(shutdown_mutex_);
-        while (!shutdown_requested_.load()) {
+        while (!drain_.has_value()) {
             shutdown_cv_.wait(lock);
         }
     }
-    // Unhook the scrape-time callbacks BEFORE teardown (and before
-    // taking teardown_mutex_: clearing takes metrics_mutex, and a lock
-    // edge out of teardown_mutex_ into it would be a new ordering
-    // constraint for nothing). Idempotent, so concurrent waiters are
-    // fine; the members the callbacks read outlive `wait` anyway.
+    // Unhook the scrape-time callbacks outside teardown_mutex_ (an edge
+    // into metrics_mutex would be an ordering constraint for nothing).
     if (started_) {
         clear_callback_gauges();
     }
@@ -679,68 +753,17 @@ JobServer::wait()
     if (finished_) {
         return;
     }
-
-    // lint:allow(blocking-under-lock) teardown_mutex_ serializes
-    // concurrent wait() callers across the whole teardown, including
-    // these joins; none of the joined threads ever takes it.
-    accept_thread_.join();
+    // Workers exit once the (closed) queue is empty — in drain mode
+    // that is after every queued job ran and posted its record. The I/O
+    // thread then says bye, flushes and closes every connection.
+    for (std::thread& thread : threads_) {
+        // lint:allow(blocking-under-lock) teardown_mutex_ serializes
+        // concurrent wait() callers; no joined thread ever takes it.
+        thread.join();
+    }
     close_fd(listen_fd_);
     if (!options_.unix_path.empty()) {
         ::unlink(options_.unix_path.c_str());
-    }
-
-    // Workers exit once the (closed) queue is empty — in drain mode
-    // that is after every queued job ran and streamed its record.
-    for (std::thread& worker : workers_) {
-        // lint:allow(blocking-under-lock) under teardown_mutex_ by
-        // design (see the accept_thread_ join above); workers never
-        // take it.
-        worker.join();
-    }
-
-    // Every record is out; say bye and wake the readers.
-    bool drain;
-    {
-        MutexLock lock(shutdown_mutex_);
-        drain = drain_;
-    }
-    std::vector<std::shared_ptr<Connection>> snapshot;
-    {
-        MutexLock lock(connections_mutex_);
-        snapshot.reserve(connections_.size());
-        // lint:allow(unordered-iter) bye goes to every connection;
-        // each client only observes its own socket, so cross-client
-        // order cannot leak into any output.
-        for (const auto& [id, connection] : connections_) {
-            snapshot.push_back(connection);
-        }
-    }
-    for (const auto& connection : snapshot) {
-        connection->send(event_bye(drain ? "drain" : "now"));
-        connection->open.store(false, std::memory_order_relaxed);
-        ::shutdown(connection->fd, SHUT_RDWR);
-    }
-    std::vector<std::thread> readers;
-    {
-        MutexLock lock(connections_mutex_);
-        readers.reserve(readers_.size());
-        // lint:allow(unordered-iter) collecting handles to join;
-        // join order is immaterial and produces no output.
-        for (auto& [id, reader] : readers_) {
-            readers.push_back(std::move(reader));
-        }
-        readers_.clear();
-        finished_readers_.clear();
-    }
-    for (std::thread& reader : readers) {
-        // lint:allow(blocking-under-lock) under teardown_mutex_ by
-        // design (see the accept_thread_ join above); readers observe
-        // the closed socket and exit without taking it.
-        reader.join();
-    }
-    {
-        MutexLock lock(connections_mutex_);
-        connections_.clear();
     }
     finished_ = true;
 }

@@ -7,6 +7,12 @@
  * that every job shares (config-hash-salted keys, so distinct problems
  * never alias while repeated problems hit each other's entries).
  *
+ * Threads: one I/O thread plus the workers, whatever the connection
+ * count. The I/O thread polls the listen socket, a wake pipe and every
+ * connection, handles requests inline, and alone calls `send`/`recv` on
+ * client sockets. Workers and `shutdown` only append to a connection's
+ * outbox, so a client that stops reading delays nobody but itself.
+ *
  *   ServerOptions options;
  *   options.unix_path = "/tmp/cafqa.sock";   // or options.port = 0 (TCP)
  *   JobServer server(options);
@@ -27,6 +33,9 @@
  *  - Records for uncancelled jobs are byte-identical to a solo
  *    `execute_run_spec` of the same spec, except `wall_ms` (wall time
  *    is not deterministic).
+ *  - End of stream drops the connection: a client that closes (or
+ *    half-closes) its sending side gets no further events. Its queued
+ *    and running jobs still run, but their records are discarded.
  *
  * Wire protocol: `server/protocol.hpp`. Queue semantics:
  * `server/job_queue.hpp`.
@@ -37,6 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -67,17 +77,16 @@ struct ServerOptions
     std::size_t workers = 2;
     /** Admission bound: queued (not yet started) jobs. */
     std::size_t queue_capacity = 1024;
-    /** Protocol line bound; longer request lines drop the connection. */
+    /** Protocol line bound; a longer line gets `error`, then a close. */
     std::size_t max_line_bytes = kDefaultMaxLineBytes;
     /** Threads per run for specs that leave `threads` at 0 (same
      *  rationale as `BatchOptions::run_threads`: the workers already
      *  fan jobs out side by side). */
     std::size_t run_threads = 1;
-    /** Per-write send timeout. A client that stops reading (full
-     *  socket buffer) for longer than this is dropped so a worker
-     *  blocked in its `respond` cannot stall job processing for other
-     *  clients or wedge drain shutdown. 0 disables the bound (writes
-     *  may then block indefinitely on a stalled peer). */
+    /** Stall bound: a connection whose pending output has made no
+     *  progress for this long (the client stopped reading) is dropped,
+     *  so its unbounded backlog cannot wedge drain shutdown. 0 disables
+     *  the bound (shutdown may then wait forever on a stalled peer). */
     std::size_t send_timeout_ms = 10'000;
     /** Process-wide shared evaluation cache. `enabled` here means
      *  "give the server one cross-job cache"; capacity/shards bound its
@@ -97,7 +106,7 @@ class JobServer
     JobServer(const JobServer&) = delete;
     JobServer& operator=(const JobServer&) = delete;
 
-    /** Bind, listen and spawn the accept + worker threads. Throws
+    /** Bind, listen and spawn the I/O + worker threads. Throws
      *  std::runtime_error on socket failures. */
     void start();
 
@@ -107,15 +116,17 @@ class JobServer
 
     /**
      * Initiate shutdown; non-blocking and callable from any thread,
-     * including connection readers (the `shutdown` protocol op) —
-     * teardown that must join threads happens in `wait()`. Idempotent;
-     * the first call wins.
+     * including the I/O thread (the `shutdown` protocol op). Stops
+     * admission and, unless draining, cancels every job. Once the
+     * workers have exited, the I/O thread says bye on every connection,
+     * flushes, closes and exits. Idempotent; the first call wins.
      */
     void shutdown(bool drain);
 
-    /** Block until shutdown is initiated, then tear everything down:
-     *  join workers (draining the queue per the shutdown mode), say bye
-     *  on every connection, join readers, close sockets. */
+    /** Block until shutdown is initiated, then join the workers
+     *  (draining the queue per the shutdown mode) and the I/O thread
+     *  (which says bye on every connection first), and close the listen
+     *  socket. Safe to call from several threads. */
     void wait();
 
     /** Snapshot of the server counters (stats verb / tests). */
@@ -126,30 +137,13 @@ class JobServer
     const std::shared_ptr<EvaluationCache>& cache() const { return cache_; }
 
   private:
-    struct Connection
-    {
-        int fd = -1;
-        std::uint64_t id = 0;
-        Mutex write_mutex{"write_mutex"};
-        std::atomic<bool> open{true};
+    /** One client socket (defined in job_server.cpp). */
+    struct Connection;
 
-        ~Connection();
+    void io_loop();
+    /** One non-blocking read; handles every completed line inline. */
+    void read_from(const std::shared_ptr<Connection>& connection);
 
-        /** Write `line` + '\n' whole; a failed or timed-out write
-         *  (stalled peer past `ServerOptions::send_timeout_ms`) marks
-         *  the connection closed — later sends discard silently and
-         *  the reader is kicked loose so the connection reaps. */
-        void send(const std::string& line) CAFQA_EXCLUDES(write_mutex);
-
-        /** `send` body for a caller already holding `write_mutex`
-         *  (used to order `accepted` ahead of the worker's
-         *  `started`). */
-        void send_locked(const std::string& line)
-            CAFQA_REQUIRES(write_mutex);
-    };
-
-    void accept_loop();
-    void reader_loop(std::shared_ptr<Connection> connection);
     void worker_loop();
 
     void handle_line(const std::shared_ptr<Connection>& connection,
@@ -200,11 +194,6 @@ class JobServer
     void register_callback_gauges();
     void clear_callback_gauges();
 
-    /** Join reader threads whose loops have finished (their ids sit in
-     *  `finished_readers_`), so short-lived connections don't leak
-     *  joinable handles for the daemon's lifetime. */
-    void reap_finished_readers();
-
     ServerOptions options_;
     int listen_fd_ = -1;
     int wake_pipe_[2] = {-1, -1};
@@ -215,25 +204,10 @@ class JobServer
     std::shared_ptr<EvaluationCache> cache_;
     Telemetry metrics_;
 
-    std::thread accept_thread_;
-    std::vector<std::thread> workers_;
-
-    Mutex connections_mutex_{"connections_mutex"};
-    /** The MAP is guarded; the pointed-to `Connection`s deliberately
-     *  carry no `CAFQA_PT_GUARDED_BY` — each one is internally
-     *  synchronized (its own `write_mutex` + atomic `open`) and is
-     *  used by workers long after `connections_mutex_` is dropped. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<Connection>>
-        connections_ CAFQA_GUARDED_BY(connections_mutex_);
-    /** Live reader threads by connection id; a reader announces its
-     *  exit in `finished_readers_` and is joined opportunistically by
-     *  the accept loop (finally by `wait()`). */
-    std::unordered_map<std::uint64_t, std::thread> readers_
-        CAFQA_GUARDED_BY(connections_mutex_);
-    std::vector<std::uint64_t> finished_readers_
-        CAFQA_GUARDED_BY(connections_mutex_);
-    std::uint64_t next_connection_id_
-        CAFQA_GUARDED_BY(connections_mutex_) = 1;
+    /** The I/O thread and the workers. */
+    std::vector<std::thread> threads_;
+    /** Workers not yet exited; the last one out wakes the I/O thread. */
+    std::atomic<std::size_t> live_workers_{0};
 
     /** Active (queued or in-flight) job id -> cancel token. The MAP is
      *  guarded; the tokens are atomics flipped/read lock-free by
@@ -255,7 +229,9 @@ class JobServer
     Mutex shutdown_mutex_{"shutdown_mutex"};
     CondVar shutdown_cv_;
     std::atomic<bool> shutdown_requested_{false};
-    bool drain_ CAFQA_GUARDED_BY(shutdown_mutex_) = true;
+    /** The shutdown mode, set once `shutdown` has cancelled and flushed
+     *  what it must; empty while serving. */
+    std::optional<bool> drain_ CAFQA_GUARDED_BY(shutdown_mutex_);
     /** Serializes teardown so concurrent `wait` calls are safe. */
     Mutex teardown_mutex_{"teardown_mutex"};
     bool finished_ CAFQA_GUARDED_BY(teardown_mutex_) = false;

@@ -1,9 +1,11 @@
 /**
  * Job-server subsystem tests: line framing (partial reads, batched
- * messages, oversized-line rejection), request/event codecs, the
- * client-fair bounded queue, and end-to-end socket flows — submit /
- * result round trips, cancel-mid-run, queue-full rejection and
- * drain-flushes-everything shutdown.
+ * messages, oversized-line rejection), request/event codecs and a
+ * seeded mutation fuzz of them, the client-fair bounded queue, and
+ * end-to-end socket flows — submit / result round trips,
+ * cancel-mid-run, queue-full rejection, drain-flushes-everything
+ * shutdown, and the single I/O thread's guarantees (idle connections
+ * cost no thread, a client that stops reading delays nobody else).
  */
 #include <gtest/gtest.h>
 
@@ -15,11 +17,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/text.hpp"
 #include "core/batch_runner.hpp"
 #include "server/client.hpp"
 #include "server/job_queue.hpp"
@@ -170,6 +175,119 @@ TEST(Protocol, MetricsRoundTrip)
     EXPECT_EQ(metrics.prometheus,
               "# TYPE cafqa_x counter\ncafqa_x 1\n");
     EXPECT_EQ(metrics.snapshot_json, "{\"cafqa_x\":1}");
+}
+
+/** Apply one random edit to `line`: overwrite, insert, delete or
+ *  duplicate a byte, or truncate. */
+void
+mutate(std::string& line, Rng& rng)
+{
+    const auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(size)));
+    };
+    const auto byte = [&rng, &pick] {
+        // Bias toward the bytes the grammars care about.
+        static const std::string special = "{}[]\":,\\=?+ \t\r\n0-.eE";
+        return rng.bernoulli(0.5)
+                   ? special[pick(special.size() - 1)]
+                   : static_cast<char>(rng.uniform_int(0, 255));
+    };
+    const std::size_t at = pick(line.size());
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        if (at < line.size()) {
+            line[at] = byte();
+        }
+        break;
+      case 1:
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), byte());
+        break;
+      case 2:
+        if (at < line.size()) {
+            line.erase(at, 1);
+        }
+        break;
+      case 3:
+        if (at < line.size()) {
+            line.insert(at, line.substr(at, pick(line.size() - at)));
+        }
+        break;
+      default:
+        line.resize(at);
+        break;
+    }
+}
+
+TEST(Protocol, MutatedLinesParseOrThrow)
+{
+    RunRecord record;
+    record.spec = RunSpec::parse("problem=maxcut:ring-6 warmup=4");
+    record.ok = true;
+    record.best_steps = {0, 1, 2, 3};
+    const std::vector<std::string> corpus = {
+        submit_line("j1", RunSpec::parse("problem=molecule:H2?bond=0.74 "
+                                         "search=anneal warmup=8 seed=3")),
+        cancel_line("j1"),
+        stats_line(),
+        metrics_line(),
+        shutdown_line(true),
+        shutdown_line(false),
+        "{\"problem\":\"maxcut:ring-6\",\"warmup\":8,\"iterations\":8}",
+        event_accepted("j1", 3),
+        event_rejected("j1", "queue full"),
+        event_result("j1", record),
+        event_stats(ServerCounters{}, CacheStats{}),
+        event_metrics(1.5, "cafqa_x 1\n", "{\"cafqa_x\":1}"),
+        event_error("bad"),
+        event_bye("drain"),
+    };
+    // Every mutated line must parse or throw a std::exception, whatever
+    // the bytes: a crash or hang in these parsers would take the server's
+    // one I/O thread, and with it every connection, down.
+    std::size_t parsed = 0;
+    std::size_t refused = 0;
+    const auto parse_or_throw = [&](const auto& parse) {
+        try {
+            parse();
+            ++parsed;
+        } catch (const std::exception&) {
+            ++refused;
+        }
+    };
+    Rng rng(0x5eed);
+    for (int round = 0; round < 20'000; ++round) {
+        std::string line = corpus[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+        const auto edits = rng.uniform_int(1, 4);
+        for (std::int64_t i = 0; i < edits; ++i) {
+            mutate(line, rng);
+        }
+        // Frame it in random pieces, as a socket would deliver it.
+        LineFramer framer;
+        std::vector<std::string> lines;
+        const std::string stream = line + "\n";
+        for (std::size_t at = 0; at < stream.size();) {
+            const auto piece = static_cast<std::size_t>(rng.uniform_int(1, 64));
+            ASSERT_TRUE(
+                framer.feed(std::string_view(stream).substr(at, piece), lines));
+            at += piece;
+        }
+        for (const std::string& framed : lines) {
+            parse_or_throw([&] {
+                Request request = parse_request(framed);
+                if (request.op == Op::Submit) {
+                    request.spec.validate();
+                }
+            });
+            parse_or_throw([&] { parse_event(framed); });
+            parse_or_throw([&] { parse_flat_json_object(framed); });
+        }
+    }
+    // Both outcomes occur: the mutations neither all miss nor all break
+    // the grammars.
+    EXPECT_GT(parsed, 1'000u);
+    EXPECT_GT(refused, 1'000u);
 }
 
 // --------------------------------------------------------------- queue
@@ -486,8 +604,8 @@ TEST(JobServerEndToEnd, DrainFlushesAllRecordsThenSaysBye)
                                std::to_string(i))));
     }
     client.send_line(shutdown_line(true));
-    // The bye is emitted by the teardown in wait(), so run it
-    // concurrently with the read loop below.
+    // The bye follows once the workers have drained the queue; run
+    // wait() concurrently with the read loop below.
     std::thread waiter([&server] { server.wait(); });
 
     // Drain contract: every accepted job streams its record before the
@@ -599,6 +717,132 @@ TEST(JobServerEndToEnd, StalledClientCannotWedgeDrainShutdown)
     }
     // ...so drain shutdown can still say bye and join every thread.
     // Without the timeout this wait() never returns.
+    server.shutdown(true);
+    server.wait();
+}
+
+/** Threads of this process (the test binary hosts the server). */
+std::size_t
+thread_count()
+{
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        ++count;
+    }
+    return count;
+}
+
+TEST(JobServerEndToEnd, IdleConnectionsPinNoThreads)
+{
+    ServerOptions options;
+    options.workers = 2;
+    JobServer server(options);
+    server.start();
+    const RunSpec spec =
+        RunSpec::parse("problem=maxcut:ring-6 warmup=4 iterations=4");
+    {
+        // Whatever a first job starts lazily belongs to the baseline.
+        auto warm = BlockingClient::connect_tcp("127.0.0.1", server.port());
+        warm.send_line(submit_line("warm", spec));
+        read_until(warm, "result", "warm");
+    }
+    const std::size_t baseline = thread_count();
+
+    std::vector<BlockingClient> idle;
+    for (int i = 0; i < 64; ++i) {
+        idle.push_back(BlockingClient::connect_tcp("127.0.0.1", server.port()));
+    }
+    // Accepted after the 64 idle ones, so its result shows the server
+    // holds them all.
+    auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+    client.send_line(submit_line("j65", spec));
+    const Event result = read_until(client, "result", "j65");
+    EXPECT_NE(result.record_json.find("\"ok\":true"), std::string::npos);
+    EXPECT_LE(thread_count(), baseline);
+
+    server.shutdown(true);
+    server.wait();
+}
+
+TEST(JobServerEndToEnd, NonReadingClientCannotDelayOthers)
+{
+    ServerOptions options;
+    options.workers = 1;
+    options.unix_path = "/tmp/cafqa_test_nonreading.sock";
+    options.send_timeout_ms = 3000;
+    JobServer server(options);
+    server.start();
+    const RunSpec spec =
+        RunSpec::parse("problem=maxcut:ring-6 warmup=4 iterations=4");
+
+    {
+        // Client A submits 400 jobs and reads nothing: their events
+        // overflow its socket buffers long before the last job runs.
+        auto flooder = BlockingClient::connect_unix(options.unix_path);
+        std::thread flood([&flooder, &spec] {
+            try {
+                for (int i = 0; i < 400; ++i) {
+                    flooder.send_line(
+                        submit_line("a" + std::to_string(i), spec));
+                }
+            } catch (const std::exception& error) {
+                ADD_FAILURE() << "the server stopped reading A: "
+                              << error.what();
+            }
+        });
+        // Wait until the worker has run all of A's jobs, or has made no
+        // progress for 250 ms (it is stuck writing to A).
+        std::uint64_t completed = 0;
+        auto moved = std::chrono::steady_clock::now();
+        while (completed < 400 &&
+               std::chrono::steady_clock::now() - moved <
+                   std::chrono::milliseconds(250)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            const std::uint64_t now_completed = server.counters().completed;
+            if (now_completed != completed) {
+                completed = now_completed;
+                moved = std::chrono::steady_clock::now();
+            }
+        }
+
+        // Client B's one job must not wait on A's socket.
+        auto client = BlockingClient::connect_unix(options.unix_path);
+        const auto submitted = std::chrono::steady_clock::now();
+        client.send_line(submit_line("b", spec));
+        const Event result = read_until(client, "result", "b");
+        const double waited_ms =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - submitted)
+                .count();
+        EXPECT_NE(result.record_json.find("\"ok\":true"), std::string::npos);
+        EXPECT_LT(waited_ms, 1000.0);
+        flood.join();
+    } // A disconnects, so shutdown need not wait out its stall bound
+    server.shutdown(true);
+    server.wait();
+}
+
+TEST(JobServerEndToEnd, OverlongLineGetsErrorThenClose)
+{
+    ServerOptions options;
+    options.workers = 1;
+    options.max_line_bytes = 256;
+    JobServer server(options);
+    server.start();
+
+    auto other = BlockingClient::connect_tcp("127.0.0.1", server.port());
+    auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+    client.send_line(std::string(1000, 'x'));
+    const Event error = read_until(client, "error");
+    EXPECT_NE(error.message.find("exceeds 256 bytes"), std::string::npos);
+    EXPECT_FALSE(client.read_line().has_value()); // then end of stream
+
+    other.send_line(submit_line(
+        "o1", RunSpec::parse("problem=maxcut:ring-6 warmup=4 "
+                             "iterations=4")));
+    const Event result = read_until(other, "result", "o1");
+    EXPECT_NE(result.record_json.find("\"ok\":true"), std::string::npos);
     server.shutdown(true);
     server.wait();
 }
