@@ -1,8 +1,8 @@
 /**
  * @file
  * Command-line front end for the full CAFQA pipeline, built on the
- * declarative RunSpec API: run *any* registered problem family —
- * molecules, MaxCut, TFIM, XXZ, runtime-registered ones — with
+ * declarative RunSpec API: run any registered problem family —
+ * molecules, MaxCut, TFIM, XXZ — with
  * configurable budgets, and emit a machine-readable result line.
  *
  * Three equivalent ways to select the run:
@@ -266,9 +266,9 @@ main(int argc, char** argv)
         const problems::Problem problem =
             problems::make_problem(spec.problem);
 
-        PipelineObserver observer;
+        RunContext context;
         if (trace) {
-            observer = [](const PipelineEvent& event) {
+            context.observer = [](const PipelineEvent& event) {
                 switch (event.event) {
                   case PipelineEvent::Kind::StageBegin:
                     std::cerr << "[" << event.stage << "] begin\n";
@@ -300,8 +300,7 @@ main(int argc, char** argv)
             };
         }
 
-        const RunRecord record =
-            execute_run_spec(spec, problem, std::move(observer));
+        const RunRecord record = execute_run_spec(spec, problem, context);
         if (trace) {
             std::cerr << "[clifford_search] stop reason: "
                       << record.stop_reason << '\n';

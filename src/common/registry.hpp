@@ -10,7 +10,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,10 +22,10 @@ namespace cafqa {
 
 /**
  * Thread-safe sorted table of `Entry` values, seeded with the built-ins;
- * `add` replaces an existing entry. `find` and `get` return a COPY so
- * the caller runs a factory outside the lock: factories may construct
- * through the same registry again (the `"cached:"` backend prefix and
- * decorating backends do), which would self-deadlock under the lock.
+ * `add` replaces an existing entry. `get` returns a COPY so the caller
+ * runs a factory outside the lock: a decorating backend's factory
+ * constructs its inner backend through the same registry, which would
+ * self-deadlock under the lock.
  */
 template <typename Entry>
 class Registry
@@ -48,24 +47,18 @@ class Registry
         entries_.insert_or_assign(key, std::move(entry));
     }
 
-    /** Copy of the entry under `key`; nullopt when unregistered. */
-    std::optional<Entry>
-    find(const std::string& key) const
-    {
-        MutexLock lock(registry_mutex_);
-        const auto it = entries_.find(key);
-        return it == entries_.end() ? std::nullopt
-                                    : std::optional<Entry>(it->second);
-    }
-
     /** Copy of the entry under `key`; throws std::invalid_argument
      *  `unknown <what> "<key>"<context> (registered: a, b[; <hint>])`
      *  when unregistered. */
     Entry
     get(const std::string& key, const std::string& context = {}) const
     {
-        if (std::optional<Entry> entry = find(key)) {
-            return *std::move(entry);
+        {
+            MutexLock lock(registry_mutex_);
+            const auto it = entries_.find(key);
+            if (it != entries_.end()) {
+                return it->second;
+            }
         }
         throw_require_failure(
             "false", __FILE__, __LINE__,

@@ -23,7 +23,7 @@ backend_registry()
             return std::make_unique<CliffordEvaluator>(config.ansatz);
         };
         return Registry<BackendFactory>(
-            "backend kind", "any of them composes as \"cached:<kind>\"",
+            "backend kind", "",
             {
                 {"clifford", clifford},
                 // Alias: the paper calls the search-stage evaluator "the
@@ -99,18 +99,6 @@ registered_backends()
 std::unique_ptr<Backend>
 make_backend(const BackendConfig& config)
 {
-    // "cached:<kind>": construct <kind> (recursively, outside the
-    // registry lock, so every registered key composes) and wrap it. An
-    // explicitly registered "cached:..." key takes precedence.
-    constexpr std::string_view prefix = "cached:";
-    if (config.kind.size() > prefix.size() &&
-        config.kind.starts_with(prefix) &&
-        !backend_registry().find(config.kind)) {
-        BackendConfig inner = config;
-        inner.kind = config.kind.substr(prefix.size());
-        inner.cache.enabled = true;
-        return make_backend(inner);
-    }
     std::unique_ptr<Backend> backend =
         backend_registry().get(config.kind)(config);
     CAFQA_ASSERT(backend != nullptr, "backend factory returned null");

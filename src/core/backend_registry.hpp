@@ -16,9 +16,8 @@
  * | "density"     | NoisyEvaluator     | continuous | noise           |
  * | "sampled"     | SampledEvaluator   | continuous | shots, seed     |
  *
- * Composition: prefixing any key with `"cached:"` (e.g.
- * `"cached:clifford"`) — or setting `BackendConfig::cache.enabled` —
- * wraps the constructed backend in the memoizing decorator of
+ * Composition: setting `BackendConfig::cache.enabled` wraps the
+ * constructed backend in the memoizing decorator of
  * `core/caching_backend.hpp`, which short-circuits re-evaluations of
  * already-materialized points.
  *
@@ -55,8 +54,8 @@ struct BackendConfig
     std::size_t shots = 4096;
     /** Sampling RNG seed ("sampled" only). */
     std::uint64_t seed = 1234;
-    /** Memoizing-cache block: `cache.enabled` (or the `"cached:"` kind
-     *  prefix) wraps the backend in the caching decorator. */
+    /** Memoizing-cache block: `cache.enabled` wraps the backend in the
+     *  caching decorator. */
     CacheOptions cache;
     /**
      * Cross-run shared cache (the job server's process-wide cache).

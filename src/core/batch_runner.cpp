@@ -101,23 +101,6 @@ RunRecord::to_json() const
 }
 
 RunRecord
-execute_run_spec(const RunSpec& spec, PipelineObserver observer)
-{
-    RunContext context;
-    context.observer = std::move(observer);
-    return execute_run_spec(spec, context);
-}
-
-RunRecord
-execute_run_spec(const RunSpec& spec, const problems::Problem& problem,
-                 PipelineObserver observer)
-{
-    RunContext context;
-    context.observer = std::move(observer);
-    return execute_run_spec(spec, problem, context);
-}
-
-RunRecord
 execute_run_spec(const RunSpec& spec, const RunContext& context)
 {
     spec.validate();
@@ -220,8 +203,7 @@ execute_run_spec(const RunSpec& spec, const problems::Problem& problem,
 }
 
 BatchRunner::BatchRunner(BatchOptions options)
-    : options_(options),
-      stop_(std::make_shared<std::atomic<bool>>(false))
+    : options_(options)
 {
     CAFQA_REQUIRE(options_.run_threads >= 1,
                   "per-run thread count must be at least 1");
@@ -237,26 +219,6 @@ void
 BatchRunner::set_warm_start(WarmStartHook hook)
 {
     warm_start_ = std::move(hook);
-}
-
-void
-BatchRunner::request_stop()
-{
-    stop_->store(true, std::memory_order_relaxed);
-}
-
-bool
-BatchRunner::stop_requested() const
-{
-    return stop_->load(std::memory_order_relaxed);
-}
-
-void
-BatchRunner::reset_stop()
-{
-    // A fresh token: runs already cancelled by the old one keep their
-    // (raised) flag, future runs observe the new, lowered one.
-    stop_ = std::make_shared<std::atomic<bool>>(false);
 }
 
 std::vector<RunRecord>
@@ -275,10 +237,6 @@ BatchRunner::run(const std::vector<RunSpec>& specs)
     }
     ThreadPool& pool =
         own_pool ? *own_pool : ThreadPool::shared();
-
-    // Snapshot the token so a concurrent reset_stop re-arms future
-    // batches without racing this one.
-    const std::shared_ptr<std::atomic<bool>> stop = stop_;
 
     Mutex observer_mutex{"observer_mutex"};
     pool.parallel_for(specs.size(), [&](std::size_t worker,
@@ -301,7 +259,6 @@ BatchRunner::run(const std::vector<RunSpec>& specs)
             }
         }
         RunContext context;
-        context.cancel = stop;
         if (observer_) {
             context.observer = [&, index](const PipelineEvent& event) {
                 MutexLock lock(observer_mutex);
@@ -309,17 +266,7 @@ BatchRunner::run(const std::vector<RunSpec>& specs)
             };
         }
         try {
-            if (stop->load(std::memory_order_relaxed)) {
-                // request_stop before this run started: do not execute
-                // it at all (in-flight runs stop via their criteria).
-                records[index] = RunRecord{};
-                records[index].ok = false;
-                records[index].cancelled = true;
-                records[index].error = "cancelled before start "
-                                       "(BatchRunner::request_stop)";
-            } else {
-                records[index] = execute_run_spec(spec, context);
-            }
+            records[index] = execute_run_spec(spec, context);
         } catch (const std::exception& error) {
             records[index] = RunRecord{};
             records[index].ok = false;

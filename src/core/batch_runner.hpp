@@ -120,23 +120,17 @@ struct RunContext
  * Execute one spec end to end: resolve the problem, run the discrete
  * search, the optional T-boost and the optional continuous tuning, and
  * collect the record. Throws on failure (the batch runner catches and
- * records instead). The optional observer receives the pipeline's
- * stage events.
+ * records instead). `context` carries the observer, cancel token and
+ * shared cache; the default reproduces a plain solo run.
  */
 RunRecord execute_run_spec(const RunSpec& spec,
-                           PipelineObserver observer = nullptr);
+                           const RunContext& context = {});
 
 /** Same, over an already-resolved problem (the CLI resolves once so it
  *  can also report problem metadata on its own). */
 RunRecord execute_run_spec(const RunSpec& spec,
                            const problems::Problem& problem,
-                           PipelineObserver observer = nullptr);
-
-/** Same, with the full serving context (cancel token, shared cache). */
-RunRecord execute_run_spec(const RunSpec& spec, const RunContext& context);
-RunRecord execute_run_spec(const RunSpec& spec,
-                           const problems::Problem& problem,
-                           const RunContext& context);
+                           const RunContext& context = {});
 
 /** Batch execution controls. */
 struct BatchOptions
@@ -194,30 +188,10 @@ class BatchRunner
      */
     std::vector<RunRecord> run(const std::vector<RunSpec>& specs);
 
-    /**
-     * Cooperative cancellation, callable from any thread (the job
-     * server's drain path; useful standalone for Ctrl-C handling).
-     * Semantics: runs currently executing stop at their next recorded
-     * evaluation — their records keep the best point found so far,
-     * with `RunRecord::cancelled` set and stop reason "cancelled";
-     * specs not yet started are not executed at all and yield
-     * `ok == false`, `cancelled == true` records. The request is
-     * STICKY: it also applies to future `run` calls on this runner
-     * until `reset_stop` clears it (a stopped runner is "shut down",
-     * not paused).
-     */
-    void request_stop();
-    /** True once `request_stop` has been called (and not reset). */
-    bool stop_requested() const;
-    /** Re-arm a stopped runner for further `run` calls. */
-    void reset_stop();
-
   private:
     BatchOptions options_;
     BatchObserver observer_;
     WarmStartHook warm_start_;
-    /** Shared with every in-flight run's stopping criteria. */
-    std::shared_ptr<std::atomic<bool>> stop_;
 };
 
 /** Aggregated machine-readable report: {"runs": [...], "total": N,

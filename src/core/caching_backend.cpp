@@ -145,9 +145,8 @@ EvaluationCache::EvaluationCache(const CacheOptions& options)
 {
     CAFQA_REQUIRE(options.capacity >= 1,
                   "cache capacity must be at least 1 entry");
-    CAFQA_REQUIRE(options.shards >= 1, "cache needs at least one shard");
     // No more shards than capacity, so every shard can hold an entry.
-    const std::size_t shards = std::min(options.shards, options.capacity);
+    const std::size_t shards = std::min(kCacheShards, options.capacity);
     per_shard_capacity_ = (capacity_ + shards - 1) / shards;
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {

@@ -25,11 +25,11 @@
  * preparations) is aggregated across shards and surfaced through the
  * pipeline observer (`PipelineEvent::cache` on StageEnd).
  *
- * Construction is compositional: `make_backend` wraps automatically for
- * kind `"cached:<kind>"` or whenever `BackendConfig::cache.enabled` is
- * set. Caching a *stochastic* backend ("sampled") freezes the shot
- * noise of the first evaluation of each point — by design, the cache
- * returns materialized results verbatim.
+ * Construction is compositional: `make_backend` wraps automatically
+ * whenever `BackendConfig::cache.enabled` is set. Caching a
+ * *stochastic* backend ("sampled") freezes the shot noise of the first
+ * evaluation of each point — by design, the cache returns materialized
+ * results verbatim.
  */
 #ifndef CAFQA_CORE_CACHING_BACKEND_HPP
 #define CAFQA_CORE_CACHING_BACKEND_HPP
@@ -53,16 +53,18 @@ namespace cafqa {
 /** Cache controls; embedded in `BackendConfig` and `PipelineConfig`. */
 struct CacheOptions
 {
-    /** Master switch (the `"cached:"` kind prefix sets it implicitly). */
+    /** Master switch. */
     bool enabled = false;
     /** Target resident entries. The bound is enforced per shard with
      *  the capacity split rounded up, so the true global limit is
      *  ceil(capacity / shards) * shards — up to `shards - 1` entries
-     *  above this value. */
+     *  above this value, with `shards = min(kCacheShards, capacity)`. */
     std::size_t capacity = std::size_t{1} << 16;
-    /** Lock shards; more shards = less contention under fan-out. */
-    std::size_t shards = 8;
 };
+
+/** Lock shards of every `EvaluationCache`; more shards = less
+ *  contention under fan-out. */
+inline constexpr std::size_t kCacheShards = 8;
 
 /** Aggregate counters of one cache (shared by every clone). */
 struct CacheStats
@@ -119,7 +121,7 @@ class EvaluationCache
      *  against the entry counts a search produces. */
     using Key = std::vector<std::int64_t>;
 
-    /** Throws std::invalid_argument on a zero capacity or shard count. */
+    /** Throws std::invalid_argument on a zero capacity. */
     explicit EvaluationCache(const CacheOptions& options);
 
     /** Value for `key`, refreshing its LRU position; nullopt on miss.

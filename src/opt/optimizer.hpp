@@ -53,8 +53,8 @@ enum class StopReason {
     Converged,
     /** An exhaustive search enumerated the entire space. */
     SpaceExhausted,
-    /** `StoppingCriteria::cancel` was raised by another thread (job
-     *  server cancel verb, `BatchRunner::request_stop`, SIGTERM). */
+    /** `StoppingCriteria::cancel` was raised by another thread (the
+     *  job server's cancel verb or `shutdown now`). */
     Cancelled,
 };
 

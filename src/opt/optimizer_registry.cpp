@@ -1,5 +1,6 @@
 #include "opt/optimizer_registry.hpp"
 
+#include <functional>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -9,6 +10,10 @@
 namespace cafqa {
 
 namespace {
+
+/** Factory signature stored in the registry. */
+using OptimizerFactory =
+    std::function<std::unique_ptr<Optimizer>(const OptimizerConfig&)>;
 
 /** Factory building `Strategy` from the config's `Block` options, with
  *  the config's seed override applied. */
@@ -108,39 +113,15 @@ registered_kinds_of()
 {
     std::vector<std::string> kinds;
     for (const std::string& kind : registered_optimizers()) {
-        // Classification needs an instance; a third-party factory that
-        // rejects the default config is skipped rather than breaking
-        // every listing (CLI usage text, ablation bench, ...).
-        try {
-            if (dynamic_cast<const Interface*>(
-                    make_optimizer(optimizer_config(kind)).get()) !=
-                nullptr) {
-                kinds.push_back(kind);
-            }
-        } catch (const std::exception&) {
-            continue;
+        if (dynamic_cast<const Interface*>(
+                make_optimizer(optimizer_config(kind)).get()) != nullptr) {
+            kinds.push_back(kind);
         }
     }
     return kinds;
 }
 
 } // namespace
-
-void
-register_optimizer(const std::string& kind, OptimizerFactory factory)
-{
-    CAFQA_REQUIRE(!kind.empty(), "optimizer kind must be non-empty");
-    CAFQA_REQUIRE(!kind.starts_with(kPortfolioPrefix),
-                  "optimizer kind \"" + kind +
-                      "\" must not start with \"portfolio:\" (that "
-                      "prefix always composes a portfolio)");
-    CAFQA_REQUIRE(kind.find('+') == std::string::npos,
-                  "optimizer kind \"" + kind +
-                      "\" must not contain '+' (portfolio keys split "
-                      "arms on it)");
-    CAFQA_REQUIRE(factory != nullptr, "optimizer factory must be callable");
-    optimizer_registry().add(kind, std::move(factory));
-}
 
 std::vector<std::string>
 registered_optimizers()

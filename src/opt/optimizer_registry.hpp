@@ -24,17 +24,12 @@
  * stopping budget is per arm (each arm runs its solo trajectory), so
  * a k-arm portfolio may spend up to k times `max_evaluations`.
  *
- * Additional kinds (CMA-ES, custom schedulers, ...) can be registered
- * at runtime with `register_optimizer` (a kind may neither start with
- * `"portfolio:"` nor contain `'+'`, the portfolio key syntax);
  * `CafqaPipeline`, the CLI and the ablation bench resolve strategies
- * exclusively through this factory, so a new kind is immediately usable
- * everywhere.
+ * exclusively through this factory.
  */
 #ifndef CAFQA_OPT_OPTIMIZER_REGISTRY_HPP
 #define CAFQA_OPT_OPTIMIZER_REGISTRY_HPP
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,23 +69,12 @@ optimizer_config(std::string kind)
     return config;
 }
 
-/** Factory signature stored in the registry. */
-using OptimizerFactory =
-    std::function<std::unique_ptr<Optimizer>(const OptimizerConfig&)>;
-
-/** Register (or replace) a factory under `kind`. Throws
- *  std::invalid_argument on an empty kind, a kind starting with
- *  `"portfolio:"` (that prefix always resolves to a portfolio) or one
- *  containing `'+'` (portfolio keys split arms on it). */
-void register_optimizer(const std::string& kind, OptimizerFactory factory);
-
 /** Sorted list of registered kinds. */
 std::vector<std::string> registered_optimizers();
 
 /** Sorted registered kinds whose optimizers minimize over a
  *  `DiscreteSpace` (resp. from a continuous `x0`). Constructs a
- *  throwaway instance of each kind to classify it; kinds whose factory
- *  rejects a default config are omitted. */
+ *  throwaway instance of each kind to classify it. */
 std::vector<std::string> registered_discrete_optimizers();
 std::vector<std::string> registered_continuous_optimizers();
 

@@ -475,9 +475,11 @@ make_xxz_problem(const ProblemKey& key)
 
 // ------------------------------------------------------------ registry
 
+/** One family: a factory that receives the parsed key and rejects
+ *  unknown parameters, plus its catalog text. */
 struct FamilyEntry
 {
-    ProblemFactory factory;
+    Problem (*factory)(const ProblemKey&);
     std::string description;
     std::string sample_key;
 };
@@ -605,20 +607,6 @@ Problem::exact_energy() const
 }
 
 // --------------------------------------------------------- factory API
-
-void
-register_problem_family(const std::string& family, ProblemFactory factory,
-                        std::string description, std::string sample_key)
-{
-    CAFQA_REQUIRE(!family.empty(), "problem family must be non-empty");
-    CAFQA_REQUIRE(family.find(':') == std::string::npos,
-                  "problem family must not contain ':'");
-    CAFQA_REQUIRE(factory != nullptr,
-                  "problem factory must be callable");
-    problem_registry().add(family, {std::move(factory),
-                                    std::move(description),
-                                    std::move(sample_key)});
-}
 
 std::vector<std::string>
 registered_problem_families()

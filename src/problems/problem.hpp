@@ -24,9 +24,7 @@
  * reference energy, and a lazy exact ground energy (Lanczos / brute
  * force, small sizes only). Unknown families and unknown query
  * parameters are rejected with self-describing errors that list the
- * valid choices. New families can be registered at runtime with
- * `register_problem_family` and are immediately usable from the CLI,
- * the batch runner and every example.
+ * valid choices.
  */
 #ifndef CAFQA_PROBLEMS_PROBLEM_HPP
 #define CAFQA_PROBLEMS_PROBLEM_HPP
@@ -120,10 +118,6 @@ struct Problem
     mutable std::optional<std::optional<double>> exact_cache_;
 };
 
-/** Factory signature stored in the registry. The factory receives the
- *  parsed key and must reject unknown parameters. */
-using ProblemFactory = std::function<Problem(const ProblemKey&)>;
-
 /** One registry entry's metadata (for usage text and docs). */
 struct ProblemFamilyInfo
 {
@@ -133,12 +127,6 @@ struct ProblemFamilyInfo
     /** A small example key that resolves quickly. */
     std::string sample_key;
 };
-
-/** Register (or replace) a family under `family`. */
-void register_problem_family(const std::string& family,
-                             ProblemFactory factory,
-                             std::string description = {},
-                             std::string sample_key = {});
 
 /** Sorted list of registered families. */
 std::vector<std::string> registered_problem_families();

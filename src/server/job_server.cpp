@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -30,6 +32,11 @@ fail_errno(const std::string& what)
 
 /** Every server socket is non-blocking: the I/O thread never waits. */
 constexpr int kSocketFlags = SOCK_NONBLOCK | SOCK_CLOEXEC;
+
+/** How long a failed `accept` (out of descriptors, ...) keeps the
+ *  listen socket out of the poll set unless a connection closes first:
+ *  the connection it could not take keeps that socket readable. */
+constexpr std::chrono::milliseconds kAcceptRetry{100};
 
 /** One byte down the (non-blocking) wake pipe; signal-safe. */
 void
@@ -102,6 +109,10 @@ struct JobServer::Connection
     int wake_fd; // written when the outbox stops being empty
     std::uint64_t id;
     LineFramer framer;
+    /** Lines read but not yet handled: handling pauses while output is
+     *  unsent. `overlong` posts the framing error after them. */
+    std::deque<std::string> lines;
+    bool overlong = false;
     /** Output taken from `outbox`; bytes from `sent` on are unsent. */
     std::string sending;
     std::size_t sent = 0;
@@ -142,6 +153,16 @@ struct JobServer::Connection
         MutexLock lock(write_mutex);
         post_locked(line);
         open = false;
+    }
+
+    /** True while posted or taken output is unsent (I/O thread only). */
+    bool backlogged() CAFQA_EXCLUDES(write_mutex)
+    {
+        if (sent < sending.size()) {
+            return true;
+        }
+        MutexLock lock(write_mutex);
+        return !outbox.empty();
     }
 
     /** Discard pending output and close the socket (I/O thread only). */
@@ -346,6 +367,7 @@ JobServer::io_loop()
     std::vector<pollfd> fds;
     std::uint64_t next_id = 1;
     bool said_bye = false;
+    std::chrono::steady_clock::time_point accept_paused_until;
     for (;;) {
         if (!said_bye && live_workers_.load() == 0) {
             // Every record is posted once the workers and `shutdown` are done.
@@ -368,20 +390,43 @@ JobServer::io_loop()
                 connection->flush(now, options_.send_timeout_ms, timeout_ms);
             if (!keep) {
                 connection->drop();
+                accept_paused_until = {}; // a descriptor came free
             }
             return !keep;
         });
         if (said_bye && connections.empty()) {
             return;
         }
-
-        // Backpressure: a connection with unsent output is polled for
-        // POLLOUT only, so a client that stops reading stops being read.
-        fds.assign({{wake_pipe_[0], POLLIN, 0},
-                    {shutdown_requested_.load() ? -1 : listen_fd_, POLLIN,
-                     0}});
+        // Lines already read resume once their connection's output has
+        // drained; poll will not report them again.
+        bool resumed = false;
         for (const auto& connection : connections) {
-            const bool pending = connection->sent < connection->sending.size();
+            if (!connection->lines.empty() && !connection->backlogged()) {
+                handle_lines(connection);
+                resumed = true;
+            }
+        }
+        if (resumed) {
+            continue; // flush what they posted before polling
+        }
+
+        const bool accept_paused = now < accept_paused_until;
+        if (accept_paused) {
+            const int left = static_cast<int>(
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    accept_paused_until - now)
+                    .count());
+            timeout_ms = timeout_ms < 0 ? left : std::min(timeout_ms, left);
+        }
+        // Backpressure: a connection with unsent output or unhandled
+        // lines is polled for POLLOUT only, so a client that stops
+        // reading stops being read.
+        const int listening =
+            shutdown_requested_.load() || accept_paused ? -1 : listen_fd_;
+        fds.assign({{wake_pipe_[0], POLLIN, 0}, {listening, POLLIN, 0}});
+        for (const auto& connection : connections) {
+            const bool pending = connection->sent < connection->sending.size() ||
+                                 !connection->lines.empty();
             fds.push_back({connection->fd,
                            static_cast<short>(pending ? POLLOUT : POLLIN), 0});
         }
@@ -404,11 +449,16 @@ JobServer::io_loop()
         while ((fds[1].revents & POLLIN) != 0) {
             const int fd =
                 ::accept4(listen_fd_, nullptr, nullptr, kSocketFlags);
-            if (fd < 0) {
-                break; // backlog empty
+            if (fd >= 0) {
+                connections.push_back(std::make_shared<Connection>(
+                    fd, wake_pipe_[1], next_id++, options_.max_line_bytes));
+            } else if (errno != EINTR) {
+                if (errno != EAGAIN && errno != EWOULDBLOCK) {
+                    accept_paused_until =
+                        std::chrono::steady_clock::now() + kAcceptRetry;
+                }
+                break; // backlog empty, or retry later
             }
-            connections.push_back(std::make_shared<Connection>(
-                fd, wake_pipe_[1], next_id++, options_.max_line_bytes));
         }
     }
     for (const auto& connection : connections) {
@@ -429,14 +479,26 @@ JobServer::read_from(const std::shared_ptr<Connection>& connection)
         return;
     }
     std::vector<std::string> lines;
-    const bool ok = connection->framer.feed(
+    connection->overlong = !connection->framer.feed(
         std::string_view(buffer, static_cast<std::size_t>(n)), lines);
-    for (const std::string& line : lines) {
+    for (std::string& line : lines) {
+        connection->lines.push_back(std::move(line));
+    }
+    handle_lines(connection);
+}
+
+void
+JobServer::handle_lines(const std::shared_ptr<Connection>& connection)
+{
+    while (!connection->lines.empty() && !connection->backlogged()) {
+        const std::string line = std::move(connection->lines.front());
+        connection->lines.pop_front();
         if (!line.empty()) {
             handle_line(connection, line);
         }
     }
-    if (!ok) {
+    if (connection->lines.empty() && connection->overlong) {
+        connection->overlong = false;
         connection->post_last(event_error(
             "request line exceeds " +
             std::to_string(connection->framer.max_line_bytes()) + " bytes"));

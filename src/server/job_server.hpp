@@ -89,7 +89,7 @@ struct ServerOptions
      *  the bound (shutdown may then wait forever on a stalled peer). */
     std::size_t send_timeout_ms = 10'000;
     /** Process-wide shared evaluation cache. `enabled` here means
-     *  "give the server one cross-job cache"; capacity/shards bound its
+     *  "give the server one cross-job cache"; capacity bounds its
      *  residency. Disabled, each job falls back to whatever its own
      *  spec asked for. */
     CacheOptions cache{.enabled = true};
@@ -141,8 +141,11 @@ class JobServer
     struct Connection;
 
     void io_loop();
-    /** One non-blocking read; handles every completed line inline. */
+    /** One non-blocking read; queues its completed lines and handles
+     *  them. */
     void read_from(const std::shared_ptr<Connection>& connection);
+    /** Handle queued lines until the connection has unsent output. */
+    void handle_lines(const std::shared_ptr<Connection>& connection);
 
     void worker_loop();
 

@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "core/batch_runner.hpp"
 #include "core/run_spec.hpp"
@@ -335,67 +334,6 @@ TEST(BatchRunner, RespectsExplicitPerRunThreadCounts)
     EXPECT_TRUE(records[0].ok);
     EXPECT_EQ(records[0].cafqa_energy, solo.cafqa_energy);
     EXPECT_EQ(records[0].spec.threads, 2u);
-}
-
-TEST(BatchRunner, RequestStopIsStickyUntilReset)
-{
-    // A stop raised before run(): nothing executes, every record is a
-    // cancelled non-ok one.
-    BatchRunner runner;
-    runner.request_stop();
-    EXPECT_TRUE(runner.stop_requested());
-    const auto specs = std::vector<RunSpec>{
-        RunSpec::parse("problem=maxcut:ring-6 warmup=4 iterations=4"),
-        RunSpec::parse("problem=tfim:chain-4 warmup=4 iterations=4"),
-    };
-    const auto cancelled = runner.run(specs);
-    ASSERT_EQ(cancelled.size(), 2u);
-    for (const RunRecord& record : cancelled) {
-        EXPECT_FALSE(record.ok);
-        EXPECT_TRUE(record.cancelled);
-        EXPECT_NE(record.error.find("cancelled before start"),
-                  std::string::npos);
-        // Cancelled records still serialize their flag.
-        EXPECT_NE(record.to_json().find("\"cancelled\":true"),
-                  std::string::npos);
-    }
-
-    // reset_stop re-arms the runner; the same specs then execute.
-    runner.reset_stop();
-    EXPECT_FALSE(runner.stop_requested());
-    const auto records = runner.run(specs);
-    for (const RunRecord& record : records) {
-        EXPECT_TRUE(record.ok);
-        EXPECT_FALSE(record.cancelled);
-    }
-}
-
-TEST(BatchRunner, RequestStopCancelsInFlightRunsCooperatively)
-{
-    // One spec with a budget that would take ages: request_stop from
-    // another thread must stop it at the next recorded evaluation,
-    // keeping the best point found so far.
-    BatchRunner runner;
-    std::vector<RunRecord> records;
-    std::thread batch([&] {
-        records = runner.run({RunSpec::parse(
-            "problem=maxcut:ring-8 search=anneal warmup=50000 "
-            "iterations=2000000")});
-    });
-    runner.request_stop();
-    batch.join();
-
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_TRUE(records[0].cancelled);
-    if (records[0].ok) {
-        // The run got far enough to record at least one evaluation:
-        // best-so-far survives with the cancelled stop reason.
-        EXPECT_EQ(records[0].stop_reason, "cancelled");
-    } else {
-        // Raced ahead of the first evaluation ("cancelled before
-        // start") — also a valid outcome.
-        EXPECT_NE(records[0].error.find("cancelled"), std::string::npos);
-    }
 }
 
 TEST(BatchRunner, CancelWithTBoostRequestedKeepsCliffordBest)

@@ -1,5 +1,5 @@
 // Tests for the memoizing evaluation cache (core/caching_backend.hpp):
-// registry composition ("cached:<kind>" / BackendConfig::cache), exact
+// registry composition (BackendConfig::cache), exact
 // cached==uncached parity through the pipeline, LRU eviction and stats
 // accounting, determinism across thread counts (clones share one
 // cache), correctness under concurrent access, exact continuous keys,
@@ -37,13 +37,11 @@ tiny_ansatz()
 }
 
 CacheOptions
-cache_on(std::size_t capacity = std::size_t{1} << 16,
-         std::size_t shards = 8)
+cache_on(std::size_t capacity = std::size_t{1} << 16)
 {
     CacheOptions options;
     options.enabled = true;
     options.capacity = capacity;
-    options.shards = shards;
     return options;
 }
 
@@ -61,45 +59,36 @@ h2_config(std::uint64_t seed, const std::string& search_kind = "bayes")
     return config;
 }
 
-TEST(CachingBackend, RegistryComposesByPrefixAndConfigBlock)
+TEST(CachingBackend, RegistryComposesByConfigBlock)
 {
     BackendConfig config;
-    config.kind = "cached:clifford";
+    config.kind = "clifford";
     config.ansatz = tiny_ansatz();
-    const auto by_prefix = make_discrete_backend(config);
-    EXPECT_EQ(by_prefix->kind(), "cached:clifford");
-    EXPECT_TRUE(by_prefix->discrete());
-    EXPECT_EQ(by_prefix->num_params(), 2u);
+    config.cache.enabled = true;
+    const auto discrete = make_discrete_backend(config);
+    EXPECT_EQ(discrete->kind(), "cached:clifford");
+    EXPECT_TRUE(discrete->discrete());
+    EXPECT_EQ(discrete->num_params(), 2u);
 
-    BackendConfig block;
-    block.kind = "statevector";
-    block.ansatz = tiny_ansatz();
-    block.cache.enabled = true;
-    const auto by_block = make_continuous_backend(block);
-    EXPECT_EQ(by_block->kind(), "cached:statevector");
-    EXPECT_FALSE(by_block->discrete());
+    config.kind = "statevector";
+    const auto continuous = make_continuous_backend(config);
+    EXPECT_EQ(continuous->kind(), "cached:statevector");
+    EXPECT_FALSE(continuous->discrete());
 
-    // The prefix composes over every registered kind and nothing else.
-    BackendConfig composed;
-    composed.ansatz = tiny_ansatz();
-    composed.kind = "cached:density";
-    EXPECT_EQ(make_backend(composed)->kind(), "cached:density");
-    composed.kind = "cached:no-such-backend";
-    EXPECT_THROW(make_backend(composed), std::invalid_argument);
-    composed.kind = "cached:";
-    EXPECT_THROW(make_backend(composed), std::invalid_argument);
+    config.kind = "density";
+    EXPECT_EQ(make_backend(config)->kind(), "cached:density");
 }
 
 TEST(CachingBackend, HitsSkipPreparationAndLruEvictsOldest)
 {
     const PauliSum op = PauliSum::from_terms(2, {{1.0, "ZZ"}});
+    // Capacity 1 is one shard holding one entry.
     auto wrapper = CachingDiscreteBackend(
         std::make_unique<CliffordEvaluator>(tiny_ansatz()),
-        cache_on(/*capacity=*/2, /*shards=*/1));
+        cache_on(/*capacity=*/1));
 
     const std::vector<int> a{0, 0};
     const std::vector<int> b{1, 0};
-    const std::vector<int> c{2, 0};
 
     wrapper.prepare(a);
     const double value_a = wrapper.expectation(op); // miss, prepares
@@ -117,27 +106,51 @@ TEST(CachingBackend, HitsSkipPreparationAndLruEvictsOldest)
     EXPECT_NEAR(stats.hit_rate(), 2.0 / 3.0, 1e-12);
 
     wrapper.prepare(b);
-    wrapper.expectation(op); // miss: {b, a} resident
-    wrapper.prepare(a);
-    wrapper.expectation(op); // hit refreshes a: {a, b}
-    wrapper.prepare(c);
-    wrapper.expectation(op); // miss at capacity: evicts b -> {c, a}
-
+    wrapper.expectation(op); // miss at capacity: evicts a -> {b}
     stats = wrapper.cache_stats();
     EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.preparations, 2u);
 
     wrapper.prepare(a);
-    wrapper.expectation(op); // still resident (was refreshed)
-    EXPECT_EQ(wrapper.cache_stats().hits, stats.hits + 1);
-
-    wrapper.prepare(b);
-    wrapper.expectation(op); // evicted above: a fresh miss + preparation
+    // Evicted above: a fresh miss + preparation that recomputes the
+    // same value.
+    EXPECT_DOUBLE_EQ(wrapper.expectation(op), value_a);
     const CacheStats final_stats = wrapper.cache_stats();
     EXPECT_EQ(final_stats.misses, stats.misses + 1);
+    EXPECT_EQ(final_stats.preparations, 3u);
     EXPECT_EQ(final_stats.evictions, 2u);
-    // Re-evaluations of evicted points recompute the same values.
-    EXPECT_DOUBLE_EQ(wrapper.expectation(op), wrapper.expectation(op));
+}
+
+TEST(EvaluationCache, LruEvictsLeastRecentlyUsedWithinAShard)
+{
+    // Two entries per shard; pick three keys that land in one shard.
+    EvaluationCache cache(cache_on(/*capacity=*/2 * kCacheShards));
+    std::vector<EvaluationCache::Key> keys;
+    std::size_t shard = 0;
+    for (std::int64_t word = 0; keys.size() < 3; ++word) {
+        const EvaluationCache::Key key{word};
+        const std::size_t home = EvaluationCache::hash_key(key) % kCacheShards;
+        if (keys.empty()) {
+            shard = home;
+        }
+        if (home == shard) {
+            keys.push_back(key);
+        }
+    }
+    const auto& a = keys[0];
+    const auto& b = keys[1];
+    const auto& c = keys[2];
+
+    cache.insert(a, 1.0);
+    cache.insert(b, 2.0);                    // {b, a}
+    EXPECT_EQ(cache.lookup(a), 1.0);         // refreshes a: {a, b}
+    cache.insert(c, 3.0);                    // at capacity: evicts b
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.lookup(a), 1.0);         // still resident
+    EXPECT_EQ(cache.lookup(c), 3.0);
+    EXPECT_EQ(cache.lookup(b), std::nullopt); // evicted
 }
 
 TEST(CachingBackend, CachedPipelineMatchesUncachedExactlyOnH2)
@@ -277,7 +290,7 @@ TEST(CachingBackend, ConcurrentClonesShareOneCacheCorrectly)
 
     const CachingDiscreteBackend prototype(
         std::make_unique<CliffordEvaluator>(system.ansatz),
-        cache_on(/*capacity=*/16, /*shards=*/4));
+        cache_on(/*capacity=*/16));
 
     Rng rng(99);
     std::vector<std::vector<int>> distinct(40);

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -285,21 +284,6 @@ TEST(ErrorContracts, OptimizerRegistryGuards)
                  std::invalid_argument);
     EXPECT_THROW(make_continuous_optimizer(optimizer_config("anneal")),
                  std::invalid_argument);
-    EXPECT_THROW(register_optimizer("", nullptr), std::invalid_argument);
-
-    // Kinds no lookup could ever reach are refused: every "portfolio:"
-    // key goes to the portfolio builder, and portfolio keys split arms
-    // on '+', so neither kind could run (or be raced) as registered.
-    const OptimizerFactory random = [](const OptimizerConfig& config) {
-        return std::make_unique<RandomSearchOptimizer>(config.random);
-    };
-    EXPECT_THROW(register_optimizer("portfolio:x", random),
-                 std::invalid_argument);
-    EXPECT_THROW(register_optimizer("random+wide", random),
-                 std::invalid_argument);
-    const auto kinds = registered_optimizers();
-    EXPECT_EQ(std::count(kinds.begin(), kinds.end(), "portfolio:x"), 0);
-    EXPECT_EQ(std::count(kinds.begin(), kinds.end(), "random+wide"), 0);
 
     // Pipeline-level mismatch: a continuous tuner key handed to the
     // discrete search stage fails fast inside the stage.
@@ -328,21 +312,18 @@ TEST(ErrorContracts, UnknownRegistryKeysListTheRegisteredOnes)
             EXPECT_NE(message.find(kind), std::string::npos)
                 << "missing \"" << kind << "\" in: " << message;
         }
-        // ...and advertises the cache composition prefix.
-        EXPECT_NE(message.find("cached:<kind>"), std::string::npos)
-            << message;
     }
 
-    // The "cached:" prefix resolves the inner kind through the same
-    // factory, so a bad inner kind gets the same self-describing error.
+    // Caching is `BackendConfig::cache`, not a key prefix: "cached:"
+    // keys are unknown kinds like any other.
     try {
         BackendConfig config;
-        config.kind = "cached:no-such-backend";
+        config.kind = "cached:clifford";
         make_backend(config);
-        FAIL() << "make_backend accepted an unknown cached kind";
+        FAIL() << "make_backend accepted a \"cached:\" kind";
     } catch (const std::invalid_argument& error) {
         const std::string message = error.what();
-        EXPECT_NE(message.find("no-such-backend"), std::string::npos);
+        EXPECT_NE(message.find("cached:clifford"), std::string::npos);
         EXPECT_NE(message.find("registered:"), std::string::npos);
     }
 
@@ -486,10 +467,6 @@ TEST(ErrorContracts, CacheGuards)
     config.ansatz = ansatz;
     config.cache.enabled = true;
     config.cache.capacity = 0;
-    EXPECT_THROW(make_backend(config), std::invalid_argument);
-
-    config.cache.capacity = 16;
-    config.cache.shards = 0;
     EXPECT_THROW(make_backend(config), std::invalid_argument);
 
     CacheOptions options;

@@ -825,26 +825,5 @@ TEST(OptimizerRegistry, RejectsUnknownAndWrongSpaceKinds)
                  std::invalid_argument);
 }
 
-TEST(OptimizerRegistry, RuntimeExtension)
-{
-    // A caller-registered strategy is immediately constructible. (The
-    // registry is process-global; the enumeration assertions elsewhere
-    // check containment of the built-ins, not exact lists, so order
-    // does not matter.)
-    register_optimizer("random-wide", [](const OptimizerConfig& config) {
-        RandomSearchOptions options = config.random;
-        options.samples *= 2;
-        return std::make_unique<RandomSearchOptimizer>(options);
-    });
-    const auto kinds = registered_optimizers();
-    EXPECT_NE(std::find(kinds.begin(), kinds.end(), "random-wide"),
-              kinds.end());
-    const auto optimizer =
-        make_discrete_optimizer(optimizer_config("random-wide"));
-    const OptimizeOutcome r =
-        optimizer->minimize(planted_objective, planted_space());
-    EXPECT_EQ(r.best_value, 0.0);
-}
-
 } // namespace
 } // namespace cafqa

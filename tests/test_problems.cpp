@@ -301,30 +301,5 @@ TEST(ProblemRegistry, SpinChainSeedStepsPrepareTheProductState)
     }
 }
 
-TEST(ProblemRegistry, RuntimeRegistrationExtendsTheRegistry)
-{
-    problems::register_problem_family(
-        "toy",
-        [](const ProblemKey& key) {
-            Problem problem;
-            problem.family = "toy";
-            problem.name = key.instance;
-            problem.key = "toy:" + key.instance;
-            problem.num_qubits = 1;
-            problem.objective.hamiltonian =
-                PauliSum::from_terms(1, {{1.0, "Z"}});
-            problem.ansatz = Circuit(1);
-            problem.ansatz.ry_param(0);
-            return problem;
-        },
-        "single-qubit toy", "toy:z");
-    const auto families = problems::registered_problem_families();
-    EXPECT_NE(std::find(families.begin(), families.end(), "toy"),
-              families.end());
-    const Problem toy = make_problem("toy:z");
-    EXPECT_EQ(toy.num_qubits, 1u);
-    EXPECT_FALSE(toy.exact_energy().has_value());
-}
-
 } // namespace
 } // namespace cafqa

@@ -255,21 +255,21 @@ class StuckOptimizer final : public DiscreteOptimizer
 
 TEST(PortfolioSearch, DominatedArmIsKilledAndBudgetFlowsToSurvivor)
 {
-    register_optimizer("stuck", [](const OptimizerConfig&) {
-        return std::make_unique<StuckOptimizer>();
-    });
+    // Arm seeds as "portfolio:anneal+stuck" with seed 23 would assign
+    // them: arm i gets seed + i (the stuck arm ignores its seed).
+    OptimizerConfig anneal_config = optimizer_config("anneal");
+    anneal_config.seed = 23;
+    std::vector<PortfolioArm> arms;
+    arms.push_back({"anneal", make_discrete_optimizer(anneal_config)});
+    arms.push_back({"stuck", std::make_unique<StuckOptimizer>()});
+    PortfolioSearch portfolio(std::move(arms), "portfolio:anneal+stuck");
 
     StoppingCriteria criteria;
     criteria.max_evaluations = 320;
-    OptimizerConfig config = optimizer_config("portfolio:anneal+stuck");
-    config.seed = 23;
-    const auto optimizer = make_discrete_optimizer(config);
-    const OptimizeOutcome merged = optimizer->minimize(
+    const OptimizeOutcome merged = portfolio.minimize(
         planted_objective, planted_space(), criteria);
 
-    auto* portfolio = dynamic_cast<PortfolioSearch*>(optimizer.get());
-    ASSERT_NE(portfolio, nullptr);
-    const PortfolioSearch::Report& report = portfolio->last_report();
+    const PortfolioSearch::Report& report = portfolio.last_report();
     ASSERT_EQ(report.arms.size(), 2u);
     const PortfolioSearch::ArmReport& anneal = report.arms[0];
     const PortfolioSearch::ArmReport& stuck = report.arms[1];

@@ -4,11 +4,15 @@
  * seeded mutation fuzz of them, the client-fair bounded queue, and
  * end-to-end socket flows — submit / result round trips,
  * cancel-mid-run, queue-full rejection, drain-flushes-everything
- * shutdown, and the single I/O thread's guarantees (idle connections
- * cost no thread, a client that stops reading delays nobody else).
+ * shutdown, served records equal to solo runs, and the single I/O
+ * thread's guarantees (idle connections cost no thread, a client that
+ * stops reading delays nobody else and its sent lines wait, and the
+ * descriptor limit does not make the loop spin).
  */
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -460,30 +465,56 @@ TEST(JobServerEndToEnd, SubmitResultRoundTrip)
               std::nullopt);
 }
 
-TEST(JobServerEndToEnd, RecordMatchesSoloRun)
+TEST(JobServerEndToEnd, RecordsMatchSoloRuns)
 {
     ServerOptions options;
     options.workers = 1;
     JobServer server(options);
     server.start();
 
+    // One spec per pipeline path; the `sampled` tune backend is left
+    // out because the shared cache freezes its shot noise, so a served
+    // repeat of a sampled spec differs from a solo run.
+    const std::vector<RunSpec> specs = {
+        RunSpec::parse("problem=tfim:chain-4?h=1 warmup=4 iterations=4 "
+                       "tune=4"),
+        RunSpec::parse("problem=tfim:chain-4?h=1 warmup=4 iterations=4 "
+                       "tune=4 tune-backend=density"),
+        RunSpec::parse("problem=molecule:H2?bond=2.2 warmup=8 "
+                       "iterations=8 max-t=1"),
+        RunSpec::parse("problem=maxcut:ring-6 "
+                       "search=portfolio:anneal+random budget=40 "
+                       "warmup=8 iterations=8"),
+        RunSpec::parse("problem=molecule:H2?bond=3.0 warmup=4 "
+                       "iterations=4 warm-start=0,0,1,3,0,2,0,0"),
+        RunSpec::parse("problem=maxcut:ring-6 search=tempering warmup=8 "
+                       "iterations=8"),
+    };
+    // Each spec twice: the repeat reads what the first run left in the
+    // shared cache.
     auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
-    const RunSpec spec = RunSpec::parse(
-        "problem=tfim:chain-4?h=1 warmup=4 iterations=4 tune=4");
-    client.send_line(submit_line("solo", spec));
-    const Event result = read_until(client, "result", "solo");
+    std::vector<std::string> served;
+    for (std::size_t i = 0; i < 2 * specs.size(); ++i) {
+        const std::string id = "s" + std::to_string(i);
+        client.send_line(submit_line(id, specs[i % specs.size()]));
+        served.push_back(read_until(client, "result", id).record_json);
+    }
     server.shutdown(true);
     server.wait();
 
     // Byte-identical to the solo run except wall_ms (not
     // deterministic): compare around that one field.
-    const std::string solo = execute_run_spec(spec).to_json();
     const auto strip = [](const std::string& json) {
         const std::size_t at = json.find("\"wall_ms\":");
         const std::size_t end = json.find_first_of(",}", at + 10);
         return json.substr(0, at) + json.substr(end + 1);
     };
-    EXPECT_EQ(strip(result.record_json), strip(solo));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].to_string());
+        const std::string solo = strip(execute_run_spec(specs[i]).to_json());
+        EXPECT_EQ(strip(served[i]), solo);
+        EXPECT_EQ(strip(served[i + specs.size()]), solo);
+    }
 }
 
 TEST(JobServerEndToEnd, CancelMidRunKeepsBestSoFar)
@@ -819,6 +850,198 @@ TEST(JobServerEndToEnd, NonReadingClientCannotDelayOthers)
         EXPECT_LT(waited_ms, 1000.0);
         flood.join();
     } // A disconnects, so shutdown need not wait out its stall bound
+    server.shutdown(true);
+    server.wait();
+}
+
+/** Unix-socket client descriptor, or -1 when no descriptor is left
+ *  or the connection fails. `rcvbuf` > 0 sets SO_RCVBUF first. */
+int
+connect_unix_fd(const std::string& path, int rcvbuf = 0)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) {
+        return -1;
+    }
+    if (rcvbuf > 0) {
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    std::strncpy(address.sun_path, path.c_str(),
+                 sizeof(address.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                  sizeof(address)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Sends `line` on `fd`; true when reply bytes arrive within
+ *  `timeout_ms`. */
+bool
+answered(int fd, const std::string& line, int timeout_ms)
+{
+    const std::string out = line + "\n";
+    if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(out.size())) {
+        return false;
+    }
+    pollfd ready{fd, POLLIN, 0};
+    return ::poll(&ready, 1, timeout_ms) == 1;
+}
+
+/** CPU seconds of this process, every thread included. */
+double
+process_cpu_seconds()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval& t) {
+        return static_cast<double>(t.tv_sec) + 1e-6 * t.tv_usec;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/** Body of `AcceptAtTheDescriptorLimitDoesNotSpin`, run in a child
+ *  process because the descriptor limit is per process. Exits 0 when
+ *  the server idles at the limit and accepts again once a client
+ *  closes. */
+[[noreturn]] void
+serve_at_descriptor_limit(const std::string& path)
+{
+    rlimit limit{};
+    ::getrlimit(RLIMIT_NOFILE, &limit);
+    limit.rlim_cur = 48;
+    ::setrlimit(RLIMIT_NOFILE, &limit);
+    ServerOptions options;
+    options.workers = 1;
+    options.unix_path = path;
+    JobServer server(options);
+    server.start();
+
+    // Clients connect one at a time, each answered before the next, so
+    // no connection waits until the descriptors run out. The last one
+    // then queues unaccepted and keeps the listen socket readable. A
+    // spare descriptor makes sure a last connection fits.
+    int spare = ::dup(STDERR_FILENO);
+    std::vector<int> clients;
+    int queued = -1;
+    for (int i = 0; i < 30 && queued < 0; ++i) {
+        int fd = connect_unix_fd(path);
+        if (fd < 0 && spare >= 0) {
+            ::close(spare);
+            spare = -1;
+            fd = connect_unix_fd(path);
+        }
+        if (fd < 0) {
+            std::fprintf(stderr, "no descriptor for client %d\n", i);
+            std::_Exit(2);
+        }
+        if (answered(fd, stats_line(), 500)) {
+            clients.push_back(fd);
+        } else {
+            queued = fd;
+        }
+    }
+    if (queued < 0 || clients.empty()) {
+        std::fprintf(stderr, "30 clients never reached the limit\n");
+        std::_Exit(3);
+    }
+
+    const double cpu_before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    const double spent = process_cpu_seconds() - cpu_before;
+    if (spent >= 0.5) {
+        std::fprintf(stderr, "%.2f s of CPU in 2 s idle at the limit\n",
+                     spent);
+        std::_Exit(4);
+    }
+    // A closing client frees a descriptor for the queued one, whose
+    // stats request is then answered.
+    ::close(clients.front());
+    pollfd ready{queued, POLLIN, 0};
+    if (::poll(&ready, 1, 2000) != 1) {
+        std::fprintf(stderr, "the queued client was never accepted\n");
+        std::_Exit(5);
+    }
+    std::_Exit(0);
+}
+
+TEST(JobServerEndToEnd, AcceptAtTheDescriptorLimitDoesNotSpin)
+{
+    // The child re-executes this binary for this test alone, so it
+    // starts single-threaded with nothing else holding descriptors.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string path = "/tmp/cafqa_test_fd_limit.sock";
+    EXPECT_EXIT(serve_at_descriptor_limit(path),
+                ::testing::ExitedWithCode(0), "");
+    std::remove(path.c_str());
+}
+
+TEST(JobServerEndToEnd, ReadLinesWaitWhileTheirClientStopsReading)
+{
+    ServerOptions options;
+    options.workers = 1;
+    options.unix_path = "/tmp/cafqa_test_pipelined.sock";
+    JobServer server(options);
+    server.start();
+
+    const std::string series =
+        "cafqa_server_requests_total{verb=\"metrics\"}";
+    const auto count_of = [&series](const std::string& prometheus) {
+        return cafqa::telemetry::find_prometheus_sample(prometheus, series)
+            .value_or(-1.0);
+    };
+    auto observer = BlockingClient::connect_unix(options.unix_path);
+    const auto scrape = [&] {
+        observer.send_line(metrics_line());
+        return count_of(read_until(observer, "metrics").prometheus);
+    };
+    const double before = scrape();
+
+    // 240 requests in one write of 4,080 bytes, so one server read
+    // takes them all; the client reads nothing back.
+    constexpr int kRequests = 240;
+    const int fd = connect_unix_fd(options.unix_path, /*rcvbuf=*/4096);
+    ASSERT_GE(fd, 0);
+    std::string burst;
+    for (int i = 0; i < kRequests; ++i) {
+        burst += metrics_line() + "\n";
+    }
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    // Its replies back up after a few, and its remaining lines wait.
+    const double handled = scrape() - before - 1.0;
+    EXPECT_LT(handled, kRequests / 2.0);
+
+    // Once it reads, every request is answered, in order: each reply
+    // counts more metrics requests than the one before.
+    LineFramer framer(std::size_t{1} << 24);
+    std::vector<std::string> lines;
+    char buffer[1 << 16];
+    while (lines.size() < kRequests) {
+        pollfd ready{fd, POLLIN, 0};
+        ASSERT_EQ(::poll(&ready, 1, 5000), 1)
+            << "only " << lines.size() << " replies arrived";
+        const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+        ASSERT_GT(n, 0);
+        ASSERT_TRUE(framer.feed(
+            std::string_view(buffer, static_cast<std::size_t>(n)), lines));
+    }
+    ::close(fd);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
+    double last = before;
+    for (const std::string& line : lines) {
+        const Event event = parse_event(line);
+        ASSERT_EQ(event.event, "metrics");
+        const double count = count_of(event.prometheus);
+        EXPECT_GT(count, last);
+        last = count;
+    }
     server.shutdown(true);
     server.wait();
 }
