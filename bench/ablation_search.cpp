@@ -22,22 +22,6 @@ namespace {
 using namespace cafqa;
 using namespace cafqa::bench;
 
-/** Budgets per strategy: "bayes" splits the budget into warm-up and
- *  model-guided halves (the paper's setup); every other strategy gets
- *  the same total through the stopping criteria. */
-OptimizerConfig
-strategy_config(const std::string& kind, std::size_t budget,
-                std::uint64_t seed)
-{
-    OptimizerConfig config = optimizer_config(kind);
-    config.seed = seed;
-    config.bayes.warmup = budget / 2;
-    config.bayes.iterations = budget - budget / 2;
-    config.anneal.initial_temperature = 0.5;
-    config.anneal.final_temperature = 1e-3;
-    return config;
-}
-
 void
 compare_on(const std::string& molecule, double bond, std::uint64_t seed,
            std::size_t budget)

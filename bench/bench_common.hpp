@@ -19,6 +19,7 @@
 #include "common/error.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/pipeline.hpp"
+#include "opt/optimizer_registry.hpp"
 #include "problems/molecule_factory.hpp"
 #include "problems/problem.hpp"
 #include "statevector/lanczos.hpp"
@@ -204,6 +205,23 @@ against_exact(std::vector<std::string> row, const GroundState& exact,
         }
     }
     return row;
+}
+
+/** A bare strategy at an evaluation budget, as the search benches
+ *  compare them: "bayes" splits the budget into warm-up and model-guided
+ *  halves (the paper's setup); every other strategy runs off the
+ *  caller's stopping criteria. Annealing cools from 0.5 to 1e-3. */
+inline OptimizerConfig
+strategy_config(const std::string& kind, std::size_t budget,
+                std::uint64_t seed)
+{
+    OptimizerConfig config = optimizer_config(kind);
+    config.seed = seed;
+    config.bayes.warmup = budget / 2;
+    config.bayes.iterations = budget - budget / 2;
+    config.anneal.initial_temperature = 0.5;
+    config.anneal.final_temperature = 1e-3;
+    return config;
 }
 
 /** Standard bench banner. */

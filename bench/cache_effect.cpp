@@ -48,9 +48,9 @@ run_search(const problems::MolecularSystem& system,
     PipelineConfig config = molecular_pipeline_config(system, 2024);
     config.search.warmup = pick(120, 1000);
     config.search.iterations = pick(160, 1000);
-    config.search_optimizer = optimizer_config(search_kind);
+    config.search_optimizer = search_kind;
     if (cached) {
-        config.cache.enabled = true;
+        config.cache = std::make_shared<EvaluationCache>(CacheOptions{});
     }
 
     CafqaPipeline pipeline(std::move(config));

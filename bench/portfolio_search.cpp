@@ -52,21 +52,6 @@ json_metric(const std::string& name, double value)
     json_lines += json_quote(name) + ": " + format_real(value);
 }
 
-/** Budget split matching the ablation bench: "bayes" halves into
- *  warm-up + model-guided, everything else runs off the criteria. */
-OptimizerConfig
-strategy_config(const std::string& kind, std::size_t budget,
-                std::uint64_t seed)
-{
-    OptimizerConfig config = optimizer_config(kind);
-    config.seed = seed;
-    config.bayes.warmup = budget / 2;
-    config.bayes.iterations = budget - budget / 2;
-    config.anneal.initial_temperature = 0.5;
-    config.anneal.final_temperature = 1e-3;
-    return config;
-}
-
 std::string
 evals_to_accuracy(const OptimizeOutcome& outcome, double exact)
 {

@@ -287,7 +287,7 @@ compare_pipeline(const problems::MolecularSystem& system)
         config.search_backend = backends[side];
         // Annealing is evaluation-bound (no surrogate-model fitting),
         // so the stage wall time isolates the simulator cost.
-        config.search_optimizer = optimizer_config("anneal");
+        config.search_optimizer = "anneal";
         CafqaPipeline pipeline(std::move(config));
         const auto start = std::chrono::steady_clock::now();
         const CafqaResult& result = pipeline.run_clifford_search();

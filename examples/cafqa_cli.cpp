@@ -20,11 +20,12 @@
  * --tune-backend accepts any registered backend kind or "auto";
  * --search/--tuner accept any optimizer-registry kind; --budget caps
  * objective evaluations per stage; --target-energy stops a stage once
- * its best objective reaches the given value; --cache memoizes
- * evaluations across stages. Every numeric option is validated:
- * non-numeric text, trailing garbage, and out-of-range values exit
- * with status 1 and the usage text, as do unknown flags and malformed
- * specs.
+ * its best objective reaches the given value; --cache gives the run one
+ * memoizing evaluation cache that every stage shares, and --trace then
+ * prints its counters so far at each stage's end. Every numeric option
+ * is validated: non-numeric text, trailing garbage, and out-of-range
+ * values exit with status 1 and the usage text, as do unknown flags and
+ * malformed specs.
  */
 #include <cerrno>
 #include <cmath>
@@ -39,6 +40,7 @@
 #include "common/text.hpp"
 #include "core/batch_runner.hpp"
 #include "core/run_spec.hpp"
+#include "opt/optimizer_registry.hpp"
 
 namespace {
 
@@ -81,15 +83,17 @@ usage()
                  " evaluation (N >= 1;\n"
                  "                    default: the shared hardware-sized"
                  " pool)\n"
-              << "  --cache           memoize backend evaluations across"
-                 " the stages\n"
+              << "  --cache           one memoizing evaluation cache for"
+                 " all of the run's stages\n"
               << "  --cache-capacity N  max resident cache entries"
                  " (implies --cache)\n"
               << "  --json            print the run record as JSON"
                  " (default for\n"
                  "                    non-molecule problems)\n"
-              << "  --trace           print stage progress (and cache"
-                 " stats) to stderr\n"
+              << "  --trace           print stage progress to stderr (with"
+                 " --cache, the\n"
+                 "                    run cache's counters so far at each"
+                 " stage end)\n"
               << "problem families:\n";
     for (const auto& info : cafqa::problems::problem_family_catalog()) {
         std::cerr << "  " << info.family << "  " << info.description

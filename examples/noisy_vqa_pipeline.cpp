@@ -63,7 +63,7 @@ main(int argc, char** argv)
     cafqa_tune.ansatz = problem.ansatz;
     cafqa_tune.objective = objective;
     cafqa_tune.tuner = tuner;
-    cafqa_tune.tuner_optimizer = optimizer_config(tuner_kind);
+    cafqa_tune.tuner_optimizer = tuner_kind;
     CafqaPipeline tune_from_cafqa(std::move(cafqa_tune));
     const VqaTuneResult from_cafqa =
         tune_from_cafqa.run_vqa_tune(steps_to_angles(cafqa.best_steps));
@@ -73,7 +73,7 @@ main(int argc, char** argv)
     hf_tune.ansatz = problem.ansatz;
     hf_tune.objective = objective;
     hf_tune.tuner = tuner;
-    hf_tune.tuner_optimizer = optimizer_config(tuner_kind);
+    hf_tune.tuner_optimizer = tuner_kind;
     CafqaPipeline tune_from_hf(std::move(hf_tune));
     // The problem's seed steps are the HF determinant's Clifford point.
     const VqaTuneResult from_hf = tune_from_hf.run_vqa_tune(

@@ -58,9 +58,9 @@ struct BackendConfig
      *  caching decorator. */
     CacheOptions cache;
     /**
-     * Cross-run shared cache (the job server's process-wide cache).
-     * When set, the backend is wrapped over THIS cache instead of a
-     * fresh one — regardless of `cache.enabled` — with
+     * Shared cache (a pipeline run's cache, which the job server shares
+     * across runs). When set, the backend is wrapped over THIS cache
+     * instead of a fresh one — regardless of `cache.enabled` — with
      * `backend_config_hash(*this)` mixed into every key, so distinct
      * configurations sharing one cache can never alias an entry.
      */

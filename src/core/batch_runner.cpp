@@ -134,7 +134,9 @@ execute_run_spec(const RunSpec& spec, const problems::Problem& problem,
 
     PipelineConfig config = make_pipeline_config(spec, problem);
     config.stopping.cancel = context.cancel;
-    config.shared_cache = context.shared_cache;
+    if (context.shared_cache) {
+        config.cache = context.shared_cache;
+    }
     CafqaPipeline pipeline(std::move(config));
     if (context.observer) {
         pipeline.set_observer(context.observer);

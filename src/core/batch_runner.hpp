@@ -110,8 +110,9 @@ struct RunContext
      * in batched phases).
      */
     std::shared_ptr<std::atomic<bool>> cancel;
-    /** Cross-run shared evaluation cache (`PipelineConfig`'s field of
-     *  the same name): jobs on the same problem share materialized
+    /** Cross-run shared evaluation cache: when set, it replaces the
+     *  run's own `PipelineConfig::cache` (whatever the spec's `cache`
+     *  field says), so jobs on the same problem share materialized
      *  evaluations process-wide. */
     std::shared_ptr<EvaluationCache> shared_cache;
 };

@@ -249,7 +249,6 @@ CachingBackend<Base>::CachingBackend(std::unique_ptr<Base> inner,
 {
     CAFQA_REQUIRE(inner_ != nullptr, "cannot cache a null backend");
     CAFQA_REQUIRE(cache_ != nullptr, "cannot share a null cache");
-    kind_ = "cached:" + std::string(inner_->kind());
 }
 
 template <typename Base>

@@ -26,10 +26,10 @@
  * pipeline observer (`PipelineEvent::cache` on StageEnd).
  *
  * Construction is compositional: `make_backend` wraps automatically
- * whenever `BackendConfig::cache.enabled` is set. Caching a
- * *stochastic* backend ("sampled") freezes the shot noise of the first
- * evaluation of each point — by design, the cache returns materialized
- * results verbatim.
+ * whenever `BackendConfig::cache.enabled` or `shared_cache` is set.
+ * Caching a *stochastic* backend ("sampled") freezes the shot noise of
+ * the first evaluation of each point — by design, the cache returns
+ * materialized results verbatim.
  */
 #ifndef CAFQA_CORE_CACHING_BACKEND_HPP
 #define CAFQA_CORE_CACHING_BACKEND_HPP
@@ -50,7 +50,8 @@
 
 namespace cafqa {
 
-/** Cache controls; embedded in `BackendConfig` and `PipelineConfig`. */
+/** Cache controls: the `EvaluationCache` constructor's argument and
+ *  `BackendConfig`'s cache block. */
 struct CacheOptions
 {
     /** Master switch. */
@@ -230,7 +231,10 @@ class CachingBackend final : public Base
                    std::shared_ptr<EvaluationCache> cache,
                    std::uint64_t salt);
 
-    std::string_view kind() const override { return kind_; }
+    /** The wrapped backend's kind, a registry key: caching changes no
+     *  value, so the wrapper has no kind of its own (tell it apart with
+     *  `cache_stats_of`). */
+    std::string_view kind() const override { return inner_->kind(); }
     std::size_t num_qubits() const override { return inner_->num_qubits(); }
     std::size_t num_params() const override { return inner_->num_params(); }
 
@@ -252,7 +256,6 @@ class CachingBackend final : public Base
   private:
     std::unique_ptr<Base> inner_;
     std::shared_ptr<EvaluationCache> cache_;
-    std::string kind_;
     /** Nonzero when the cache is shared across configurations: mixed
      *  into every key right after the tag word. */
     std::uint64_t salt_ = 0;

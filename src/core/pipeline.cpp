@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/clifford_ansatz.hpp"
+#include "opt/optimizer_registry.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace cafqa {
@@ -22,7 +23,74 @@ stage_histogram(const char* stage)
         "Wall milliseconds per pipeline stage");
 }
 
+/** The tuner's SPSA gains, sized for VQE angle landscapes in radians.
+ *  The iteration count and seed come from `VqaTunerOptions`. */
+constexpr SpsaOptions kTunerSpsaGains{
+    .a = 2.0, .c = 0.2, .alpha = 0.602, .gamma = 0.101, .stability = 20.0};
+
+/** A stage's strategy and the criteria it runs under. */
+struct StageStrategy
+{
+    OptimizerConfig optimizer;
+    StoppingCriteria stopping;
+};
+
+/** The Clifford-search strategy `kind` over the stage budget `search`:
+ *  "bayes" splits the budget into its warm-up and model-guided phases;
+ *  every other discrete strategy is capped at the same total (the prior
+ *  seeds count against the cap) unless `stopping` sets its own cap. */
+StageStrategy
+search_strategy(const std::string& kind, const CafqaOptions& search,
+                StoppingCriteria stopping)
+{
+    OptimizerConfig optimizer = optimizer_config(kind);
+    optimizer.seed = search.seed;
+    optimizer.bayes.warmup = search.warmup;
+    optimizer.bayes.iterations = search.iterations;
+    optimizer.bayes.seed = search.seed;
+    if (stopping.max_evaluations == 0 && kind != "bayes") {
+        stopping.max_evaluations =
+            search.seed_steps.size() + search.warmup + search.iterations;
+    }
+    return {std::move(optimizer), std::move(stopping)};
+}
+
+/** The tuning strategy `kind` over the tuner budget: "spsa" runs
+ *  `tuner.iterations` steps (three objective calls each) with the fixed
+ *  gains; every other continuous strategy is capped at
+ *  `tuner.iterations` evaluations unless `stopping` sets its own cap. */
+StageStrategy
+tune_strategy(const std::string& kind, const VqaTunerOptions& tuner,
+              StoppingCriteria stopping)
+{
+    OptimizerConfig optimizer = optimizer_config(kind);
+    optimizer.seed = tuner.seed;
+    optimizer.spsa = kTunerSpsaGains;
+    optimizer.spsa.iterations = tuner.iterations;
+    optimizer.spsa.seed = tuner.seed;
+    if (stopping.max_evaluations == 0 && kind != "spsa") {
+        stopping.max_evaluations = tuner.iterations;
+    }
+    return {std::move(optimizer), std::move(stopping)};
+}
+
 } // namespace
+
+std::size_t
+iterations_to_converge(const std::vector<double>& trace, double tolerance)
+{
+    if (trace.empty()) {
+        return 0;
+    }
+    const double best = *std::min_element(trace.begin(), trace.end());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace[i] <= best + tolerance) {
+            // trace[0] is the start point: converging there took 0 steps.
+            return i;
+        }
+    }
+    return trace.size();
+}
 
 CafqaPipeline::CafqaPipeline(PipelineConfig config)
     : config_(std::move(config)),
@@ -43,13 +111,27 @@ CafqaPipeline::set_observer(PipelineObserver observer)
 
 void
 CafqaPipeline::emit(PipelineEvent::Kind kind, std::string_view stage,
-                    std::size_t evaluation, double best_value,
-                    const CacheStats* cache, double stage_ms) const
+                    std::size_t evaluation, double best_value) const
 {
     if (observer_) {
-        observer_(PipelineEvent{kind, stage, evaluation, best_value,
-                                cache, stage_ms});
+        observer_(PipelineEvent{kind, stage, evaluation, best_value});
     }
+}
+
+void
+CafqaPipeline::emit_stage_end(std::string_view stage, std::size_t evaluation,
+                              double best_value, double stage_ms) const
+{
+    if (!observer_) {
+        return;
+    }
+    std::optional<CacheStats> stats;
+    if (config_.cache) {
+        stats = config_.cache->stats();
+    }
+    observer_(PipelineEvent{PipelineEvent::Kind::StageEnd, stage, evaluation,
+                            best_value, stats ? &*stats : nullptr,
+                            stage_ms});
 }
 
 BackendConfig
@@ -58,8 +140,7 @@ CafqaPipeline::stage_backend_config(std::string kind, Circuit ansatz) const
     BackendConfig backend_config;
     backend_config.kind = std::move(kind);
     backend_config.ansatz = std::move(ansatz);
-    backend_config.cache = config_.cache;
-    backend_config.shared_cache = config_.shared_cache;
+    backend_config.shared_cache = config_.cache;
     return backend_config;
 }
 
@@ -101,28 +182,8 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
                                const CafqaOptions& options,
                                std::string_view stage)
 {
-    // The stage budget knobs map onto the configured strategy: "bayes"
-    // consumes them as its warm-up/model split (its other knobs stay as
-    // the caller set them in `search_optimizer.bayes`); every other
-    // strategy receives the same total evaluation budget through the
-    // stopping criteria.
-    OptimizerConfig optimizer_config = config_.search_optimizer;
-    if (optimizer_config.seed == 0) {
-        optimizer_config.seed = options.seed;
-    }
-    optimizer_config.bayes.warmup = options.warmup;
-    optimizer_config.bayes.iterations = options.iterations;
-    optimizer_config.bayes.seed = options.seed;
-
-    StoppingCriteria criteria = config_.stopping;
-    if (criteria.max_evaluations == 0 &&
-        optimizer_config.kind != "bayes") {
-        // "bayes" runs seed + warmup + iterations evaluations; give the
-        // other strategies the same total (their seeds count against
-        // the cap).
-        criteria.max_evaluations = options.seed_steps.size() +
-                                   options.warmup + options.iterations;
-    }
+    const StageStrategy strategy = search_strategy(
+        config_.search_optimizer, options, config_.stopping);
 
     auto objective_fn = [&](const std::vector<int>& steps) {
         backend.prepare(steps);
@@ -150,8 +211,9 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
         };
     };
 
-    const auto optimizer = make_discrete_optimizer(optimizer_config);
-    return optimizer->minimize(objective_fn, space, criteria, context);
+    const auto optimizer = make_discrete_optimizer(strategy.optimizer);
+    return optimizer->minimize(objective_fn, space, strategy.stopping,
+                               context);
 }
 
 const CafqaResult&
@@ -183,10 +245,8 @@ CafqaPipeline::run_clifford_search()
     result.best_energy = config_.objective.energy(*backend);
     clifford_ = std::move(result);
 
-    const std::optional<CacheStats> stats = cache_stats_of(*backend);
-    emit(PipelineEvent::Kind::StageEnd, "clifford_search",
-         clifford_->history.size(), clifford_->best_objective,
-         stats ? &*stats : nullptr, span.stop());
+    emit_stage_end("clifford_search", clifford_->history.size(),
+                   clifford_->best_objective, span.stop());
     return *clifford_;
 }
 
@@ -246,7 +306,6 @@ CafqaPipeline::run_t_boost(std::size_t max_t_gates)
     DiscreteSpace space;
     space.cardinalities.assign(config_.ansatz.num_params(), 4);
 
-    CacheStats boost_stats;
     for (std::size_t round = 0; round < max_t_gates; ++round) {
         bool improved = false;
         Circuit best_circuit = result.circuit;
@@ -264,20 +323,6 @@ CafqaPipeline::run_t_boost(std::size_t max_t_gates)
                 *backend, space,
                 t_round_options(config_.search, result.best_steps),
                 "t_boost");
-            if (const std::optional<CacheStats> stats =
-                    config_.shared_cache ? std::optional<CacheStats>{}
-                                         : cache_stats_of(*backend)) {
-                // Each candidate circuit has its own cache (distinct
-                // circuits share no states); the counters sum into a
-                // stage total, while the point-in-time gauges
-                // (entries/bytes) of these short-lived caches are left
-                // 0 — the caches never coexist, so a sum would
-                // overstate residency.
-                boost_stats.hits += stats->hits;
-                boost_stats.misses += stats->misses;
-                boost_stats.evictions += stats->evictions;
-                boost_stats.preparations += stats->preparations;
-            }
             if (search.best_value < round_best - 1e-10) {
                 round_best = search.best_value;
                 best_circuit = candidate;
@@ -303,17 +348,8 @@ CafqaPipeline::run_t_boost(std::size_t max_t_gates)
     }
 
     boost_ = std::move(result);
-    if (config_.shared_cache) {
-        // Per-candidate deltas are meaningless against a shared cache
-        // (every snapshot is the global counters); report the global
-        // state instead of a sum of snapshots.
-        boost_stats = config_.shared_cache->stats();
-    }
-    emit(PipelineEvent::Kind::StageEnd, "t_boost",
-         boost_->t_positions.size(), boost_->best_objective,
-         config_.cache.enabled || config_.shared_cache ? &boost_stats
-                                                       : nullptr,
-         span.stop());
+    emit_stage_end("t_boost", boost_->t_positions.size(),
+                   boost_->best_objective, span.stop());
     return *boost_;
 }
 
@@ -370,26 +406,11 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
         return value;
     };
 
-    // The configured continuous strategy; "spsa" consumes the stage
-    // budget as its iteration count (three objective calls per step),
-    // any other kind receives it as an evaluation cap.
-    OptimizerConfig optimizer_config = config_.tuner_optimizer;
-    if (optimizer_config.seed == 0) {
-        optimizer_config.seed = options.seed;
-    }
-    optimizer_config.spsa = options.spsa;
-    optimizer_config.spsa.iterations = options.iterations;
-    optimizer_config.spsa.seed = options.seed;
-
-    StoppingCriteria criteria = config_.stopping;
-    if (criteria.max_evaluations == 0 &&
-        optimizer_config.kind != "spsa") {
-        criteria.max_evaluations = options.iterations;
-    }
-
-    const auto optimizer = make_continuous_optimizer(optimizer_config);
+    const StageStrategy strategy =
+        tune_strategy(config_.tuner_optimizer, options, config_.stopping);
+    const auto optimizer = make_continuous_optimizer(strategy.optimizer);
     OptimizeOutcome run =
-        optimizer->minimize(objective_fn, initial, criteria, {});
+        optimizer->minimize(objective_fn, initial, strategy.stopping, {});
 
     VqaTuneResult result;
     result.trace = std::move(run.history);
@@ -398,9 +419,8 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
     result.stop_reason = run.stop_reason;
     tuned_ = std::move(result);
 
-    const std::optional<CacheStats> stats = cache_stats_of(*backend);
-    emit(PipelineEvent::Kind::StageEnd, "vqa_tune", evaluations,
-         tuned_->final_value, stats ? &*stats : nullptr, span.stop());
+    emit_stage_end("vqa_tune", evaluations, tuned_->final_value,
+                   span.stop());
     return *tuned_;
 }
 

@@ -13,15 +13,17 @@
  * are idempotent (a second call returns the cached result). Every
  * backend is resolved through the string-keyed registry
  * (`core/backend_registry.hpp`) and every search strategy through the
- * optimizer registry (`opt/optimizer_registry.hpp`) — set
- * `PipelineConfig::search_optimizer`/`tuner_optimizer` to swap the
- * discrete search or the continuous tuner without touching any other
- * code, and `PipelineConfig::stopping` for uniform early exits
- * (target value such as chemical accuracy, patience, cancellation).
- * Candidate evaluation in block-generated phases is batched across a
- * thread pool with per-worker backend clones. Observers receive
- * begin/progress/end events per stage, which is how the bench harness
- * collects its traces.
+ * optimizer registry (`opt/optimizer_registry.hpp`): set
+ * `PipelineConfig::search_optimizer`/`tuner_optimizer` to a strategy
+ * kind to swap the discrete search or the continuous tuner, and
+ * `PipelineConfig::stopping` for uniform early exits (target value such
+ * as chemical accuracy, patience, cancellation). The pipeline builds
+ * each stage's strategy from its budget (`search` or `tuner`); the
+ * strategies' other knobs keep their registry defaults, apart from the
+ * tuner's SPSA gains, which are a constant of the pipeline. Candidate
+ * evaluation in block-generated phases is batched across a thread pool
+ * with per-worker backend clones. Observers receive begin/progress/end
+ * events per stage, which is how the bench harness collects its traces.
  *
  * Concurrency contract: a `CafqaPipeline` is THREAD-CONFINED — drive
  * it from one thread. It deliberately owns no mutex of its own (the
@@ -40,17 +42,116 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/thread_pool.hpp"
 #include "core/backend_registry.hpp"
 #include "core/caching_backend.hpp"
-#include "core/cafqa_driver.hpp"
 #include "core/objective.hpp"
-#include "core/vqa_tuner.hpp"
-#include "opt/optimizer_registry.hpp"
+#include "density/noise_model.hpp"
+#include "opt/optimizer.hpp"
 
 namespace cafqa {
+
+/** Clifford-search stage budget (paper Section 3, red box of Fig. 4). */
+struct CafqaOptions
+{
+    /** Random warm-up evaluations (paper Fig. 7 uses 1000). */
+    std::size_t warmup = 200;
+    /** Model-guided search evaluations. */
+    std::size_t iterations = 300;
+    std::uint64_t seed = 2023;
+    /** Step assignments evaluated before the warm-up (prior injection).
+     *  Seeding the Hartree-Fock point guarantees CAFQA never returns a
+     *  state worse than the HF baseline — the paper's "equal to or
+     *  better than" property. */
+    std::vector<std::vector<int>> seed_steps{};
+};
+
+/** Search outcome: the Clifford initialization for subsequent VQA. */
+struct CafqaResult
+{
+    /** Best quarter-turn assignment (one entry per ansatz parameter). */
+    std::vector<int> best_steps;
+    /** Bare Hamiltonian expectation at the best steps. */
+    double best_energy = 0.0;
+    /** Objective (energy + penalties) at the best steps. */
+    double best_objective = 0.0;
+    /** Objective of every evaluation in order. */
+    std::vector<double> history;
+    /** Running best objective. */
+    std::vector<double> best_trace;
+    /** Evaluation count at which the best configuration appeared
+     *  (Fig. 15 metric). */
+    std::size_t evaluations_to_best = 0;
+    std::size_t num_parameters = 0;
+    /** Why the search ended (budget, target-value early exit, ...). */
+    StopReason stop_reason = StopReason::BudgetExhausted;
+};
+
+/**
+ * Outcome of the greedy Clifford + kT boost stage (paper Section 8 /
+ * Fig. 16). When no T insertion improves the objective, `t_positions`
+ * is empty and the fields echo the Clifford-stage optimum over the
+ * unmodified ansatz.
+ */
+struct TBoostResult
+{
+    /** Rotation-slot indices where T gates were inserted, in acceptance
+     *  order. */
+    std::vector<std::size_t> t_positions;
+    /** Best quarter-turn assignment over `circuit`. */
+    std::vector<int> best_steps;
+    /** Bare Hamiltonian expectation at the best steps. */
+    double best_energy = 0.0;
+    /** Objective (energy + penalties) at the best steps. */
+    double best_objective = 0.0;
+    /** The ansatz with the accepted T gates inserted. */
+    Circuit circuit;
+};
+
+/** Post-CAFQA variational tuning controls (paper Section 7.3 /
+ *  Fig. 14): the budget and backend of the continuous stage. */
+struct VqaTunerOptions
+{
+    /** SPSA iterations, or the evaluation cap of another tuner. */
+    std::size_t iterations = 500;
+    std::uint64_t seed = 7;
+    /** Noise model; an all-zero model selects the ideal backend. */
+    NoiseModel noise;
+    /**
+     * Backend registry kind for the continuous stage. Empty picks
+     * automatically: "density" when `noise` is enabled, else
+     * "statevector". Set "sampled" for finite-shot tuning.
+     */
+    std::string backend;
+    /** Measurement shots per commuting group ("sampled" backend). */
+    std::size_t shots = 4096;
+};
+
+/** Tuning outcome. */
+struct VqaTuneResult
+{
+    /** Recorded objective trace: the start-point value followed by the
+     *  value after each tuning step (for SPSA) or every evaluation
+     *  (other tuners). */
+    std::vector<double> trace;
+    std::vector<double> final_params;
+    double final_value = 0.0;
+    /** Why the tuner ended (budget, target-value early exit, ...). */
+    StopReason stop_reason = StopReason::BudgetExhausted;
+};
+
+/**
+ * Convergence metric for Fig. 14: the number of tuning steps until the
+ * trace value is within `tolerance` of the eventual best. `trace[0]`
+ * is the start point (0 steps), so an initialization already within
+ * tolerance returns 0. Returns trace.size() if the trace never reaches
+ * the tolerance band.
+ */
+std::size_t iterations_to_converge(const std::vector<double>& trace,
+                                   double tolerance);
 
 /** One observer notification. */
 struct PipelineEvent
@@ -72,9 +173,9 @@ struct PipelineEvent
     std::size_t evaluation = 0;
     /** Best objective value seen so far in the stage. */
     double best_value = 0.0;
-    /** Memoizing-cache counters of the stage's backend — non-null only
-     *  on StageEnd when `PipelineConfig::cache` was enabled. Valid for
-     *  the duration of the observer call. */
+    /** The run cache's counters so far — non-null only on StageEnd
+     *  when `PipelineConfig::cache` is set. Valid for the duration of
+     *  the observer call. */
     const CacheStats* cache = nullptr;
     /** Stage wall milliseconds (StageEnd only) — the same measurement
      *  the telemetry `cafqa_stage_ms{stage=...}` histogram records, so
@@ -90,9 +191,9 @@ using PipelineObserver = std::function<void(const PipelineEvent&)>;
  *  ansatz and objective has a default member initializer, so a
  *  designated initializer names only what it sets:
  *  `CafqaPipeline({.ansatz = a, .objective = o, .search = s})`. (The
- *  string-holding option structs are initialized by a call rather than
- *  by `{}`: GCC 12 reports a false -Wmaybe-uninitialized at callers
- *  for the `{}` form.) */
+ *  tuner options are initialized by a call rather than by `{}`: GCC 12
+ *  reports a false -Wmaybe-uninitialized at callers for the `{}`
+ *  form.) */
 struct PipelineConfig
 {
     /** The parameterized (Clifford) ansatz circuit. */
@@ -102,51 +203,45 @@ struct PipelineConfig
     /** Discrete-search stage budget: warm-up, iterations, seed and
      *  prior seeds. */
     CafqaOptions search{};
-    /** Continuous-stage controls (SPSA budget, noise, backend kind). */
+    /** Continuous-stage controls (budget, seed, noise, backend kind). */
     VqaTunerOptions tuner = VqaTunerOptions();
     /** Worker threads for batched candidate evaluation; 0 uses the
      *  process-wide shared pool (sized to the hardware). */
     std::size_t threads = 0;
     /** Registry kind of the discrete search backend. */
     std::string search_backend = "clifford";
-    /** Discrete search strategy (any optimizer-registry kind that
-     *  minimizes over a `DiscreteSpace`); "bayes" reproduces the
-     *  paper. The stage budget (`search.warmup + search.iterations`)
-     *  and `search.seed` apply to every strategy; "bayes" takes its
-     *  warm-up/model split and seed from `search` and its forest
-     *  from `search_optimizer.bayes`. The other option fields (`anneal`,
-     *  `random`, ...) are forwarded untouched. */
-    OptimizerConfig search_optimizer = optimizer_config("bayes");
-    /** Continuous tuning strategy (any optimizer-registry kind that
-     *  minimizes from an `x0`); "spsa" reproduces the paper. As above,
-     *  the default strategy's knobs live in `tuner.spsa` (this config's
-     *  own `spsa` field is replaced by it); `nelder_mead` etc. are
-     *  forwarded untouched. */
-    OptimizerConfig tuner_optimizer = optimizer_config("spsa");
+    /** Discrete search strategy: any optimizer-registry kind that
+     *  minimizes over a `DiscreteSpace`, or a "portfolio:<k1+k2+...>"
+     *  race; "bayes" reproduces the paper. `search.seed` seeds every
+     *  strategy ("bayes" always; the others only when it is nonzero).
+     *  "bayes" splits the stage budget into `search.warmup` and
+     *  `search.iterations`; every other strategy is capped at the prior
+     *  seeds plus warm-up plus iterations. */
+    std::string search_optimizer = "bayes";
+    /** Continuous tuning strategy: any optimizer-registry kind that
+     *  minimizes from an `x0`; "spsa" reproduces the paper, running
+     *  `tuner.iterations` steps from `tuner.seed` with the pipeline's
+     *  fixed gains. Every other strategy is capped at
+     *  `tuner.iterations` evaluations. */
+    std::string tuner_optimizer = "spsa";
     /** Uniform stopping criteria applied to every stage: target-value
      *  early exit (e.g. exact energy + chemical accuracy), patience,
-     *  cancellation. A zero `max_evaluations` defers to the stage
-     *  budgets above. */
+     *  cancellation. A nonzero `max_evaluations` replaces the stage
+     *  caps above. */
     StoppingCriteria stopping{};
-    /** Memoizing evaluation cache (`core/caching_backend.hpp`). When
-     *  `cache.enabled`, every stage backend — discrete search, T-boost
-     *  rounds, continuous tuner — is wrapped so re-visited points skip
-     *  state preparation; per-stage `CacheStats` arrive on the
-     *  observer's StageEnd events. The cache is a pure memoizer:
-     *  results are bit-identical to the uncached run. */
-    CacheOptions cache{};
     /**
-     * Cross-run shared evaluation cache (the job server's process-wide
-     * cache). When set, every stage backend is wrapped over this cache
-     * — config-hash-salted keys keep distinct circuits/kinds from
-     * aliasing — instead of a per-stage fresh one. Results stay
-     * bit-identical to an uncached run for deterministic backends (the
-     * cache is a pure memoizer); a *stochastic* backend ("sampled")
-     * would replay the first job's frozen shot noise into later jobs.
-     * StageEnd cache stats then report the shared cache's global
-     * counters.
+     * The run's memoizing evaluation cache (`core/caching_backend.hpp`);
+     * null runs uncached. Every stage backend — discrete search, T-boost
+     * candidates, continuous tuner — is wrapped over this one cache,
+     * with `backend_config_hash` salting the keys so distinct circuits
+     * and kinds never alias, so it may also be shared across runs (the
+     * job server's process-wide cache). StageEnd events carry its
+     * counters so far. Results stay bit-identical to an uncached run
+     * for deterministic backends (the cache is a pure memoizer); a
+     * *stochastic* backend ("sampled") replays the frozen shot noise of
+     * each point's first evaluation.
      */
-    std::shared_ptr<EvaluationCache> shared_cache{};
+    std::shared_ptr<EvaluationCache> cache{};
 };
 
 /**
@@ -223,11 +318,13 @@ class CafqaPipeline
 
   private:
     void emit(PipelineEvent::Kind kind, std::string_view stage,
-              std::size_t evaluation, double best_value,
-              const CacheStats* cache = nullptr,
-              double stage_ms = 0.0) const;
+              std::size_t evaluation, double best_value) const;
 
-    /** Stage backend config with the pipeline's cache block applied. */
+    /** StageEnd, with the run cache's counters so far when cached. */
+    void emit_stage_end(std::string_view stage, std::size_t evaluation,
+                        double best_value, double stage_ms) const;
+
+    /** Stage backend config, wrapped over the run cache when set. */
     BackendConfig stage_backend_config(std::string kind,
                                        Circuit ansatz) const;
 

@@ -386,17 +386,20 @@ make_pipeline_config(const RunSpec& spec,
     config.tuner.iterations = spec.tune;
     config.tuner.seed = spec.seed + 1;
     config.tuner.backend = spec.tune_backend;
-    config.search_optimizer = optimizer_config(spec.search);
-    config.tuner_optimizer = optimizer_config(spec.tuner);
+    config.search_optimizer = spec.search;
+    config.tuner_optimizer = spec.tuner;
     if (spec.budget > 0) {
         config.stopping.max_evaluations = spec.budget;
     }
     if (spec.target_energy.has_value()) {
         config.stopping.target_value = spec.target_energy;
     }
-    config.cache.enabled = spec.cache || spec.cache_capacity > 0;
-    if (spec.cache_capacity > 0) {
-        config.cache.capacity = spec.cache_capacity;
+    if (spec.cache || spec.cache_capacity > 0) {
+        CacheOptions options;
+        if (spec.cache_capacity > 0) {
+            options.capacity = spec.cache_capacity;
+        }
+        config.cache = std::make_shared<EvaluationCache>(options);
     }
     if (spec.hf_seed) {
         config.search.seed_steps = problem.seed_steps;

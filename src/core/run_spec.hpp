@@ -74,7 +74,9 @@ struct RunSpec
     std::optional<double> target_energy;
     /** Worker threads (0 = the process-wide shared pool). */
     std::size_t threads = 0;
-    /** Memoizing evaluation cache across the stages. */
+    /** Memoizing evaluation cache: one per run, shared by every stage
+     *  (`PipelineConfig::cache`); StageEnd events report its counters
+     *  so far. */
     bool cache = false;
     /** Cache capacity bound (0 = default; nonzero implies `cache`). */
     std::size_t cache_capacity = 0;
@@ -128,7 +130,9 @@ std::vector<RunSpec> parse_run_specs_jsonl(const std::string& text);
 /**
  * The pipeline configuration for a spec over a resolved problem —
  * exactly the wiring the CLI historically applied (tuner seeded with
- * `seed + 1`, seed steps injected when `hf_seed`, ...).
+ * `seed + 1`, seed steps injected when `hf_seed`, ...). A fresh run
+ * cache is allocated only when the spec sets `cache` or
+ * `cache_capacity`.
  */
 PipelineConfig make_pipeline_config(const RunSpec& spec,
                                     const problems::Problem& problem);

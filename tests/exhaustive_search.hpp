@@ -20,7 +20,7 @@ exhaustive_search(const Circuit& ansatz, const VqaObjective& objective,
                           .objective = objective,
                           .search = {.warmup = 0, .iterations = space + 1},
                           .threads = threads,
-                          .search_optimizer = optimizer_config("exhaustive")})
+                          .search_optimizer = "exhaustive"})
         .run_clifford_search();
 }
 

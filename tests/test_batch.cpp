@@ -192,12 +192,12 @@ TEST(RunSpec, PipelineConfigMirrorsTheCliWiring)
     EXPECT_EQ(config.search.seed, 9u);
     EXPECT_EQ(config.tuner.iterations, 20u);
     EXPECT_EQ(config.tuner.seed, 10u); // historical CLI: seed + 1
-    EXPECT_EQ(config.search_optimizer.kind, "anneal");
-    EXPECT_EQ(config.tuner_optimizer.kind, "nelder-mead");
+    EXPECT_EQ(config.search_optimizer, "anneal");
+    EXPECT_EQ(config.tuner_optimizer, "nelder-mead");
     EXPECT_EQ(config.stopping.max_evaluations, 100u);
     EXPECT_DOUBLE_EQ(config.stopping.target_value.value(), -4.5);
-    EXPECT_TRUE(config.cache.enabled); // implied by cache-capacity
-    EXPECT_EQ(config.cache.capacity, 64u);
+    ASSERT_NE(config.cache, nullptr); // implied by cache-capacity
+    EXPECT_EQ(config.cache->capacity(), 64u);
     EXPECT_EQ(config.search.seed_steps, problem.seed_steps);
 
     RunSpec no_seed = spec;

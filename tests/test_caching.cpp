@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 
+#include "common/rng.hpp"
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
 #include "core/batch_runner.hpp"
@@ -45,6 +46,13 @@ cache_on(std::size_t capacity = std::size_t{1} << 16)
     return options;
 }
 
+/** A fresh cache for one pipeline run (`PipelineConfig::cache`). */
+std::shared_ptr<EvaluationCache>
+run_cache()
+{
+    return std::make_shared<EvaluationCache>(cache_on());
+}
+
 PipelineConfig
 h2_config(std::uint64_t seed, const std::string& search_kind = "bayes")
 {
@@ -55,28 +63,43 @@ h2_config(std::uint64_t seed, const std::string& search_kind = "bayes")
     config.search.warmup = 50;
     config.search.iterations = 80;
     config.search.seed = seed;
-    config.search_optimizer = optimizer_config(search_kind);
+    config.search_optimizer = search_kind;
     return config;
 }
 
 TEST(CachingBackend, RegistryComposesByConfigBlock)
 {
+    // The wrapper is told apart by `cache_stats_of`, not by its name:
+    // its kind is the wrapped kind, so it round-trips through the
+    // registry to the same (uncached) backend.
     BackendConfig config;
     config.kind = "clifford";
     config.ansatz = tiny_ansatz();
     config.cache.enabled = true;
     const auto discrete = make_discrete_backend(config);
-    EXPECT_EQ(discrete->kind(), "cached:clifford");
+    EXPECT_TRUE(cache_stats_of(*discrete).has_value());
+    EXPECT_EQ(discrete->kind(), "clifford");
     EXPECT_TRUE(discrete->discrete());
     EXPECT_EQ(discrete->num_params(), 2u);
 
-    config.kind = "statevector";
-    const auto continuous = make_continuous_backend(config);
-    EXPECT_EQ(continuous->kind(), "cached:statevector");
-    EXPECT_FALSE(continuous->discrete());
+    for (const std::string kind : {"statevector", "density"}) {
+        config.kind = kind;
+        const auto continuous = make_backend(config);
+        EXPECT_TRUE(cache_stats_of(*continuous).has_value()) << kind;
+        EXPECT_FALSE(continuous->discrete()) << kind;
+        EXPECT_EQ(continuous->kind(), kind);
+    }
 
-    config.kind = "density";
-    EXPECT_EQ(make_backend(config)->kind(), "cached:density");
+    for (const std::string kind : {"clifford", "statevector", "density"}) {
+        config.kind = kind;
+        const auto cached = make_backend(config);
+        BackendConfig plain;
+        plain.kind = std::string(cached->kind());
+        plain.ansatz = tiny_ansatz();
+        const auto rebuilt = make_backend(plain);
+        EXPECT_EQ(rebuilt->kind(), kind);
+        EXPECT_FALSE(cache_stats_of(*rebuilt).has_value()) << kind;
+    }
 }
 
 TEST(CachingBackend, HitsSkipPreparationAndLruEvictsOldest)
@@ -159,7 +182,7 @@ TEST(CachingBackend, CachedPipelineMatchesUncachedExactlyOnH2)
     const CafqaResult& reference = uncached.run_clifford_search();
 
     PipelineConfig config = h2_config(19);
-    config.cache = cache_on();
+    config.cache = run_cache();
     CafqaPipeline cached(std::move(config));
     const CafqaResult& result = cached.run_clifford_search();
 
@@ -180,7 +203,7 @@ TEST(CachingBackend, CachedPipelineMatchesUncachedExactlyOnLiH)
         config.search.iterations = 40;
         config.search.seed = 5;
         if (with_cache) {
-            config.cache = cache_on();
+            config.cache = run_cache();
         }
         return config;
     };
@@ -201,7 +224,7 @@ TEST(CachingBackend, AnnealingRevisitsHitTheCacheAndStatsReachObserver)
     const CafqaResult& reference = uncached.run_clifford_search();
 
     PipelineConfig config = h2_config(7, "anneal");
-    config.cache = cache_on();
+    config.cache = run_cache();
     CafqaPipeline cached(std::move(config));
 
     std::optional<CacheStats> observed;
@@ -245,7 +268,7 @@ TEST(CachingBackend, DeterministicAcrossThreadCountsWithSharedCache)
     std::vector<CafqaResult> results;
     for (const std::size_t threads : {1u, 4u}) {
         PipelineConfig config = h2_config(11);
-        config.cache = cache_on();
+        config.cache = run_cache();
         config.threads = threads;
         CafqaPipeline pipeline(std::move(config));
         results.push_back(pipeline.run_clifford_search());
@@ -263,7 +286,7 @@ TEST(CachingBackend, CachedVqaTuneMatchesUncached)
         config.search.iterations = 20;
         config.tuner.iterations = 30;
         if (with_cache) {
-            config.cache = cache_on();
+            config.cache = run_cache();
         }
         return config;
     };
@@ -276,6 +299,69 @@ TEST(CachingBackend, CachedVqaTuneMatchesUncached)
     EXPECT_EQ(result.trace, reference.trace);
     EXPECT_DOUBLE_EQ(result.final_value, reference.final_value);
     EXPECT_EQ(result.final_params, reference.final_params);
+}
+
+TEST(CachingBackend, OneRunCacheServesEveryStageBitIdentically)
+{
+    // Search, one T-boost round and a tune over one run cache: every
+    // stage matches the uncached run exactly, and each StageEnd reports
+    // the run cache's counters so far, which never fall.
+    struct Run
+    {
+        CafqaResult search;
+        TBoostResult boost;
+        VqaTuneResult tune;
+        std::vector<CacheStats> stage_stats;
+        std::size_t stage_ends = 0;
+    };
+    const auto run = [](bool cached) {
+        PipelineConfig config = h2_config(17, "anneal");
+        config.search.warmup = 30;
+        config.search.iterations = 30;
+        config.tuner.iterations = 20;
+        if (cached) {
+            config.cache = run_cache();
+        }
+        CafqaPipeline pipeline(std::move(config));
+        Run out;
+        pipeline.set_observer([&out](const PipelineEvent& event) {
+            if (event.event != PipelineEvent::Kind::StageEnd) {
+                return;
+            }
+            ++out.stage_ends;
+            if (event.cache != nullptr) {
+                out.stage_stats.push_back(*event.cache);
+            }
+        });
+        out.search = pipeline.run_clifford_search();
+        out.boost = pipeline.run_t_boost(1);
+        out.tune = pipeline.run_vqa_tune();
+        return out;
+    };
+
+    const Run plain = run(false);
+    const Run cached = run(true);
+
+    EXPECT_EQ(cached.search.history, plain.search.history);
+    EXPECT_EQ(cached.search.best_steps, plain.search.best_steps);
+    EXPECT_EQ(cached.boost.t_positions, plain.boost.t_positions);
+    EXPECT_EQ(cached.boost.best_steps, plain.boost.best_steps);
+    EXPECT_EQ(cached.boost.best_objective, plain.boost.best_objective);
+    EXPECT_EQ(cached.boost.best_energy, plain.boost.best_energy);
+    EXPECT_EQ(cached.tune.trace, plain.tune.trace);
+    EXPECT_EQ(cached.tune.final_params, plain.tune.final_params);
+
+    EXPECT_EQ(plain.stage_ends, 3u);
+    EXPECT_TRUE(plain.stage_stats.empty());
+    ASSERT_EQ(cached.stage_stats.size(), 3u);
+    for (std::size_t stage = 1; stage < 3; ++stage) {
+        const CacheStats& before = cached.stage_stats[stage - 1];
+        const CacheStats& after = cached.stage_stats[stage];
+        EXPECT_GE(after.hits, before.hits) << "stage " << stage;
+        EXPECT_GE(after.misses, before.misses) << "stage " << stage;
+    }
+    EXPECT_GT(cached.stage_stats.back().misses,
+              cached.stage_stats.front().misses);
 }
 
 TEST(CachingBackend, ConcurrentClonesShareOneCacheCorrectly)

@@ -1,6 +1,7 @@
 // Tests for the CafqaPipeline facade: parity with a serial Bayesian
-// search, determinism across thread counts, observer events, staged
-// execution, and the exhaustive-search fan-out.
+// search, the mapping from stage budgets to every strategy's config,
+// determinism across thread counts, observer events, staged execution,
+// and the exhaustive-search fan-out.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
 #include "exhaustive_search.hpp"
+#include "opt/optimizer_registry.hpp"
 #include "problems/molecule_factory.hpp"
+#include "problems/problem.hpp"
 #include "statevector/lanczos.hpp"
 
 namespace cafqa {
@@ -62,6 +65,130 @@ TEST(CafqaPipeline, BatchedWarmupMatchesSerialBayesOpt)
     EXPECT_EQ(result.best_steps, reference.best_config);
     EXPECT_DOUBLE_EQ(result.best_objective, reference.best_value);
     EXPECT_EQ(result.evaluations_to_best, reference.evaluations_to_best);
+}
+
+TEST(CafqaPipeline, SearchStrategyConfigIsTheStageBudget)
+{
+    // Every discrete strategy, at a zero and a nonzero stage seed, must
+    // run exactly as a bare optimizer built from the config written out
+    // by hand: the stage seed as the registry seed and the "bayes"
+    // seed, the budget as the "bayes" warm-up/model split, and the
+    // prior seeds plus the budget as every other strategy's cap.
+    const problems::Problem problem =
+        problems::make_problem("molecule:H2?bond=2.2");
+    ASSERT_FALSE(problem.seed_steps.empty());
+    const std::vector<PauliSum> observables =
+        problem.objective.gather_observables();
+    constexpr std::size_t kWarmup = 20;
+    constexpr std::size_t kIterations = 30;
+
+    std::vector<std::string> kinds = registered_discrete_optimizers();
+    kinds.push_back("portfolio:anneal+random");
+    for (const std::string& kind : kinds) {
+        for (const std::uint64_t seed : {0u, 11u}) {
+            SCOPED_TRACE(kind + " seed " + std::to_string(seed));
+            PipelineConfig config;
+            config.ansatz = problem.ansatz;
+            config.objective = problem.objective;
+            config.search = {.warmup = kWarmup,
+                             .iterations = kIterations,
+                             .seed = seed,
+                             .seed_steps = problem.seed_steps};
+            config.search_optimizer = kind;
+            CafqaPipeline pipeline(std::move(config));
+            const CafqaResult& staged = pipeline.run_clifford_search();
+
+            OptimizerConfig by_hand = optimizer_config(kind);
+            by_hand.seed = seed;
+            by_hand.bayes.warmup = kWarmup;
+            by_hand.bayes.iterations = kIterations;
+            by_hand.bayes.seed = seed;
+            StoppingCriteria criteria;
+            if (kind != "bayes") {
+                criteria.max_evaluations =
+                    problem.seed_steps.size() + kWarmup + kIterations;
+            }
+            const auto objective = [&](CliffordEvaluator& evaluator,
+                                       const std::vector<int>& steps) {
+                evaluator.prepare(steps);
+                return problem.objective.combine(
+                    evaluator.expectations(observables));
+            };
+            CliffordEvaluator evaluator(problem.ansatz);
+            SearchContext context;
+            context.seed_configs = problem.seed_steps;
+            context.objective_factory = [&]() -> DiscreteObjective {
+                auto own = std::make_shared<CliffordEvaluator>(problem.ansatz);
+                return [&objective, own](const std::vector<int>& steps) {
+                    return objective(*own, steps);
+                };
+            };
+            const OptimizeOutcome bare =
+                make_discrete_optimizer(by_hand)->minimize(
+                    [&](const std::vector<int>& steps) {
+                        return objective(evaluator, steps);
+                    },
+                    clifford_search_space(problem.ansatz), criteria,
+                    context);
+
+            EXPECT_EQ(staged.history, bare.history);
+            EXPECT_EQ(staged.best_steps, bare.best_config);
+        }
+    }
+}
+
+TEST(CafqaPipeline, TuneStrategyConfigIsTheTunerBudget)
+{
+    // The "spsa" tune runs `tuner.iterations` steps from `tuner.seed`
+    // with the pipeline's fixed gains; any other tuner is capped at
+    // `tuner.iterations` evaluations.
+    const problems::Problem problem =
+        problems::make_problem("molecule:H2?bond=2.2");
+    const std::vector<PauliSum> observables =
+        problem.objective.gather_observables();
+    const std::vector<double> start =
+        steps_to_angles(problem.seed_steps.front());
+    constexpr std::size_t kIterations = 12;
+
+    for (const std::string kind : {"spsa", "nelder-mead"}) {
+        for (const std::uint64_t seed : {0u, 11u}) {
+            SCOPED_TRACE(kind + " seed " + std::to_string(seed));
+            PipelineConfig config;
+            config.ansatz = problem.ansatz;
+            config.objective = problem.objective;
+            config.tuner.iterations = kIterations;
+            config.tuner.seed = seed;
+            config.tuner_optimizer = kind;
+            CafqaPipeline pipeline(std::move(config));
+            const VqaTuneResult& staged = pipeline.run_vqa_tune(start);
+
+            OptimizerConfig by_hand = optimizer_config(kind);
+            by_hand.seed = seed;
+            by_hand.spsa = {.iterations = kIterations,
+                            .a = 2.0,
+                            .c = 0.2,
+                            .alpha = 0.602,
+                            .gamma = 0.101,
+                            .stability = 20.0,
+                            .seed = seed};
+            StoppingCriteria criteria;
+            if (kind != "spsa") {
+                criteria.max_evaluations = kIterations;
+            }
+            IdealEvaluator evaluator(problem.ansatz);
+            const OptimizeOutcome bare =
+                make_continuous_optimizer(by_hand)->minimize(
+                    [&](const std::vector<double>& params) {
+                        evaluator.prepare(params);
+                        return problem.objective.combine(
+                            evaluator.expectations(observables));
+                    },
+                    start, criteria);
+
+            EXPECT_EQ(staged.trace, bare.history);
+            EXPECT_EQ(staged.final_params, bare.best_x);
+        }
+    }
 }
 
 TEST(CafqaPipeline, DeterministicAcrossThreadCounts)
@@ -220,8 +347,8 @@ TEST(CafqaPipeline, AnySearchTunerRegistryPairRunsEndToEnd)
             config.objective = objective;
             config.search = small_budget(37);
             config.tuner.iterations = 25;
-            config.search_optimizer = optimizer_config(search);
-            config.tuner_optimizer = optimizer_config(tuner);
+            config.search_optimizer = search;
+            config.tuner_optimizer = tuner;
             CafqaPipeline pipeline(std::move(config));
 
             const CafqaResult& found = pipeline.run_clifford_search();
@@ -254,7 +381,7 @@ TEST(CafqaPipeline, SearchStrategiesAgreeOnSmallProblem)
         config.search.warmup = budget / 2;
         config.search.iterations = budget - budget / 2;
         config.search.seed = 11;
-        config.search_optimizer = optimizer_config(kind);
+        config.search_optimizer = kind;
         CafqaPipeline pipeline(std::move(config));
         return pipeline.run_clifford_search().best_objective;
     };
