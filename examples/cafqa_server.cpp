@@ -13,7 +13,8 @@
  *
  * Defaults: TCP on 127.0.0.1 with an ephemeral port (printed on
  * stdout as `listening on 127.0.0.1:PORT`), 2 workers, queue of 1024,
- * shared cache on. A Unix-domain server prints
+ * shared cache on with room for 8192 entries (`kServerCacheCapacity`).
+ * A Unix-domain server prints
  * `listening on PATH` instead. The protocol grammar lives in
  * `src/server/protocol.hpp` and the README's Serving section.
  */
@@ -36,7 +37,10 @@ fail(const std::string& message)
     std::cerr << "cafqa_server: " << message << '\n'
               << "usage: cafqa_server [--unix PATH | --host ADDR "
                  "--port N] [--workers N] [--queue N] [--run-threads N]"
-                 " [--cache-capacity N] [--no-cache]\n";
+                 " [--cache-capacity N] [--no-cache]\n"
+              << "  --cache-capacity N  shared evaluation-cache entries "
+                 "(default "
+              << cafqa::server::kServerCacheCapacity << ")\n";
     std::exit(1);
 }
 

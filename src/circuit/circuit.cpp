@@ -1,5 +1,6 @@
 #include "circuit/circuit.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <sstream>
@@ -240,6 +241,21 @@ Circuit::append(const Circuit& other)
         ops_.push_back(op);
     }
     num_params_ += other.num_params_;
+}
+
+void
+Circuit::push(const GateOp& op)
+{
+    check_qubit(op.q0);
+    if (is_two_qubit(op.kind)) {
+        check_qubit(op.q1);
+        CAFQA_REQUIRE(op.q0 != op.q1, "two-qubit gate operands equal");
+    }
+    if (op.param >= 0) {
+        num_params_ = std::max(num_params_,
+                               static_cast<std::size_t>(op.param) + 1);
+    }
+    ops_.push_back(op);
 }
 
 bool

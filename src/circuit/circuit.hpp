@@ -60,7 +60,6 @@ class Circuit
     std::size_t num_qubits() const { return num_qubits_; }
     std::size_t num_params() const { return num_params_; }
     const std::vector<GateOp>& ops() const { return ops_; }
-    std::vector<GateOp>& mutable_ops() { return ops_; }
 
     void h(std::size_t q);
     void x(std::size_t q);
@@ -101,6 +100,11 @@ class Circuit
 
     /** Append another circuit's gates (parameter slots are shifted). */
     void append(const Circuit& other);
+
+    /** Append one gate as given: a parameterized gate keeps its slot
+     *  index, and `num_params()` grows to cover that slot (the way to
+     *  rebuild a circuit gate by gate with its slots intact). */
+    void push(const GateOp& op);
 
     /**
      * True if every gate is Clifford given the parameter values: fixed

@@ -176,7 +176,9 @@ execute_run_spec(const RunSpec& spec, const problems::Problem& problem,
     record.stop_reason =
         to_string(pipeline.clifford_result().stop_reason);
     if (spec.exact && !is_cancelled()) {
-        record.exact_energy = problem.exact_energy();
+        record.exact_energy = context.exact_memo
+                                  ? context.exact_memo->exact_energy(problem)
+                                  : problem.exact_energy();
     }
     if (record.exact_energy.has_value()) {
         // Evals-to-chemical-accuracy, read off the recorded best trace

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/exact_memo.hpp"
 #include "core/pipeline.hpp"
 #include "core/run_spec.hpp"
 #include "problems/problem.hpp"
@@ -115,14 +116,19 @@ struct RunContext
      *  field says), so jobs on the same problem share materialized
      *  evaluations process-wide. */
     std::shared_ptr<EvaluationCache> shared_cache;
+    /** Cross-run exact-energy memo (the job server's): when set, the
+     *  record's exact reference comes from it instead of a solve of this
+     *  run's own (same value, same error text). */
+    std::shared_ptr<ExactEnergyMemo> exact_memo;
 };
 
 /**
  * Execute one spec end to end: resolve the problem, run the discrete
  * search, the optional T-boost and the optional continuous tuning, and
  * collect the record. Throws on failure (the batch runner catches and
- * records instead). `context` carries the observer, cancel token and
- * shared cache; the default reproduces a plain solo run.
+ * records instead). `context` carries the observer, cancel token,
+ * shared cache and exact-energy memo; the default reproduces a plain
+ * solo run.
  */
 RunRecord execute_run_spec(const RunSpec& spec,
                            const RunContext& context = {});

@@ -150,7 +150,7 @@ CliffordTEvaluator::CliffordTEvaluator(Circuit ansatz_with_t)
     for (const auto& op : original_.ops()) {
         if (op.kind != GateKind::T && op.kind != GateKind::Tdg) {
             for (auto& branch : branches_) {
-                branch.circuit.mutable_ops().push_back(op);
+                branch.circuit.push(op);
             }
             continue;
         }
@@ -166,16 +166,12 @@ CliffordTEvaluator::CliffordTEvaluator(Circuit ansatz_with_t)
 
             Branch s_branch = branch;
             s_branch.amplitude *= b;
-            s_branch.circuit.mutable_ops().push_back(GateOp{
+            s_branch.circuit.push(GateOp{
                 dagger ? GateKind::Sdg : GateKind::S, op.q0, 0, -1, 0.0});
             expanded.push_back(std::move(s_branch));
         }
         branches_ = std::move(expanded);
     }
-
-    // Branch circuits keep the original's parameter slot indices; gates
-    // are applied individually in prepare(), so the per-branch
-    // num_params metadata is never consulted.
 }
 
 void

@@ -259,11 +259,10 @@ with_t_after_slot(const Circuit& ansatz, std::size_t slot)
 {
     Circuit out(ansatz.num_qubits());
     for (const auto& op : ansatz.ops()) {
-        out.mutable_ops().push_back(op);
+        out.push(op);
         if (is_rotation(op.kind) && op.param >= 0 &&
             static_cast<std::size_t>(op.param) == slot) {
-            out.mutable_ops().push_back(
-                GateOp{GateKind::T, op.q0, 0, -1, 0.0});
+            out.push(GateOp{GateKind::T, op.q0, 0, -1, 0.0});
         }
     }
     return out;

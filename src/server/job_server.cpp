@@ -722,6 +722,7 @@ JobServer::process_job(Job& job)
     RunContext context;
     context.cancel = job.cancel;
     context.shared_cache = cache_;
+    context.exact_memo = exact_memo_;
 
     RunRecord record;
     try {

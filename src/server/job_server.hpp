@@ -3,9 +3,11 @@
  * The CAFQA job server — the north-star serving daemon. One process
  * owns a listening socket (TCP loopback or Unix-domain), a bounded
  * client-fair job queue, a pool of worker threads executing `RunSpec`s
- * through `execute_run_spec`, and ONE process-wide evaluation cache
- * that every job shares (config-hash-salted keys, so distinct problems
- * never alias while repeated problems hit each other's entries).
+ * through `execute_run_spec`, ONE process-wide evaluation cache that
+ * every job shares (config-hash-salted keys, so distinct problems never
+ * alias while repeated problems hit each other's entries), and ONE
+ * exact-energy memo (`core/exact_memo.hpp`), so each problem's exact
+ * reference is solved once per process rather than once per job.
  *
  * Threads: one I/O thread plus the workers, whatever the connection
  * count. The I/O thread polls the listen socket, a wake pipe and every
@@ -54,11 +56,15 @@
 
 #include "common/thread_safety.hpp"
 #include "core/caching_backend.hpp"
+#include "core/exact_memo.hpp"
 #include "server/job_queue.hpp"
 #include "server/protocol.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace cafqa::server {
+
+/** Default entry bound of the server's shared evaluation cache. */
+inline constexpr std::size_t kServerCacheCapacity = 8192;
 
 /** Daemon configuration. */
 struct ServerOptions
@@ -91,8 +97,13 @@ struct ServerOptions
     /** Process-wide shared evaluation cache. `enabled` here means
      *  "give the server one cross-job cache"; capacity bounds its
      *  residency. Disabled, each job falls back to whatever its own
-     *  spec asked for. */
-    CacheOptions cache{.enabled = true};
+     *  spec asked for. The default bound (`kServerCacheCapacity`)
+     *  keeps the cache under about 2 MB: an entry costs 150-240 B
+     *  resident with its key, LRU node and index slot, and the cache
+     *  fills with every job the server completes, so without a tight
+     *  bound its size tracks throughput rather than the number of
+     *  distinct problems. */
+    CacheOptions cache{.enabled = true, .capacity = kServerCacheCapacity};
 };
 
 class JobServer
@@ -205,6 +216,8 @@ class JobServer
 
     JobQueue queue_;
     std::shared_ptr<EvaluationCache> cache_;
+    std::shared_ptr<ExactEnergyMemo> exact_memo_ =
+        std::make_shared<ExactEnergyMemo>();
     Telemetry metrics_;
 
     /** The I/O thread and the workers. */

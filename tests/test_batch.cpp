@@ -1,16 +1,27 @@
-// RunSpec (parse/serialize round-trip, bad-spec rejection) and
+// RunSpec (parse/serialize round-trip, bad-spec rejection),
 // BatchRunner (concurrent execution equals solo execution, observer
-// fan-in, per-run error capture) tests.
+// fan-in, per-run error capture) and ExactEnergyMemo (one solve per
+// key, memoized errors, LRU bound) tests.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <latch>
 #include <map>
 #include <memory>
+#include <new>
+#include <optional>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/error.hpp"
 #include "core/batch_runner.hpp"
+#include "core/exact_memo.hpp"
 #include "core/run_spec.hpp"
 
 namespace cafqa {
@@ -206,6 +217,26 @@ TEST(RunSpec, PipelineConfigMirrorsTheCliWiring)
                     .search.seed_steps.empty());
 }
 
+TEST(RunSpec, TBoostedCircuitKeepsItsParametersForTheTune)
+{
+    // Regression: the T-boosted circuit was rebuilt gate by gate without
+    // its parameter count, so once a T gate was accepted the tune
+    // failed "initial parameter count mismatch".
+    const RunSpec spec = RunSpec::parse(
+        "problem=molecule:H2?bond=2.2 search=anneal seed=0 max-t=1 "
+        "tune=20 warmup=30 iterations=30");
+    const auto problem = problems::make_problem(spec.problem);
+    CafqaPipeline pipeline(make_pipeline_config(spec, problem));
+    ASSERT_EQ(pipeline.run_t_boost(1).t_positions.size(), 1u);
+    EXPECT_EQ(pipeline.best_circuit().num_params(),
+              problem.ansatz.num_params());
+
+    const RunRecord record = execute_run_spec(spec, problem);
+    EXPECT_TRUE(record.ok) << record.error;
+    EXPECT_EQ(record.t_gates, 1u);
+    EXPECT_TRUE(record.tuned_value.has_value());
+}
+
 /** The four-family batch used by the concurrency regression tests. */
 std::vector<RunSpec>
 sample_specs()
@@ -358,6 +389,137 @@ TEST(BatchRunner, CancelWithTBoostRequestedKeepsCliffordBest)
     EXPECT_TRUE(std::isfinite(record.best_objective));
     EXPECT_NE(record.to_json().find("\"cancelled\":true"),
               std::string::npos);
+}
+
+// ------------------------------------------------------ exact memo
+
+/** A small spec whose record asks for the exact reference. */
+const RunSpec&
+memo_spec()
+{
+    static const RunSpec spec =
+        RunSpec::parse("problem=tfim:chain-4 warmup=4 iterations=4");
+    return spec;
+}
+
+/** tfim:chain-4 with its exact solve replaced by `solver`; every call
+ *  is counted in `calls`. */
+problems::Problem
+problem_with_solver(std::atomic<int>& calls,
+                    std::function<std::optional<double>()> solver)
+{
+    problems::Problem problem = problems::make_problem(memo_spec().problem);
+    problem.exact_solver = [&calls, solver = std::move(solver)] {
+        calls.fetch_add(1);
+        return solver();
+    };
+    return problem;
+}
+
+TEST(ExactEnergyMemo, ConcurrentFirstRequestsRunOneSolve)
+{
+    std::atomic<int> calls{0};
+    const problems::Problem problem =
+        problem_with_solver(calls, [] {
+            // Long enough that the other requests arrive while it runs.
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            return std::optional<double>(-42.5);
+        });
+    RunContext context;
+    context.exact_memo = std::make_shared<ExactEnergyMemo>();
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<RunRecord> records(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const problems::Problem own = problem; // per-run copy
+            start.arrive_and_wait();
+            records[t] = execute_run_spec(memo_spec(), own, context);
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(calls.load(), 1);
+    for (const RunRecord& record : records) {
+        EXPECT_TRUE(record.ok) << record.error;
+        EXPECT_EQ(record.exact_energy, std::optional<double>(-42.5));
+    }
+}
+
+TEST(ExactEnergyMemo, SolverErrorIsMemoizedWithItsText)
+{
+    std::atomic<int> calls{0};
+    const problems::Problem problem =
+        problem_with_solver(calls, []() -> std::optional<double> {
+            throw CafqaError("exact solve did not converge: test");
+        });
+    const auto error_of = [&](const RunContext& context) {
+        try {
+            execute_run_spec(memo_spec(), problems::Problem(problem),
+                             context);
+        } catch (const CafqaError& error) {
+            return std::string(error.what());
+        }
+        ADD_FAILURE() << "the run did not throw a CafqaError";
+        return std::string();
+    };
+    const std::string solo = error_of(RunContext{});
+    EXPECT_EQ(calls.load(), 1);
+
+    RunContext context;
+    context.exact_memo = std::make_shared<ExactEnergyMemo>();
+    for (int run = 0; run < 3; ++run) {
+        EXPECT_EQ(error_of(context), solo);
+    }
+    EXPECT_EQ(calls.load(), 2); // one solo solve, one memoized solve
+}
+
+TEST(ExactEnergyMemo, OtherExceptionsAreNotMemoized)
+{
+    std::atomic<int> calls{0};
+    const problems::Problem problem =
+        problem_with_solver(calls, [&calls]() -> std::optional<double> {
+            if (calls.load() == 1) {
+                throw std::bad_alloc();
+            }
+            return -1.0;
+        });
+    ExactEnergyMemo memo;
+    EXPECT_THROW(memo.exact_energy(problem), std::bad_alloc);
+    EXPECT_EQ(memo.exact_energy(problem), std::optional<double>(-1.0));
+    EXPECT_EQ(memo.exact_energy(problem), std::optional<double>(-1.0));
+    EXPECT_EQ(calls.load(), 2); // the failed solve, then one memoized
+}
+
+TEST(ExactEnergyMemo, EvictsTheLeastRecentlyUsedKeyAtItsBound)
+{
+    std::atomic<int> calls{0};
+    const problems::Problem problem = problem_with_solver(
+        calls, [] { return std::optional<double>(-2.0); });
+    const auto solve = [&problem](ExactEnergyMemo& memo, std::size_t key) {
+        problems::Problem keyed = problem;
+        keyed.key = "k" + std::to_string(key);
+        memo.exact_energy(keyed);
+    };
+    constexpr int kBound = static_cast<int>(kExactMemoEntries);
+
+    ExactEnergyMemo memo;
+    for (std::size_t key = 0; key < kExactMemoEntries; ++key) {
+        solve(memo, key);
+    }
+    EXPECT_EQ(calls.load(), kBound);
+    solve(memo, 0); // hit: k0 is now the newest, k1 the oldest
+    EXPECT_EQ(calls.load(), kBound);
+    solve(memo, kExactMemoEntries); // one past the bound: evicts k1
+    EXPECT_EQ(calls.load(), kBound + 1);
+    solve(memo, 0);
+    solve(memo, 2);
+    EXPECT_EQ(calls.load(), kBound + 1);
+    solve(memo, 1); // solved again
+    EXPECT_EQ(calls.load(), kBound + 2);
 }
 
 } // namespace

@@ -60,6 +60,35 @@ TEST(Circuit, AppendShiftsParameterSlots)
     EXPECT_THROW(a.append(wrong), std::invalid_argument);
 }
 
+TEST(Circuit, PushKeepsSlotsAndCountsThem)
+{
+    Circuit source(2);
+    source.ry_param(0);
+    source.t(0);
+    source.rz_param(1);
+    source.cx(0, 1);
+    Circuit copy(2);
+    for (const GateOp& op : source.ops()) {
+        copy.push(op);
+    }
+    EXPECT_EQ(copy.num_params(), source.num_params());
+    EXPECT_EQ(copy.to_string(), source.to_string());
+
+    // A slot beyond the count grows it to cover the slot; fixed gates
+    // take none.
+    Circuit sparse(2);
+    sparse.push(GateOp{GateKind::Rx, 1, 0, 4, 0.0});
+    sparse.push(GateOp{GateKind::S, 0, 0, -1, 0.0});
+    EXPECT_EQ(sparse.num_params(), 5u);
+
+    EXPECT_THROW(sparse.push(GateOp{GateKind::H, 2, 0, -1, 0.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(sparse.push(GateOp{GateKind::CX, 0, 2, -1, 0.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(sparse.push(GateOp{GateKind::CZ, 1, 1, -1, 0.0}),
+                 std::invalid_argument);
+}
+
 TEST(Circuit, Validation)
 {
     Circuit c(2);

@@ -489,6 +489,15 @@ TEST(JobServerEndToEnd, RecordsMatchSoloRuns)
                        "iterations=4 warm-start=0,0,1,3,0,2,0,0"),
         RunSpec::parse("problem=maxcut:ring-6 search=tempering warmup=8 "
                        "iterations=8"),
+        // One problem under two searches: the second job reads the
+        // exact energy the first one left in the server's memo.
+        RunSpec::parse("problem=tfim:chain-5?h=0.7 search=anneal "
+                       "warmup=8 iterations=8"),
+        RunSpec::parse("problem=tfim:chain-5?h=0.7 search=tempering "
+                       "warmup=8 iterations=8"),
+        // A T-boosted circuit that accepts its T gate, then tuned.
+        RunSpec::parse("problem=molecule:H2?bond=2.2 search=anneal seed=0 "
+                       "max-t=1 tune=20 warmup=30 iterations=30"),
     };
     // Each spec twice: the repeat reads what the first run left in the
     // shared cache.
@@ -515,6 +524,48 @@ TEST(JobServerEndToEnd, RecordsMatchSoloRuns)
         EXPECT_EQ(strip(served[i]), solo);
         EXPECT_EQ(strip(served[i + specs.size()]), solo);
     }
+}
+
+TEST(JobServerEndToEnd, ExactMemoSolvesEachProblemOnce)
+{
+    ServerOptions options;
+    options.workers = 2;
+    JobServer server(options);
+    server.start();
+    auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+
+    // The registry is process-wide and accumulates across tests: compare
+    // the counts around the four jobs.
+    const auto memo_counts = [&client] {
+        client.send_line(metrics_line());
+        const Event scrape = read_until(client, "metrics");
+        const auto count = [&scrape](const std::string& result) {
+            return cafqa::telemetry::find_prometheus_sample(
+                       scrape.prometheus,
+                       "cafqa_exact_memo_total{result=\"" + result + "\"}")
+                .value_or(0.0);
+        };
+        return std::pair{count("miss"), count("hit")};
+    };
+    const auto [misses_before, hits_before] = memo_counts();
+    for (int seed = 0; seed < 4; ++seed) {
+        client.send_line(submit_line(
+            "m" + std::to_string(seed),
+            RunSpec::parse("problem=xxz:chain-5?delta=0.3 warmup=4 "
+                           "iterations=4 seed=" + std::to_string(seed))));
+    }
+    // Two workers may finish out of order: take the results as they come.
+    for (int job = 0; job < 4; ++job) {
+        const Event result = read_until(client, "result");
+        EXPECT_NE(result.record_json.find("\"exact_energy\""),
+                  std::string::npos) << result.record_json;
+    }
+    const auto [misses_after, hits_after] = memo_counts();
+    EXPECT_EQ(misses_after - misses_before, 1.0);
+    EXPECT_EQ(hits_after - hits_before, 3.0);
+
+    server.shutdown(true);
+    server.wait();
 }
 
 TEST(JobServerEndToEnd, CancelMidRunKeepsBestSoFar)
