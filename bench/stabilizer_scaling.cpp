@@ -35,6 +35,7 @@
 namespace cafqa::bench {
 namespace {
 
+using reference::reference_expectation;
 using reference::Tableau;
 
 double sink = 0.0; // defeats dead-code elimination across timed calls
@@ -66,20 +67,6 @@ time_us(F&& fn, double min_ms)
     }
 }
 
-/** Legacy reference path: per-term row-based evaluation. */
-double
-legacy_energy(const Tableau& tableau, const PauliSum& op)
-{
-    double total = 0.0;
-    for (const auto& term : op.terms()) {
-        const int e = tableau.expectation(term.string);
-        if (e != 0) {
-            total += term.coefficient.real() * e;
-        }
-    }
-    return total;
-}
-
 struct EvalRow
 {
     std::string name;
@@ -88,7 +75,6 @@ struct EvalRow
     std::size_t groups = 0;
     double legacy_us = 0.0;
     double packed_us = 0.0;
-    double parallel_us = 0.0; ///< 0 when not measured
     double speedup() const { return legacy_us / packed_us; }
 };
 
@@ -119,7 +105,7 @@ struct PipelineRow
 EvalRow
 compare_eval(const std::string& name, const Circuit& circuit,
              const std::vector<int>& steps, const PauliSum& op,
-             double min_ms, bool measure_parallel)
+             double min_ms)
 {
     Tableau legacy(circuit.num_qubits());
     replay_circuit_steps(legacy, circuit, steps);
@@ -127,7 +113,7 @@ compare_eval(const std::string& name, const Circuit& circuit,
     replay_circuit_steps(packed, circuit, steps);
 
     const StabilizerExpectationEngine engine(op);
-    const double reference = legacy_energy(legacy, op);
+    const double reference = reference_expectation(legacy, op);
     const double batched = engine.expectation(packed);
     if (batched != reference) {
         throw std::logic_error("packed energy diverges from legacy on " +
@@ -139,19 +125,10 @@ compare_eval(const std::string& name, const Circuit& circuit,
     row.qubits = circuit.num_qubits();
     row.terms = op.num_terms();
     row.groups = engine.num_groups();
-    row.legacy_us = time_us([&] { sink += legacy_energy(legacy, op); },
-                            min_ms);
+    row.legacy_us = time_us(
+        [&] { sink += reference_expectation(legacy, op); }, min_ms);
     row.packed_us =
         time_us([&] { sink += engine.expectation(packed); }, min_ms);
-    if (measure_parallel && ThreadPool::shared().size() > 1) {
-        ThreadPool& pool = ThreadPool::shared();
-        if (engine.expectation(packed, pool) != reference) {
-            throw std::logic_error(
-                "parallel energy diverges from legacy on " + name);
-        }
-        row.parallel_us = time_us(
-            [&] { sink += engine.expectation(packed, pool); }, min_ms);
-    }
     return row;
 }
 
@@ -259,7 +236,7 @@ class LegacyCliffordEvaluator final : public DiscreteBackend
         if (!tableau_) {
             throw std::invalid_argument("prepare() has not been called");
         }
-        return legacy_energy(*tableau_, op);
+        return reference_expectation(*tableau_, op);
     }
 
     std::unique_ptr<Backend> clone() const override
@@ -332,8 +309,7 @@ write_json(const std::string& path, bool quick,
             << r.qubits << ", \"terms\": " << r.terms
             << ", \"groups\": " << r.groups << ", \"legacy_us\": "
             << json_escape_number(r.legacy_us) << ", \"packed_us\": "
-            << json_escape_number(r.packed_us) << ", \"parallel_us\": "
-            << json_escape_number(r.parallel_us) << ", \"speedup\": "
+            << json_escape_number(r.packed_us) << ", \"speedup\": "
             << json_escape_number(r.speedup()) << "}"
             << (i + 1 < evals.size() ? "," : "") << "\n";
     }
@@ -403,7 +379,7 @@ run(int argc, char** argv)
             name, info.equilibrium_bond_length);
         const auto steps = random_steps(system.ansatz.num_params(), rng);
         evals.push_back(compare_eval(name, system.ansatz, steps,
-                                     system.hamiltonian, min_ms, false));
+                                     system.hamiltonian, min_ms));
         gates.push_back(
             compare_gates(name, system.ansatz, steps, min_ms));
     }
@@ -416,8 +392,7 @@ run(int argc, char** argv)
         const PauliSum op = random_hamiltonian(n, 4 * n, rng);
         const std::string name =
             "random-" + std::to_string(n) + "q";
-        evals.push_back(compare_eval(name, circuit, {}, op, min_ms,
-                                     n >= 128));
+        evals.push_back(compare_eval(name, circuit, {}, op, min_ms));
         gates.push_back(compare_gates(name, circuit, {}, min_ms));
     }
 
@@ -427,7 +402,7 @@ run(int argc, char** argv)
         const Circuit ansatz = problems::make_qaoa_ansatz(ring, 2);
         const auto steps = random_steps(ansatz.num_params(), rng);
         evals.push_back(compare_eval("maxcut-ring-64", ansatz, steps,
-                                     ring.hamiltonian, min_ms, false));
+                                     ring.hamiltonian, min_ms));
     }
     {
         const auto graph =
@@ -435,7 +410,7 @@ run(int argc, char** argv)
         const Circuit ansatz = problems::make_qaoa_ansatz(graph, 2);
         const auto steps = random_steps(ansatz.num_params(), rng);
         evals.push_back(compare_eval("maxcut-er-256", ansatz, steps,
-                                     graph.hamiltonian, min_ms, true));
+                                     graph.hamiltonian, min_ms));
     }
 
     // ---- End-to-end Clifford-search stage, legacy vs packed backend.
@@ -454,15 +429,12 @@ run(int argc, char** argv)
     // ---- Report.
     Table eval_table("Batched Pauli-sum evaluation (one prepared state)");
     eval_table.set_header({"case", "qubits", "terms", "groups",
-                           "legacy us", "packed us", "parallel us",
-                           "speedup"});
+                           "legacy us", "packed us", "speedup"});
     for (const EvalRow& r : evals) {
         eval_table.add_row(
             {r.name, std::to_string(r.qubits), std::to_string(r.terms),
              std::to_string(r.groups), Table::num(r.legacy_us, 2),
-             Table::num(r.packed_us, 2),
-             r.parallel_us > 0 ? Table::num(r.parallel_us, 2) : "-",
-             Table::num(r.speedup(), 1) + "x"});
+             Table::num(r.packed_us, 2), Table::num(r.speedup(), 1) + "x"});
     }
     eval_table.print(std::cout);
 

@@ -18,40 +18,32 @@ namespace {
 Registry<BackendFactory>&
 backend_registry()
 {
-    static Registry<BackendFactory> registry = [] {
-        const BackendFactory clifford = [](const BackendConfig& config) {
-            return std::make_unique<CliffordEvaluator>(config.ansatz);
-        };
-        return Registry<BackendFactory>(
-            "backend kind", "",
-            {
-                {"clifford", clifford},
-                // Alias: the paper calls the search-stage evaluator "the
-                // stabilizer simulator"; kind() still reports the
-                // concrete "clifford" type (same convention as custom
-                // registrations).
-                {"stabilizer", clifford},
-                {"clifford_t",
-                 [](const BackendConfig& config) {
-                     return std::make_unique<CliffordTEvaluator>(
-                         config.ansatz);
-                 }},
-                {"statevector",
-                 [](const BackendConfig& config) {
-                     return std::make_unique<IdealEvaluator>(config.ansatz);
-                 }},
-                {"density",
-                 [](const BackendConfig& config) {
-                     return std::make_unique<NoisyEvaluator>(config.ansatz,
-                                                             config.noise);
-                 }},
-                {"sampled",
-                 [](const BackendConfig& config) {
-                     return std::make_unique<SampledEvaluator>(
-                         config.ansatz, config.shots, config.seed);
-                 }},
-            });
-    }();
+    static Registry<BackendFactory> registry(
+        "backend kind", "",
+        {
+            {"clifford",
+             [](const BackendConfig& config) {
+                 return std::make_unique<CliffordEvaluator>(config.ansatz);
+             }},
+            {"clifford_t",
+             [](const BackendConfig& config) {
+                 return std::make_unique<CliffordTEvaluator>(config.ansatz);
+             }},
+            {"statevector",
+             [](const BackendConfig& config) {
+                 return std::make_unique<IdealEvaluator>(config.ansatz);
+             }},
+            {"density",
+             [](const BackendConfig& config) {
+                 return std::make_unique<NoisyEvaluator>(config.ansatz,
+                                                         config.noise);
+             }},
+            {"sampled",
+             [](const BackendConfig& config) {
+                 return std::make_unique<SampledEvaluator>(
+                     config.ansatz, config.shots, config.seed);
+             }},
+        });
     return registry;
 }
 

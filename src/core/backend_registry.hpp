@@ -10,7 +10,6 @@
  * | key           | class              | domain     | extra config    |
  * |---------------|--------------------|------------|-----------------|
  * | "clifford"    | CliffordEvaluator  | discrete   | -               |
- * | "stabilizer"  | (alias of clifford)| discrete   | -               |
  * | "clifford_t"  | CliffordTEvaluator | discrete   | -               |
  * | "statevector" | IdealEvaluator     | continuous | -               |
  * | "density"     | NoisyEvaluator     | continuous | noise           |

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/clifford_ansatz.hpp"
+#include "stabilizer/circuit_replay.hpp"
 
 namespace cafqa {
 
@@ -19,25 +20,25 @@ CliffordEvaluator::CliffordEvaluator(Circuit ansatz)
 void
 CliffordEvaluator::prepare(const std::vector<int>& steps)
 {
-    simulator_.emplace(ansatz_.num_qubits());
-    simulator_->apply_circuit_steps(ansatz_, steps);
+    tableau_.emplace(ansatz_.num_qubits());
+    replay_circuit_steps(*tableau_, ansatz_, steps);
 }
 
 double
 CliffordEvaluator::expectation(const PauliSum& op) const
 {
-    CAFQA_REQUIRE(simulator_.has_value(), "prepare() has not been called");
-    return engines_.get(op).expectation(simulator_->tableau());
+    CAFQA_REQUIRE(tableau_.has_value(), "prepare() has not been called");
+    return engines_.get(op).expectation(*tableau_);
 }
 
 std::vector<double>
 CliffordEvaluator::expectations(std::span<const PauliSum> ops) const
 {
-    CAFQA_REQUIRE(simulator_.has_value(), "prepare() has not been called");
+    CAFQA_REQUIRE(tableau_.has_value(), "prepare() has not been called");
     std::vector<double> values;
     values.reserve(ops.size());
     for (const PauliSum& op : ops) {
-        values.push_back(engines_.get(op).expectation(simulator_->tableau()));
+        values.push_back(engines_.get(op).expectation(*tableau_));
     }
     return values;
 }
@@ -53,7 +54,7 @@ CliffordEvaluator::expectation_batch(
     values.reserve(candidates.size());
     for (const auto& steps : candidates) {
         prepare(steps);
-        values.push_back(engine.expectation(simulator_->tableau()));
+        values.push_back(engine.expectation(*tableau_));
     }
     return values;
 }
@@ -61,8 +62,8 @@ CliffordEvaluator::expectation_batch(
 int
 CliffordEvaluator::expectation(const PauliString& pauli) const
 {
-    CAFQA_REQUIRE(simulator_.has_value(), "prepare() has not been called");
-    return simulator_->expectation(pauli);
+    CAFQA_REQUIRE(tableau_.has_value(), "prepare() has not been called");
+    return tableau_->expectation(pauli);
 }
 
 std::unique_ptr<Backend>

@@ -33,7 +33,7 @@
 #include "pauli/compiled_pauli_sum.hpp"
 #include "pauli/pauli_sum.hpp"
 #include "stabilizer/expectation_engine.hpp"
-#include "stabilizer/stabilizer_simulator.hpp"
+#include "stabilizer/symplectic_tableau.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa {
@@ -41,7 +41,9 @@ namespace cafqa {
 /**
  * Exact stabilizer backend over integer quarter-turn parameters.
  *
- * Pauli-sum observables are precompiled once per distinct sum into a
+ * `prepare` replays the ansatz onto a fresh `SymplecticTableau`
+ * (`replay_circuit_steps`, `stabilizer/circuit_replay.hpp`). Pauli-sum
+ * observables are precompiled once per distinct sum into a
  * `StabilizerExpectationEngine` (packed term masks + QWC grouping) and
  * memoized in an `ObservableMemo`, so the search's hot loop — re-prepare,
  * re-measure the same Hamiltonian — pays compilation once and then
@@ -75,7 +77,7 @@ class CliffordEvaluator final : public DiscreteBackend
 
   private:
     Circuit ansatz_;
-    std::optional<StabilizerSimulator> simulator_;
+    std::optional<SymplecticTableau> tableau_;
     /** Engines compiled before a clone() are shared with the clone;
      *  each instance then grows its own memo, so per-worker clones stay
      *  lock-free. Concurrent calls must go through distinct clones, as

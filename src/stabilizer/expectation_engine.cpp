@@ -32,7 +32,7 @@ z_column(std::size_t q)
 } // namespace
 
 StabilizerExpectationEngine::StabilizerExpectationEngine(
-    const PauliSum& op, ExpectationEngineOptions options)
+    const PauliSum& op, EvalStrategy strategy)
     : num_qubits_(op.num_qubits())
 {
     CAFQA_REQUIRE(num_qubits_ >= 1,
@@ -48,11 +48,11 @@ StabilizerExpectationEngine::StabilizerExpectationEngine(
     // strategy choice, and the per-term pass compiles from it — so it
     // is computed at most once and reused.
     std::vector<MeasurementGroup> qwc_groups;
-    if (options.strategy != EvalStrategy::Transposed) {
+    if (strategy != EvalStrategy::Transposed) {
         qwc_groups = group_qubitwise_commuting(op);
     }
 
-    if (options.strategy == EvalStrategy::Auto) {
+    if (strategy == EvalStrategy::Auto) {
         // Strongly QWC-structured sums (e.g. diagonal MaxCut
         // Hamiltonians: one group) win on the per-term pass — the
         // shared gather and group-level screening skip nearly all the
@@ -62,7 +62,7 @@ StabilizerExpectationEngine::StabilizerExpectationEngine(
         transposed_ = op.num_terms() >= 2 &&
                       qwc_groups.size() * 8 > op.num_terms();
     } else {
-        transposed_ = options.strategy == EvalStrategy::Transposed;
+        transposed_ = strategy == EvalStrategy::Transposed;
     }
 
     if (transposed_) {
@@ -141,9 +141,9 @@ StabilizerExpectationEngine::compile_per_term(
 void
 StabilizerExpectationEngine::evaluate_group(const SymplecticTableau& tableau,
                                             const CompiledGroup& group,
-                                            Scratch& scratch,
-                                            std::int8_t* results) const
+                                            Scratch& scratch) const
 {
+    std::int8_t* results = scratch.results.data();
     const std::size_t words = tableau.words();
     const std::size_t cols = group.columns.size();
     scratch.stab.resize(cols * words);
@@ -245,75 +245,33 @@ StabilizerExpectationEngine::compile_transposed(const PauliSum& op)
     }
 }
 
-void
-StabilizerExpectationEngine::build_cross_rows(
-    const SymplecticTableau& tableau,
-    std::vector<std::uint64_t>& cross_rows) const
-{
-    // Pairwise cross-phase matrix of the stabilizer generators:
-    // M[r] ^= Xstab[q] for every Z bit of row r, so M_rj =
-    // parity |z_r & x_j| — the i^2 factor of multiplying generators r
-    // and j. Depends only on the tableau, so the parallel pass builds
-    // it once and shares it read-only across term blocks.
-    const std::size_t row_words = tableau.words();
-    cross_rows.assign(num_qubits_ * row_words, 0);
-    for (std::size_t q = 0; q < num_qubits_; ++q) {
-        const std::uint64_t* zs = tableau.z_stab(q);
-        const std::uint64_t* xs = tableau.x_stab(q);
-        for (std::size_t rw = 0; rw < row_words; ++rw) {
-            for (std::uint64_t bits = zs[rw]; bits != 0;
-                 bits &= bits - 1) {
-                const std::size_t r =
-                    rw * 64 +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-                std::uint64_t* m = cross_rows.data() + r * row_words;
-                for (std::size_t w = 0; w < row_words; ++w) {
-                    m[w] ^= xs[w];
-                }
-            }
-        }
-    }
-}
-
-void
+double
 StabilizerExpectationEngine::evaluate_transposed(
-    const SymplecticTableau& tableau, std::size_t block_begin,
-    std::size_t block_end, const std::uint64_t* cross_rows,
-    Scratch& scratch, std::int8_t* results, double* fused_total) const
+    const SymplecticTableau& tableau, Scratch& scratch) const
 {
     const std::size_t n = num_qubits_;
     const std::size_t row_words = tableau.words();
-    const std::size_t width = block_end - block_begin;
+    const std::size_t width = term_words_;
 
     scratch.sym_planes.assign(n * width, 0);
     scratch.sel_planes.assign(n * width, 0);
     scratch.masks.assign(4 * width, 0);
+    scratch.cross_rows.assign(n * row_words, 0);
     std::uint64_t* screened = scratch.masks.data();
     std::uint64_t* ph0 = scratch.masks.data() + width;
     std::uint64_t* ph1 = scratch.masks.data() + 2 * width;
     std::uint64_t* cross = scratch.masks.data() + 3 * width;
 
-    // Serial callers pass no prebuilt cross-phase matrix: it is
-    // accumulated for free inside the main sweep below. Parallel term
-    // blocks receive it prebuilt (it depends only on the tableau, so
-    // per-worker recomputation would be pure duplication).
-    const bool build_m = cross_rows == nullptr;
-    if (build_m) {
-        scratch.cross_rows.assign(n * row_words, 0);
-        cross_rows = scratch.cross_rows.data();
-    }
-
     // Walk the tableau columns once: every stabilizer (destabilizer)
     // row r with a Z bit at qubit q anticommutes with exactly the terms
     // carrying X/Y there, i.e. XOR the term X plane of q into row r's
-    // symplectic-product plane — 64 terms per word. When building the
-    // cross-phase matrix, the same sweep accumulates M[r] ^= Xstab[q]
-    // for every Z bit of row r (M_rj = parity |z_r & x_j|).
+    // symplectic-product plane — 64 terms per word. The same sweep
+    // accumulates the generators' pairwise cross-phase matrix,
+    // M[r] ^= Xstab[q] for every Z bit of row r (M_rj = parity
+    // |z_r & x_j|, the i^2 factor of multiplying generators r and j).
     for (std::size_t q = 0; q < n; ++q) {
-        const std::uint64_t* term_x =
-            term_x_planes_.data() + q * term_words_ + block_begin;
-        const std::uint64_t* term_z =
-            term_z_planes_.data() + q * term_words_ + block_begin;
+        const std::uint64_t* term_x = term_x_planes_.data() + q * width;
+        const std::uint64_t* term_z = term_z_planes_.data() + q * width;
         const std::uint64_t* zs = tableau.z_stab(q);
         const std::uint64_t* xs = tableau.x_stab(q);
         const std::uint64_t* zd = tableau.z_destab(q);
@@ -328,12 +286,9 @@ StabilizerExpectationEngine::evaluate_transposed(
                 for (std::size_t w = 0; w < width; ++w) {
                     sym[w] ^= term_x[w];
                 }
-                if (build_m) {
-                    std::uint64_t* m =
-                        scratch.cross_rows.data() + r * row_words;
-                    for (std::size_t w = 0; w < row_words; ++w) {
-                        m[w] ^= xs[w];
-                    }
+                std::uint64_t* m = scratch.cross_rows.data() + r * row_words;
+                for (std::size_t w = 0; w < row_words; ++w) {
+                    m[w] ^= xs[w];
                 }
             }
             for (std::uint64_t bits = xs[rw]; bits != 0;
@@ -407,7 +362,7 @@ StabilizerExpectationEngine::evaluate_transposed(
     // contributes 2 per pair with M_rj = 1; parity per term is the XOR
     // of sel[r] & sel[j] over those pairs.
     for (std::size_t r = 0; r < n; ++r) {
-        const std::uint64_t* m = cross_rows + r * row_words;
+        const std::uint64_t* m = scratch.cross_rows.data() + r * row_words;
         const std::uint64_t* sel_r = scratch.sel_planes.data() + r * width;
         for (std::size_t rw = 0; rw < row_words; ++rw) {
             for (std::uint64_t bits = m[rw]; bits != 0; bits &= bits - 1) {
@@ -429,46 +384,28 @@ StabilizerExpectationEngine::evaluate_transposed(
     // Sign: diff = k_term - k_product mod 4 is even for every
     // unscreened term (they lie in +/- the stabilizer group), so the
     // low bits must agree and diff == 2 exactly when the high bits
-    // differ. With `fused_total` set (serial pass) the +/-coefficients
-    // accumulate here directly, visiting only the unscreened bits in
-    // ascending term order — the same order, and therefore the same
-    // double, as the deferred reduce().
+    // differ. The +/-coefficients accumulate here directly, visiting
+    // only the unscreened bits in ascending term order — the same
+    // order, and therefore the same double, as the per-term reduce().
+    double total = 0.0;
     for (std::size_t w = 0; w < width; ++w) {
         const std::uint64_t valid =
-            (block_begin + w + 1 == (coefficients_.size() + 63) / 64 &&
-             coefficients_.size() % 64 != 0)
+            (w + 1 == width && coefficients_.size() % 64 != 0)
                 ? ((std::uint64_t{1} << (coefficients_.size() % 64)) - 1)
                 : ~std::uint64_t{0};
         const std::uint64_t live = ~screened[w] & valid;
-        CAFQA_ASSERT(((ph0[w] ^
-                       term_kp0_[block_begin + w]) & live) == 0,
+        CAFQA_ASSERT(((ph0[w] ^ term_kp0_[w]) & live) == 0,
                      "commuting Pauli is not in the stabilizer group");
         const std::uint64_t negative =
-            (ph1[w] ^ cross[w] ^
-             term_kp1_[block_begin + w]) & live;
-        const std::size_t base = (block_begin + w) * 64;
-        if (fused_total != nullptr) {
-            for (std::uint64_t bits = live; bits != 0; bits &= bits - 1) {
-                const std::size_t t =
-                    base +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-                const double coeff = coefficients_[t];
-                *fused_total += (negative >> (t % 64)) & 1 ? -coeff
-                                                           : coeff;
-            }
-            continue;
-        }
-        const std::size_t end =
-            std::min(coefficients_.size(), base + 64);
-        for (std::size_t t = base; t < end; ++t) {
-            const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-            if (screened[w] & bit) {
-                results[t] = 0;
-            } else {
-                results[t] = (negative & bit) ? -1 : 1;
-            }
+            (ph1[w] ^ cross[w] ^ term_kp1_[w]) & live;
+        for (std::uint64_t bits = live; bits != 0; bits &= bits - 1) {
+            const std::size_t t =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            const double coeff = coefficients_[t];
+            total += (negative >> (t % 64)) & 1 ? -coeff : coeff;
         }
     }
+    return total;
 }
 
 // ------------------------------------------------------------ evaluation
@@ -497,76 +434,22 @@ StabilizerExpectationEngine::thread_scratch()
 }
 
 double
-StabilizerExpectationEngine::evaluate(const SymplecticTableau& tableau,
-                                      ThreadPool* pool) const
-{
-    CAFQA_REQUIRE(tableau.num_qubits() == num_qubits_,
-                  "operator qubit count mismatch");
-    if (transposed_) {
-        Scratch& caller_scratch = thread_scratch();
-        if (pool != nullptr && pool->size() > 1 && term_words_ > 1) {
-            build_cross_rows(tableau, caller_scratch.cross_rows);
-            const std::uint64_t* cross_rows =
-                caller_scratch.cross_rows.data();
-            std::vector<std::int8_t>& results = caller_scratch.results;
-            results.resize(coefficients_.size());
-            const std::size_t workers =
-                std::min(pool->size(), term_words_);
-            const std::size_t chunk =
-                (term_words_ + workers - 1) / workers;
-            pool->parallel_for(
-                workers, [&](std::size_t worker, std::size_t index) {
-                    (void)worker; // scratch is per-thread
-                    const std::size_t begin = index * chunk;
-                    const std::size_t end =
-                        std::min(term_words_, begin + chunk);
-                    if (begin < end) {
-                        evaluate_transposed(tableau, begin, end,
-                                            cross_rows, thread_scratch(),
-                                            results.data(), nullptr);
-                    }
-                });
-            return reduce(results.data());
-        }
-        double total = 0.0;
-        evaluate_transposed(tableau, 0, term_words_, nullptr,
-                            caller_scratch, nullptr, &total);
-        return total;
-    }
-
-    // No zero-fill needed: every term belongs to exactly one group,
-    // and evaluate_group writes all of its terms.
-    std::vector<std::int8_t>& results = thread_scratch().results;
-    results.resize(coefficients_.size());
-    if (pool != nullptr && pool->size() > 1 && groups_.size() > 1) {
-        pool->parallel_for(groups_.size(),
-                           [&](std::size_t worker, std::size_t index) {
-                               (void)worker; // scratch is per-thread
-                               evaluate_group(tableau, groups_[index],
-                                              thread_scratch(),
-                                              results.data());
-                           });
-    } else {
-        Scratch& scratch = thread_scratch();
-        for (const CompiledGroup& group : groups_) {
-            evaluate_group(tableau, group, scratch, results.data());
-        }
-    }
-    return reduce(results.data());
-}
-
-double
 StabilizerExpectationEngine::expectation(
     const SymplecticTableau& tableau) const
 {
-    return evaluate(tableau, nullptr);
-}
-
-double
-StabilizerExpectationEngine::expectation(const SymplecticTableau& tableau,
-                                         ThreadPool& pool) const
-{
-    return evaluate(tableau, &pool);
+    CAFQA_REQUIRE(tableau.num_qubits() == num_qubits_,
+                  "operator qubit count mismatch");
+    Scratch& scratch = thread_scratch();
+    if (transposed_) {
+        return evaluate_transposed(tableau, scratch);
+    }
+    // No zero-fill needed: every term belongs to exactly one group,
+    // and evaluate_group writes all of its terms.
+    scratch.results.resize(coefficients_.size());
+    for (const CompiledGroup& group : groups_) {
+        evaluate_group(tableau, group, scratch);
+    }
+    return reduce(scratch.results.data());
 }
 
 } // namespace cafqa

@@ -28,8 +28,7 @@
  *   group's basis, every member term skips screening outright.
  *
  * Either way the reduction accumulates in original term order, so both
- * strategies, serial or thread-pool parallel, are bit-identical to the
- * legacy row-based term loop.
+ * strategies are bit-identical to the legacy row-based term loop.
  */
 #ifndef CAFQA_STABILIZER_EXPECTATION_ENGINE_HPP
 #define CAFQA_STABILIZER_EXPECTATION_ENGINE_HPP
@@ -38,7 +37,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "pauli/grouping.hpp"
 #include "pauli/pauli_sum.hpp"
 #include "stabilizer/symplectic_tableau.hpp"
@@ -55,12 +53,6 @@ enum class EvalStrategy : std::uint8_t {
     Transposed,
 };
 
-/** Engine knobs. */
-struct ExpectationEngineOptions
-{
-    EvalStrategy strategy = EvalStrategy::Auto;
-};
-
 /** A PauliSum compiled for single-pass evaluation on stabilizer states. */
 class StabilizerExpectationEngine
 {
@@ -72,7 +64,7 @@ class StabilizerExpectationEngine
      * coefficients.
      */
     explicit StabilizerExpectationEngine(
-        const PauliSum& op, ExpectationEngineOptions options = {});
+        const PauliSum& op, EvalStrategy strategy = EvalStrategy::Auto);
 
     std::size_t num_qubits() const { return num_qubits_; }
     std::size_t num_terms() const { return coefficients_.size(); }
@@ -83,18 +75,8 @@ class StabilizerExpectationEngine
     std::string_view strategy() const;
 
     /** Exact expectation of the compiled sum on the current tableau,
-     *  all terms in one serial pass. */
+     *  all terms in one pass. */
     double expectation(const SymplecticTableau& tableau) const;
-
-    /**
-     * Same value, with the work fanned out across `pool` (term blocks
-     * for the transposed strategy, groups for the per-term one). The
-     * final reduction stays in term order, so the result is
-     * bit-identical to the serial pass. Must not be called from inside
-     * a running `parallel_for` job of the same pool.
-     */
-    double expectation(const SymplecticTableau& tableau,
-                       ThreadPool& pool) const;
 
   private:
     // ---- per-term grouped strategy ----
@@ -122,11 +104,10 @@ class StabilizerExpectationEngine
     {
         // per-term strategy
         std::vector<std::uint64_t> stab, destab, anti, sel;
+        std::vector<std::int8_t> results;
         // transposed strategy
         std::vector<std::uint64_t> sym_planes, sel_planes, cross_rows;
         std::vector<std::uint64_t> masks;
-        // shared
-        std::vector<std::int8_t> results;
     };
 
     /** Per-thread reusable buffers: engines are shared across worker
@@ -138,28 +119,15 @@ class StabilizerExpectationEngine
                           const std::vector<MeasurementGroup>& groups);
     void compile_transposed(const PauliSum& op);
 
-    /** Fill `results[term_index]` (+1/-1/0) for one group's terms. */
+    /** Fill `scratch.results[term_index]` (+1/-1/0) for one group's
+     *  terms. */
     void evaluate_group(const SymplecticTableau& tableau,
-                        const CompiledGroup& group, Scratch& scratch,
-                        std::int8_t* results) const;
+                        const CompiledGroup& group, Scratch& scratch) const;
 
-    /** Pairwise generator cross-phase matrix (tableau-only, shared
-     *  read-only across parallel term blocks). */
-    void build_cross_rows(const SymplecticTableau& tableau,
-                          std::vector<std::uint64_t>& cross_rows) const;
-
-    /** Evaluate terms in word block [block_begin, block_end): either
-     *  fill `results` per term, or (serial pass) accumulate the
-     *  +/-coefficients straight into `*fused_total` in term order. */
-    void evaluate_transposed(const SymplecticTableau& tableau,
-                             std::size_t block_begin,
-                             std::size_t block_end,
-                             const std::uint64_t* cross_rows,
-                             Scratch& scratch, std::int8_t* results,
-                             double* fused_total) const;
-
-    double evaluate(const SymplecticTableau& tableau,
-                    ThreadPool* pool) const;
+    /** Evaluate every term, accumulating the +/-coefficients in term
+     *  order. */
+    double evaluate_transposed(const SymplecticTableau& tableau,
+                               Scratch& scratch) const;
 
     double reduce(const std::int8_t* results) const;
 

@@ -13,7 +13,9 @@
  * -1, 0 or +1 — the property the paper exploits to evaluate each Pauli
  * term with a single noise-free "shot" (Section 3, item 7). The packed
  * tableau must match it row for row (tests/test_symplectic.cpp;
- * bench/stabilizer_scaling times the two against each other).
+ * bench/stabilizer_scaling times the two against each other), and
+ * `reference_expectation` is the per-term Pauli-sum loop that
+ * `StabilizerExpectationEngine` must reproduce bit for bit.
  *
  * Header-only so the tests and the bench share one copy.
  */
@@ -27,6 +29,7 @@
 
 #include "common/error.hpp"
 #include "pauli/pauli_string.hpp"
+#include "pauli/pauli_sum.hpp"
 
 namespace cafqa::reference {
 
@@ -315,6 +318,27 @@ class Tableau
     /** Rows 0..n-1: destabilizers; rows n..2n-1: stabilizers. */
     std::vector<PauliString> rows_;
 };
+
+/**
+ * Exact expectation of a Pauli sum, one term at a time in term order:
+ * the loop every batched evaluation pass is checked against. Works on
+ * this `Tableau` and on the library's `SymplecticTableau` alike. Only
+ * the real part of each coefficient is read; the engine, not this
+ * oracle, refuses non-Hermitian sums.
+ */
+template <typename TableauT>
+double
+reference_expectation(const TableauT& tableau, const PauliSum& op)
+{
+    double total = 0.0;
+    for (const auto& term : op.terms()) {
+        const int e = tableau.expectation(term.string);
+        if (e != 0) {
+            total += term.coefficient.real() * e;
+        }
+    }
+    return total;
+}
 
 } // namespace cafqa::reference
 

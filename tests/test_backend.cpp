@@ -83,7 +83,7 @@ TEST(BackendRegistry, ListsAllBuiltInKinds)
 {
     const auto kinds = registered_backends();
     for (const char* kind : {"clifford", "clifford_t", "statevector",
-                             "density", "sampled", "stabilizer"}) {
+                             "density", "sampled"}) {
         EXPECT_NE(std::find(kinds.begin(), kinds.end(), kind),
                   kinds.end())
             << kind;

@@ -11,7 +11,8 @@
 #include "pauli/grouping.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/molecule_factory.hpp"
-#include "stabilizer/stabilizer_simulator.hpp"
+#include "stabilizer/circuit_replay.hpp"
+#include "stabilizer/symplectic_tableau.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa {
@@ -61,8 +62,8 @@ TEST(Rzz, TableauMatchesStatevectorAtCliffordAngles)
             c.rzz(a, b, rng.uniform_int(0, 3) * half_pi);
             c.rx(a, rng.uniform_int(0, 3) * half_pi);
         }
-        StabilizerSimulator tab(n);
-        tab.apply_circuit(c);
+        SymplecticTableau tab(n);
+        replay_circuit(tab, c);
         Statevector psi(n);
         psi.apply_circuit(c);
         for (int probe = 0; probe < 30; ++probe) {

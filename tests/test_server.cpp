@@ -246,6 +246,21 @@ TEST(Protocol, MutatedLinesParseOrThrow)
         event_metrics(1.5, "cafqa_x 1\n", "{\"cafqa_x\":1}"),
         event_error("bad"),
         event_bye("drain"),
+        // RunSpec text forms and problem keys: mutated keys such as
+        // `maxcut:er-99999` are only parsed here, never built.
+        RunSpec::parse("problem=molecule:H2?bond=0.74 label=h2 warmup=8 "
+                       "iterations=8 seed=3 search=portfolio:anneal+random "
+                       "hf-seed=1 warm-start=0,1,2,3 max-t=1 tune=20 "
+                       "tune-backend=sampled tuner=spsa budget=64 "
+                       "target-energy=-1.1 threads=2 cache=1 "
+                       "cache-capacity=128 exact=0")
+            .to_string(),
+        record.spec.to_string(),
+        "molecule:H2?bond=0.74&charge=0&spin=0",
+        "maxcut:er-8?p=0.4&seed=9",
+        "maxcut:ring-6?ansatz=qaoa&layers=2",
+        "tfim:chain-5?h=0.7&j=1",
+        "xxz:chain-5?delta=0.3",
     };
     // Every mutated line must parse or throw a std::exception, whatever
     // the bytes: a crash or hang in these parsers would take the server's
@@ -287,6 +302,8 @@ TEST(Protocol, MutatedLinesParseOrThrow)
             });
             parse_or_throw([&] { parse_event(framed); });
             parse_or_throw([&] { parse_flat_json_object(framed); });
+            parse_or_throw([&] { RunSpec::parse(framed); });
+            parse_or_throw([&] { problems::ProblemKey::parse(framed); });
         }
     }
     // Both outcomes occur: the mutations neither all miss nor all break

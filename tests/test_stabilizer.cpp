@@ -12,12 +12,14 @@
 #include "circuit/efficient_su2.hpp"
 #include "common/rng.hpp"
 #include "reference_tableau.hpp"
-#include "stabilizer/stabilizer_simulator.hpp"
+#include "stabilizer/circuit_replay.hpp"
+#include "stabilizer/symplectic_tableau.hpp"
 #include "statevector/statevector.hpp"
 
 namespace cafqa {
 namespace {
 
+using reference::reference_expectation;
 using reference::Tableau;
 
 constexpr double half_pi = std::numbers::pi / 2.0;
@@ -84,19 +86,19 @@ TEST(Tableau, GhzState)
     EXPECT_EQ(t.expectation(PauliString::from_label("YYXXX")), -1);
 }
 
-TEST(StabilizerSimulator, AngleToSteps)
+TEST(CircuitReplay, AngleToQuarterSteps)
 {
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(0.0), 0);
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(half_pi), 1);
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(2 * half_pi), 2);
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(3 * half_pi), 3);
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(4 * half_pi), 0);
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(-half_pi), 3);
-    EXPECT_THROW(StabilizerSimulator::angle_to_steps(1.0),
+    EXPECT_EQ(angle_to_quarter_steps(0.0), 0);
+    EXPECT_EQ(angle_to_quarter_steps(half_pi), 1);
+    EXPECT_EQ(angle_to_quarter_steps(2 * half_pi), 2);
+    EXPECT_EQ(angle_to_quarter_steps(3 * half_pi), 3);
+    EXPECT_EQ(angle_to_quarter_steps(4 * half_pi), 0);
+    EXPECT_EQ(angle_to_quarter_steps(-half_pi), 3);
+    EXPECT_THROW(angle_to_quarter_steps(1.0),
                  std::invalid_argument);
 }
 
-TEST(StabilizerSimulator, AngleToStepsIsRelativeAware)
+TEST(CircuitReplay, AngleToQuarterStepsIsRelativeAware)
 {
     // Accumulated multiples of pi/2: the double representation of
     // m * (pi/2) carries an absolute error that grows with m and blows
@@ -104,37 +106,36 @@ TEST(StabilizerSimulator, AngleToStepsIsRelativeAware)
     // by construction. A relative-aware check must accept every one.
     for (std::int64_t m = 1000000; m < 1000100; ++m) {
         const double angle = static_cast<double>(m) * half_pi;
-        EXPECT_EQ(StabilizerSimulator::angle_to_steps(angle),
+        EXPECT_EQ(angle_to_quarter_steps(angle),
                   static_cast<int>(m % 4))
             << "m=" << m;
     }
     // ...including negative accumulations.
-    EXPECT_EQ(StabilizerSimulator::angle_to_steps(-1000001.0 * half_pi), 3);
+    EXPECT_EQ(angle_to_quarter_steps(-1000001.0 * half_pi), 3);
 
     // The other direction: genuinely non-Clifford offsets must still
     // throw, whether the base angle is small...
-    EXPECT_THROW(StabilizerSimulator::angle_to_steps(0.01),
+    EXPECT_THROW(angle_to_quarter_steps(0.01),
                  std::invalid_argument);
-    EXPECT_THROW(StabilizerSimulator::angle_to_steps(half_pi + 1e-4),
+    EXPECT_THROW(angle_to_quarter_steps(half_pi + 1e-4),
                  std::invalid_argument);
     // ...or a large accumulated multiple with a real offset on top
     // (the relative slack at 1e6 quarter-turns is ~1e-3 turns, far
     // below the 0.05-turn offset here).
     EXPECT_THROW(
-        StabilizerSimulator::angle_to_steps(1000000.0 * half_pi +
-                                            0.05 * half_pi),
+        angle_to_quarter_steps(1000000.0 * half_pi + 0.05 * half_pi),
         std::invalid_argument);
 }
 
-TEST(StabilizerSimulator, RejectsTGates)
+TEST(CircuitReplay, RejectsTGates)
 {
     Circuit c(1);
     c.t(0);
-    StabilizerSimulator sim(1);
-    EXPECT_THROW(sim.apply_circuit(c), std::invalid_argument);
+    SymplecticTableau tableau(1);
+    EXPECT_THROW(replay_circuit(tableau, c), std::invalid_argument);
 }
 
-TEST(StabilizerSimulator, MicrobenchmarkCliffordPoints)
+TEST(CircuitReplay, MicrobenchmarkCliffordPoints)
 {
     // <XX> on the Fig. 5 ansatz equals sin(theta):
     // steps {0,1,2,3} -> {0, +1, 0, -1}.
@@ -142,9 +143,10 @@ TEST(StabilizerSimulator, MicrobenchmarkCliffordPoints)
     const PauliSum xx = PauliSum::from_terms(2, {{1.0, "XX"}});
     const int expected[4] = {0, 1, 0, -1};
     for (int k = 0; k < 4; ++k) {
-        StabilizerSimulator sim(2);
-        sim.apply_circuit_steps(ansatz, {k});
-        EXPECT_NEAR(sim.expectation(xx), expected[k], 1e-12) << "k=" << k;
+        SymplecticTableau tableau(2);
+        replay_circuit_steps(tableau, ansatz, {k});
+        EXPECT_NEAR(reference_expectation(tableau, xx), expected[k], 1e-12)
+            << "k=" << k;
     }
 }
 
@@ -189,9 +191,9 @@ TEST_P(CliffordCrossValidation, AllPauliExpectationsMatch)
         }
     }
 
-    StabilizerSimulator tab(n);
-    tab.apply_circuit(circuit);
-    EXPECT_TRUE(tab.tableau().check_invariants());
+    SymplecticTableau tab(n);
+    replay_circuit(tab, circuit);
+    EXPECT_TRUE(tab.check_invariants());
 
     Statevector psi(n);
     psi.apply_circuit(circuit);
@@ -220,7 +222,7 @@ INSTANTIATE_TEST_SUITE_P(RandomCircuits, CliffordCrossValidation,
                          ::testing::Range(0, 20));
 
 /** Parameterized rotations via integer steps match bound-angle circuits. */
-TEST(StabilizerSimulator, StepsMatchBoundAngles)
+TEST(CircuitReplay, StepsMatchBoundAngles)
 {
     const std::size_t n = 4;
     const Circuit ansatz = make_efficient_su2(n);
@@ -232,10 +234,10 @@ TEST(StabilizerSimulator, StepsMatchBoundAngles)
             steps[i] = static_cast<int>(rng.uniform_int(0, 3));
             angles[i] = steps[i] * half_pi;
         }
-        StabilizerSimulator a(n);
-        a.apply_circuit_steps(ansatz, steps);
-        StabilizerSimulator b(n);
-        b.apply_circuit(ansatz, angles);
+        SymplecticTableau a(n);
+        replay_circuit_steps(a, ansatz, steps);
+        SymplecticTableau b(n);
+        replay_circuit(b, ansatz, angles);
         Rng prng(trial);
         for (int probe = 0; probe < 50; ++probe) {
             PauliString p(n);
@@ -248,33 +250,33 @@ TEST(StabilizerSimulator, StepsMatchBoundAngles)
     }
 }
 
-TEST(StabilizerSimulator, LargeSystemSmoke)
+TEST(CircuitReplay, LargeSystemSmoke)
 {
     // 80 qubits crosses the 64-bit word boundary; a GHZ-like circuit is
     // still exactly simulable and exposes any word-indexing bugs.
     const std::size_t n = 80;
-    StabilizerSimulator sim(n);
+    SymplecticTableau tableau(n);
     Circuit c(n);
     c.h(0);
     for (std::size_t q = 0; q + 1 < n; ++q) {
         c.cx(q, q + 1);
     }
-    sim.apply_circuit(c);
+    replay_circuit(tableau, c);
 
     PauliString all_x(n);
     for (std::size_t q = 0; q < n; ++q) {
         all_x.set_letter(q, PauliLetter::X);
     }
-    EXPECT_EQ(sim.expectation(all_x), 1);
+    EXPECT_EQ(tableau.expectation(all_x), 1);
 
     PauliString z_pair(n);
     z_pair.set_letter(0, PauliLetter::Z);
     z_pair.set_letter(79, PauliLetter::Z);
-    EXPECT_EQ(sim.expectation(z_pair), 1);
+    EXPECT_EQ(tableau.expectation(z_pair), 1);
 
     PauliString single_z(n);
     single_z.set_letter(40, PauliLetter::Z);
-    EXPECT_EQ(sim.expectation(single_z), 0);
+    EXPECT_EQ(tableau.expectation(single_z), 0);
 }
 
 } // namespace

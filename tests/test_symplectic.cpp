@@ -13,17 +13,16 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "pauli/grouping.hpp"
 #include "reference_tableau.hpp"
 #include "stabilizer/circuit_replay.hpp"
 #include "stabilizer/expectation_engine.hpp"
-#include "stabilizer/stabilizer_simulator.hpp"
 #include "stabilizer/symplectic_tableau.hpp"
 
 namespace cafqa {
 namespace {
 
+using reference::reference_expectation;
 using reference::Tableau;
 
 constexpr double half_pi = std::numbers::pi / 2.0;
@@ -79,20 +78,6 @@ random_hermitian_pauli(std::size_t n, Rng& rng, double identity_bias = 0.5)
         p.mul_phase(2);
     }
     return p;
-}
-
-/** Legacy reference: term loop over the row-based tableau. */
-double
-legacy_sum_expectation(const Tableau& tableau, const PauliSum& op)
-{
-    double total = 0.0;
-    for (const auto& term : op.terms()) {
-        const int e = tableau.expectation(term.string);
-        if (e != 0) {
-            total += term.coefficient.real() * e;
-        }
-    }
-    return total;
 }
 
 /** Qubit counts crossing the word boundary, per the 1-130 contract. */
@@ -164,10 +149,8 @@ TEST_P(SymplecticDifferential, EngineMatchesLegacySumBitForBit)
         kQubitCounts[static_cast<std::size_t>(GetParam()) %
                      std::size(kQubitCounts)];
 
-    // >64 terms so the transposed strategy spans several term words —
-    // the pooled evaluation below then really exercises the
-    // block-chunked parallel path (a 64-term sum would fall back to
-    // the serial fused pass).
+    // >64 terms so the transposed strategy spans several term words,
+    // including a partial last word.
     PauliSum op(n);
     for (int t = 0; t < 100; ++t) {
         const double coeff = rng.uniform_real(-2.0, 2.0);
@@ -180,23 +163,17 @@ TEST_P(SymplecticDifferential, EngineMatchesLegacySumBitForBit)
     replay_circuit(legacy, circuit);
     replay_circuit(packed, circuit);
 
-    const double reference = legacy_sum_expectation(legacy, op);
+    const double reference = reference_expectation(legacy, op);
 
     // Exact equality: every strategy's canonical term-order reduction
     // is bit-identical to the legacy loop.
     const StabilizerExpectationEngine auto_engine(op);
-    const StabilizerExpectationEngine grouped(
-        op, ExpectationEngineOptions{.strategy = EvalStrategy::PerTerm});
-    const StabilizerExpectationEngine transposed(
-        op,
-        ExpectationEngineOptions{.strategy = EvalStrategy::Transposed});
+    const StabilizerExpectationEngine grouped(op, EvalStrategy::PerTerm);
+    const StabilizerExpectationEngine transposed(op,
+                                                 EvalStrategy::Transposed);
     EXPECT_EQ(auto_engine.expectation(packed), reference);
     EXPECT_EQ(grouped.expectation(packed), reference);
     EXPECT_EQ(transposed.expectation(packed), reference);
-
-    ThreadPool pool(3);
-    EXPECT_EQ(grouped.expectation(packed, pool), reference);
-    EXPECT_EQ(transposed.expectation(packed, pool), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(WordBoundarySweep, SymplecticDifferential,
@@ -258,32 +235,31 @@ TEST(StabilizerExpectationEngine, GroupSharedSupportFastPath)
     replay_circuit(legacy, flips);
     replay_circuit(packed, flips);
 
-    const StabilizerExpectationEngine engine(
-        diagonal,
-        ExpectationEngineOptions{.strategy = EvalStrategy::PerTerm});
+    const StabilizerExpectationEngine engine(diagonal,
+                                             EvalStrategy::PerTerm);
     EXPECT_EQ(engine.num_groups(), 1u);
     EXPECT_EQ(engine.strategy(), "per-term");
     EXPECT_EQ(engine.expectation(packed),
-              legacy_sum_expectation(legacy, diagonal));
+              reference_expectation(legacy, diagonal));
 }
 
-TEST(StabilizerSimulator, UsesPackedTableau)
+TEST(SymplecticTableau, ReplaysGhzCircuit)
 {
-    // The simulator front end now drives the packed representation; a
-    // quick end-to-end sanity check against known GHZ values.
+    // Circuit replay onto the packed representation, end to end
+    // against known GHZ values.
     const std::size_t n = 5;
-    StabilizerSimulator sim(n);
+    SymplecticTableau tableau(n);
     Circuit c(n);
     c.h(0);
     for (std::size_t q = 0; q + 1 < n; ++q) {
         c.cx(q, q + 1);
     }
-    sim.apply_circuit(c);
-    EXPECT_TRUE(sim.tableau().check_invariants());
-    EXPECT_EQ(sim.expectation(PauliString::from_label("XXXXX")), 1);
-    EXPECT_EQ(sim.expectation(PauliString::from_label("ZZIII")), 1);
-    EXPECT_EQ(sim.expectation(PauliString::from_label("YYXXX")), -1);
-    EXPECT_EQ(sim.expectation(PauliString::from_label("ZIIII")), 0);
+    replay_circuit(tableau, c);
+    EXPECT_TRUE(tableau.check_invariants());
+    EXPECT_EQ(tableau.expectation(PauliString::from_label("XXXXX")), 1);
+    EXPECT_EQ(tableau.expectation(PauliString::from_label("ZZIII")), 1);
+    EXPECT_EQ(tableau.expectation(PauliString::from_label("YYXXX")), -1);
+    EXPECT_EQ(tableau.expectation(PauliString::from_label("ZIIII")), 0);
 }
 
 } // namespace
