@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -319,6 +320,108 @@ tridiagonal_eigenvalues(const std::vector<double>& alpha,
         values.push_back(t(i, i));
     }
     return values;
+}
+
+namespace {
+
+constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
+
+/** True when T has an eigenvalue below `x`: the LDL^T factorization
+ *  of T - xI has as many negative pivots as T has eigenvalues below x
+ *  (Sturm count), so the first negative pivot decides. A pivot smaller
+ *  than `pivmin` in magnitude counts as -pivmin (LAPACK's dstebz rule),
+ *  so x at an eigenvalue of a leading block never divides by zero. */
+bool
+has_eigenvalue_below(const std::vector<double>& alpha,
+                     const std::vector<double>& beta_squared, double x,
+                     double pivmin)
+{
+    double d = 1.0;
+    for (std::size_t i = 0; i < alpha.size(); ++i) {
+        d = (alpha[i] - x) - (i > 0 ? beta_squared[i - 1] / d : 0.0);
+        if (d < pivmin) {
+            return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+double
+lowest_tridiagonal_eigenvalue(const std::vector<double>& alpha,
+                              const std::vector<double>& beta)
+{
+    const std::size_t n = alpha.size();
+    CAFQA_REQUIRE(n > 0, "empty tridiagonal matrix");
+    CAFQA_REQUIRE(beta.size() + 1 == n, "off-diagonal size mismatch");
+    std::vector<double> beta_squared(beta.size());
+    double max_beta_squared = 1.0;
+    for (std::size_t i = 0; i < beta.size(); ++i) {
+        beta_squared[i] = beta[i] * beta[i];
+        max_beta_squared = std::max(max_beta_squared, beta_squared[i]);
+    }
+    const double pivmin =
+        std::numeric_limits<double>::min() * max_beta_squared;
+
+    // The lowest eigenvalue lies in [lo, hi]: hi = min alpha_i (the
+    // Rayleigh quotient of e_i) and lo the lowest Gershgorin bound,
+    // widened by the rounding of its own sum.
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+        const double radius = (i > 0 ? std::abs(beta[i - 1]) : 0.0) +
+                              (i + 1 < n ? std::abs(beta[i]) : 0.0);
+        lo = std::min(lo, alpha[i] - radius);
+        hi = std::min(hi, alpha[i]);
+    }
+    lo -= 4.0 * kEpsilon * std::max(std::abs(lo), 1.0);
+
+    // Invariant: no eigenvalue below lo, one at or below hi. Stops at a
+    // relative width of eps (absolute eps near zero) or when the
+    // midpoint no longer splits the interval; NaN input stops at once.
+    while (hi - lo > kEpsilon * std::max({std::abs(lo), std::abs(hi), 1.0})) {
+        const double mid = lo + 0.5 * (hi - lo);
+        if (mid <= lo || mid >= hi) {
+            break;
+        }
+        if (has_eigenvalue_below(alpha, beta_squared, mid, pivmin)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    return lo + 0.5 * (hi - lo);
+}
+
+double
+tridiagonal_solver_gap(const std::vector<double>& alpha,
+                       const std::vector<double>& beta)
+{
+    // ||T||_F, F below. Jacobi (`jacobi_diagonalize`) stops once the
+    // upper-triangle norm of the rotated matrix A is below
+    // 1e-13 (1 + F); the full off-diagonal part then has 2-norm below
+    // sqrt(2) 1e-13 (1 + F), which by Weyl bounds the distance from the
+    // smallest diagonal entry to the smallest eigenvalue of A. A is
+    // exactly similar to T + E, where E collects the rounding of the
+    // rotations: each sweep is backward stable with ||E|| of order
+    // n eps F. Bisection returns an eigenvalue of T + E' with ||E'|| a
+    // few eps ||T||, to a relative width of eps. The eigenvalue moves by
+    // at most the norm of the perturbation (Weyl), so both solvers sit
+    // within (1e-13 + n eps)(1 + F) of the exact value up to small
+    // constants, and the factor 4 covers those constants. On the random
+    // matrices of `LowestTridiagonalEigenvalue` (test_common) the two
+    // solvers differ by under 1% of this bound.
+    double frobenius_squared = 0.0;
+    for (const double a : alpha) {
+        frobenius_squared += a * a;
+    }
+    for (const double b : beta) {
+        frobenius_squared += 2.0 * b * b;
+    }
+    const double n = static_cast<double>(alpha.size());
+    return 4.0 * (1e-13 + n * kEpsilon) *
+           (1.0 + std::sqrt(frobenius_squared));
 }
 
 } // namespace cafqa

@@ -392,24 +392,60 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
 
     std::size_t evaluations = 0;
     double best_seen = 0.0;
-    auto objective_fn = [&](const std::vector<double>& params) {
-        backend->prepare(params);
-        const double value =
-            config_.objective.combine(backend->expectations(observables_));
+    // Counts one evaluation and reports it, on the calling thread.
+    auto note = [&](double value) {
         ++evaluations;
         if (evaluations == 1 || value < best_seen) {
             best_seen = value;
         }
         emit(PipelineEvent::Kind::Progress, "vqa_tune", evaluations,
              best_seen);
+    };
+    auto evaluate = [this](ContinuousBackend& on,
+                           const std::vector<double>& params) {
+        on.prepare(params);
+        return config_.objective.combine(on.expectations(observables_));
+    };
+    auto objective_fn = [&](const std::vector<double>& params) {
+        const double value = evaluate(*backend, params);
+        note(value);
         return value;
     };
+
+    // Independent points (SPSA's two probes) fan out over the pool with
+    // one clone per worker, kept for the stage; counting and Progress
+    // stay here, in point order. Only for "statevector": a "sampled"
+    // value depends on how many calls its instance has served, and a
+    // "density" clone costs a 4^n matrix for a small gain. A one-thread
+    // run never starts a pool here.
+    SearchContext context;
+    std::vector<std::unique_ptr<ContinuousBackend>> clones;
+    if (backend->kind() == "statevector" && config_.threads != 1 &&
+        pool().size() > 1) {
+        clones.resize(pool().size());
+        context.continuous_batch =
+            [&](const std::vector<std::vector<double>>& points) {
+                std::vector<double> values(points.size());
+                pool().parallel_for(
+                    points.size(), [&](std::size_t worker, std::size_t i) {
+                        auto& clone = clones[worker];
+                        if (!clone) {
+                            clone = backend->clone_continuous();
+                        }
+                        values[i] = evaluate(*clone, points[i]);
+                    });
+                for (const double value : values) {
+                    note(value);
+                }
+                return values;
+            };
+    }
 
     const StageStrategy strategy =
         tune_strategy(config_.tuner_optimizer, options, config_.stopping);
     const auto optimizer = make_continuous_optimizer(strategy.optimizer);
     OptimizeOutcome run =
-        optimizer->minimize(objective_fn, initial, strategy.stopping, {});
+        optimizer->minimize(objective_fn, initial, strategy.stopping, context);
 
     VqaTuneResult result;
     result.trace = std::move(run.history);

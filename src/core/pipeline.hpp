@@ -21,8 +21,9 @@
  * each stage's strategy from its budget (`search` or `tuner`); the
  * strategies' other knobs keep their registry defaults, apart from the
  * tuner's SPSA gains, which are a constant of the pipeline. Candidate
- * evaluation in block-generated phases is batched across a thread pool
- * with per-worker backend clones. Observers receive begin/progress/end
+ * evaluation in block-generated phases, and a statevector tune's two
+ * SPSA probes, are batched across a thread pool with per-worker backend
+ * clones. Observers receive begin/progress/end
  * events per stage, which is how the bench harness collects its traces.
  *
  * Concurrency contract: a `CafqaPipeline` is THREAD-CONFINED — drive
@@ -205,8 +206,11 @@ struct PipelineConfig
     CafqaOptions search{};
     /** Continuous-stage controls (budget, seed, noise, backend kind). */
     VqaTunerOptions tuner = VqaTunerOptions();
-    /** Worker threads for batched candidate evaluation; 0 uses the
-     *  process-wide shared pool (sized to the hardware). */
+    /** Worker threads for batched candidate evaluation (block phases
+     *  of the discrete searches) and, on the "statevector" tune
+     *  backend, for SPSA's two gradient probes; 0 uses the
+     *  process-wide shared pool (sized to the hardware). Results do not
+     *  depend on the count. */
     std::size_t threads = 0;
     /** Registry kind of the discrete search backend. */
     std::string search_backend = "clifford";

@@ -4,26 +4,6 @@
 
 namespace cafqa {
 
-namespace {
-
-/** `std::lower_bound`'s position of `u` in the non-empty sorted
- *  `values` (the first index whose value is not below `u`, or the size),
- *  found with a fixed number of steps and no data-dependent branch. */
-std::uint32_t
-lower_bound_index(const std::vector<double>& values, double u)
-{
-    const double* base = values.data();
-    std::size_t n = values.size();
-    while (n > 1) {
-        const std::size_t half = n / 2;
-        base += static_cast<std::size_t>(base[half - 1] < u) * half;
-        n -= half;
-    }
-    return static_cast<std::uint32_t>(base - values.data()) + (*base < u);
-}
-
-} // namespace
-
 SampledEvaluator::SampledEvaluator(Circuit ansatz, std::size_t shots,
                                    std::uint64_t seed)
     : ansatz_(std::move(ansatz)), shots_(shots), rng_(seed)
@@ -49,8 +29,14 @@ SampledEvaluator::expectation(const PauliSum& op) const
     const std::vector<CompiledTerm>& terms = compiled.terms();
     double total = 0.0;
 
-    std::vector<double> cumulative(state_->dim());
-    std::vector<std::uint32_t> outcomes(shots_);
+    const std::size_t dim = state_->dim();
+    std::vector<double> cumulative(dim);
+    // guide[g]: the first index whose cumulative value lies in bucket g
+    // or above (see `bucket` below).
+    std::vector<std::uint32_t> guide(dim);
+    // Shots per outcome, zero outside `occupied` between groups.
+    std::vector<std::uint32_t> counts(dim, 0);
+    std::vector<std::uint32_t> occupied;
     Statevector rotated(state_->num_qubits());
     for (const auto& group : compiled.measurement_groups()) {
         // Identity-only groups are exact.
@@ -82,13 +68,41 @@ SampledEvaluator::expectation(const PauliSum& op) const
 
         // Sample bitstrings from the rotated distribution.
         double acc = 0.0;
-        for (std::size_t i = 0; i < rotated.dim(); ++i) {
+        for (std::size_t i = 0; i < dim; ++i) {
             acc += std::norm(rotated.amplitudes()[i]);
             cumulative[i] = acc;
         }
+        // A value x in [0, acc] falls in bucket floor(x dim / acc),
+        // clamped (in double, before the cast) to the last bucket. The
+        // bucket never decreases as x grows, so every index before
+        // guide[bucket(u)] has a cumulative value below u, and the
+        // forward scan from there stops at std::lower_bound's index:
+        // the outcome the plain binary search draws.
+        const double bucket_scale =
+            acc > 0.0 ? static_cast<double>(dim) / acc : 0.0;
+        const double last_bucket = static_cast<double>(dim - 1);
+        const auto bucket = [&](double x) {
+            const double b = x * bucket_scale;
+            return static_cast<std::size_t>(b < last_bucket ? b
+                                                            : last_bucket);
+        };
+        for (std::size_t g = 0, i = 0; g < dim; ++g) {
+            while (i < dim && bucket(cumulative[i]) < g) {
+                ++i;
+            }
+            guide[g] = static_cast<std::uint32_t>(i);
+        }
+        occupied.clear();
         for (std::size_t shot = 0; shot < shots_; ++shot) {
-            outcomes[shot] =
-                lower_bound_index(cumulative, rng_.uniform_real(0.0, acc));
+            const double u = rng_.uniform_real(0.0, acc);
+            std::size_t i = guide[bucket(u)];
+            while (i < dim && cumulative[i] < u) {
+                ++i;
+            }
+            // u <= acc = cumulative[dim - 1] keeps i in range.
+            if (counts[i]++ == 0) {
+                occupied.push_back(static_cast<std::uint32_t>(i));
+            }
         }
         // In the rotated frame every non-identity letter reads the
         // qubit's Z value. The +-1 shot sum is an integer below 2^53,
@@ -97,13 +111,16 @@ SampledEvaluator::expectation(const PauliSum& op) const
             const auto support =
                 static_cast<std::uint32_t>(terms[t].support);
             std::int64_t odd = 0;
-            for (const std::uint32_t bits : outcomes) {
-                odd += parity32(bits & support);
+            for (const std::uint32_t bits : occupied) {
+                odd += parity32(bits & support) != 0 ? counts[bits] : 0;
             }
             const double term_sum = static_cast<double>(
                 static_cast<std::int64_t>(shots_) - 2 * odd);
             total += terms[t].coefficient.real() * term_sum /
                      static_cast<double>(shots_);
+        }
+        for (const std::uint32_t bits : occupied) {
+            counts[bits] = 0;
         }
     }
     return total;

@@ -9,10 +9,14 @@
  *
  * Each distinct observable is compiled once (`CompiledPauliSum`: the
  * measurement groups and each term's support mask) and shared with
- * clones; a shot's term signs are table parities of the outcome masked
- * by the term's support. The generator draws one number per shot, group
- * by group, so the draw sequence and every result are bit-identical to
- * the regroup-per-call loop kept in tests/reference_dense.hpp.
+ * clones. The generator draws one number per shot, group by group; a
+ * guide table over the cumulative distribution maps each draw to the
+ * index a binary search would return. Shots are counted per outcome,
+ * and a term's odd-parity count sums the counts of the occupied
+ * outcomes whose table parity under the term's support is odd, an
+ * exact integer. So the draw sequence and every result are
+ * bit-identical to the regroup-per-call loop kept in
+ * tests/reference_dense.hpp.
  *
  * The generator is a member whose stream advances with every call, so a
  * value depends on how many calls came before it on this instance (and

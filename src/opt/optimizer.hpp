@@ -121,11 +121,14 @@ using ProgressCallback = std::function<void(std::size_t, double)>;
 /** Batched evaluator: values for a block of configurations, in order. */
 using DiscreteBatchEvaluator =
     std::function<std::vector<double>(const std::vector<std::vector<int>>&)>;
+/** Batched evaluator over continuous points, values in order. */
+using ContinuousBatchEvaluator = std::function<std::vector<double>(
+    const std::vector<std::vector<double>>&)>;
 
 /**
  * Optional per-run inputs shared by all optimizers. Fields an optimizer
  * cannot use are ignored (continuous optimizers ignore the discrete
- * seeds and the batch hook).
+ * seeds and `batch`; discrete ones ignore `continuous_batch`).
  */
 struct SearchContext
 {
@@ -138,6 +141,10 @@ struct SearchContext
      *  warm-up, random search, exhaustive scan); the trajectory must
      *  stay identical to the serial path, only the fan-out changes. */
     DiscreteBatchEvaluator batch{};
+    /** Batched evaluator for independent continuous points (SPSA's two
+     *  gradient probes); each value must equal the plain objective's
+     *  at that point, so only the fan-out changes. */
+    ContinuousBatchEvaluator continuous_batch{};
     /** Mints an independent, thread-safe equivalent of the objective
      *  (the pipeline returns one wrapping a `clone()`d backend, so
      *  clones share the memoizing cache). Lets concurrent strategies

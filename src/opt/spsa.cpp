@@ -47,9 +47,20 @@ SpsaOptimizer::minimize(const ContinuousObjective& objective,
                 x_plus[i] = x[i] + c_k * delta[i];
                 x_minus[i] = x[i] - c_k * delta[i];
             }
-            const double f_plus = objective(x_plus);
+            double f_plus = 0.0;
+            double f_minus = 0.0;
+            if (context.continuous_batch) {
+                const std::vector<double> values =
+                    context.continuous_batch({x_plus, x_minus});
+                CAFQA_REQUIRE(values.size() == 2,
+                              "batch evaluator returned wrong value count");
+                f_plus = values[0];
+                f_minus = values[1];
+            } else {
+                f_plus = objective(x_plus);
+                f_minus = objective(x_minus);
+            }
             recorder.count_evaluation();
-            const double f_minus = objective(x_minus);
             recorder.count_evaluation();
             const double diff = (f_plus - f_minus) / (2.0 * c_k);
 

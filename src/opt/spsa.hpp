@@ -35,7 +35,9 @@ struct SpsaOptions
  * SPSA minimization (registry key "spsa"). Each iteration makes three
  * objective calls (the +/- gradient probes and one post-step
  * evaluation); the probes count toward `evaluations` but only the
- * start point and the post-step values are recorded in `history`.
+ * start point and the post-step values are recorded in `history`. The
+ * probes do not depend on each other: with `SearchContext::
+ * continuous_batch` set they go through it as one block of two.
  */
 class SpsaOptimizer final : public ContinuousOptimizer
 {

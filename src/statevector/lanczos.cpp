@@ -150,6 +150,11 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
 
     GroundState result;
     result.ritz_change = std::numeric_limits<double>::infinity();
+    // Lowest Ritz value of the previous iteration by bisection, and by
+    // Jacobi when `have_previous_jacobi` (that iteration computed it).
+    double previous_bisection = std::numeric_limits<double>::quiet_NaN();
+    double previous_jacobi = 0.0;
+    bool have_previous_jacobi = false;
     for (std::size_t j = 0; j < options.max_iterations; ++j) {
         ++result.iterations;
         std::fill(w.begin(), w.end(), Complex{0.0, 0.0});
@@ -164,16 +169,44 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
         }
 
         const double b_j = norm(w);
-        const double current = tridiagonal_eigenvalues(alpha, beta).front();
-        if (j > 0) {
-            result.ritz_change = std::abs(current - result.energy);
+        const bool last = j + 1 == options.max_iterations;
+        const double bisection = lowest_tridiagonal_eigenvalue(alpha, beta);
+        // The stop test and the reported values come from the Jacobi
+        // eigensolve. Bisection may only skip it when the test is sure
+        // to fail: each solver is within tridiagonal_solver_gap of the
+        // exact value (the gap grows with the matrix, so this size's
+        // bounds the previous one too), hence
+        //   |J_j - J_{j-1}| >= |B_j - B_{j-1}| - 2 gap > tolerance.
+        // The last iteration always runs Jacobi, for the result.
+        const bool keep_going =
+            j > 0 && !last && !(b_j < 1e-12) &&
+            std::abs(bisection - previous_bisection) -
+                    2.0 * tridiagonal_solver_gap(alpha, beta) >
+                options.tolerance;
+        if (!keep_going) {
+            if (j > 0 && !have_previous_jacobi) {
+                const std::vector<double> alpha_prev(alpha.begin(),
+                                                     alpha.end() - 1);
+                const std::vector<double> beta_prev(beta.begin(),
+                                                    beta.end() - 1);
+                previous_jacobi =
+                    tridiagonal_eigenvalues(alpha_prev, beta_prev).front();
+            }
+            const double current = tridiagonal_eigenvalues(alpha, beta).front();
+            if (j > 0) {
+                result.ritz_change = std::abs(current - previous_jacobi);
+            }
+            result.energy = current;
+            if (result.ritz_change < options.tolerance || b_j < 1e-12) {
+                // Settled, or an invariant subspace: the Ritz value is
+                // exact.
+                result.converged = true;
+                break;
+            }
+            previous_jacobi = current;
         }
-        result.energy = current;
-        if (result.ritz_change < options.tolerance || b_j < 1e-12) {
-            // Settled, or an invariant subspace: the Ritz value is exact.
-            result.converged = true;
-            break;
-        }
+        have_previous_jacobi = !keep_going;
+        previous_bisection = bisection;
         beta.push_back(b_j);
         v_prev = v_cur;
         v_cur = w;

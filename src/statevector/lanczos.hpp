@@ -11,7 +11,13 @@
  * does; every update is the same IEEE operation as the plain per-term
  * loop (`tests/reference_dense.hpp` keeps it as the oracle), so the
  * energy and the iteration count match it bit for bit. Each iteration
- * takes the Ritz values from the values-only tridiagonal eigensolve.
+ * takes the lowest Ritz value by O(m) Sturm-count bisection
+ * (`lowest_tridiagonal_eigenvalue`). When its change clears `tolerance`
+ * by more than both solvers' error bound, the stop test cannot pass and
+ * the iteration goes on; otherwise, and at the last iteration, the
+ * O(m^3) values-only Jacobi eigensolve (`tridiagonal_eigenvalues`)
+ * decides the stop and gives the reported values, exactly as the oracle
+ * loop does at every iteration.
  *
  * A solve that reaches `max_iterations` before the lowest Ritz value
  * settles returns `converged == false`; callers that need a reference

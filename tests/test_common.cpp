@@ -180,6 +180,61 @@ TEST(TridiagonalEigenvalues, ValuesOnlyMatchFullEigensolveByBits)
     }
 }
 
+/** |bisection - Jacobi| for the lowest eigenvalue of (alpha, beta),
+ *  which must stay within the stated `tridiagonal_solver_gap`. */
+void
+expect_lowest_within_gap(const std::vector<double>& alpha,
+                         const std::vector<double>& beta,
+                         const std::string& label)
+{
+    const double jacobi = tridiagonal_eigenvalues(alpha, beta).front();
+    const double bisection = lowest_tridiagonal_eigenvalue(alpha, beta);
+    EXPECT_LE(std::abs(bisection - jacobi),
+              tridiagonal_solver_gap(alpha, beta))
+        << label << ": bisection " << bisection << ", Jacobi " << jacobi;
+}
+
+TEST(LowestTridiagonalEigenvalue, WithinTheSolverGapOfJacobi)
+{
+    // Random matrices over six decades of scale, some couplings zero.
+    Rng rng(2811);
+    for (std::size_t trial = 0; trial < 120; ++trial) {
+        const std::size_t n = 1 + trial % 97;
+        const double scale = std::pow(10.0, rng.uniform_real(-3.0, 3.0));
+        std::vector<double> alpha(n);
+        std::vector<double> beta(n - 1);
+        for (auto& a : alpha) {
+            a = scale * rng.normal();
+        }
+        for (auto& b : beta) {
+            b = rng.uniform_int(0, 5) == 0 ? 0.0 : scale * rng.normal();
+        }
+        expect_lowest_within_gap(alpha, beta, "trial " + std::to_string(trial));
+    }
+
+    // One entry.
+    expect_lowest_within_gap({-2.5}, {}, "n = 1");
+    expect_lowest_within_gap({0.0}, {}, "n = 1, zero");
+
+    // Zero off-diagonals: the smallest diagonal entry.
+    expect_lowest_within_gap({3.0, -1.25, 7.0, -1.25, 0.5},
+                             {0.0, 0.0, 0.0, 0.0}, "diagonal");
+
+    // Repeated eigenvalues: two uncoupled copies of Tridiag(-1, 2, -1)
+    // (lowest 2 - 2cos(pi/6), twice), and a constant diagonal.
+    expect_lowest_within_gap({2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0,
+                              2.0},
+                             {-1.0, -1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0,
+                              -1.0},
+                             "two equal blocks");
+    EXPECT_NEAR(lowest_tridiagonal_eigenvalue(
+                    {2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0},
+                    {-1.0, -1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0, -1.0}),
+                2.0 - 2.0 * std::cos(M_PI / 6.0), 1e-14);
+    expect_lowest_within_gap(std::vector<double>(12, -4.0),
+                             std::vector<double>(11, 0.0), "constant");
+}
+
 TEST(Rng, Reproducibility)
 {
     Rng a(42);

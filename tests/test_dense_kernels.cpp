@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -486,10 +488,40 @@ TEST(LanczosKernels, CompiledMatvecMatchesOracleByBitsOnProblems)
 TEST(LanczosKernels, GroundStateMatchesOracleLoopByBits)
 {
     for (const char* key : {"molecule:H2", "molecule:LiH", "molecule:H6",
-                            "molecule:BeH2", "tfim:chain-12"}) {
+                            "molecule:BeH2", "molecule:H2O",
+                            "tfim:chain-12"}) {
         const problems::Problem problem = problems::make_problem(key);
         expect_same_solve(problem.hamiltonian(), {}, key);
     }
+
+    // H2O stretched to 2.6 A, where the lowest Ritz value settles
+    // slowly: stopped at a cap, which always ends on the Jacobi values.
+    LanczosOptions stretched;
+    stretched.max_iterations = 40;
+    expect_same_solve(
+        problems::make_molecular_system("H2O", 2.6).hamiltonian, stretched,
+        "H2O at 2.6 A, capped");
+
+    // A tolerance equal to a Ritz change the solve meets puts that
+    // iteration inside the bisection guard band, so the Jacobi values
+    // decide the stop: a change equal to the tolerance goes on, and a
+    // change one ulp below it stops there.
+    const problems::Problem h6_problem = problems::make_problem("molecule:H6");
+    const PauliSum& h6 = h6_problem.hamiltonian();
+    LanczosOptions first;
+    first.max_iterations = 30;
+    const GroundState probe = lanczos_ground_state(h6, first);
+    ASSERT_FALSE(probe.converged);
+    LanczosOptions at_change;
+    at_change.tolerance = probe.ritz_change;
+    expect_same_solve(h6, at_change, "H6, tolerance = Ritz change");
+    LanczosOptions above_change;
+    above_change.tolerance =
+        std::nextafter(probe.ritz_change,
+                       std::numeric_limits<double>::infinity());
+    expect_same_solve(h6, above_change, "H6, tolerance above Ritz change");
+    EXPECT_EQ(lanczos_ground_state(h6, above_change).iterations,
+              first.max_iterations);
 
     // A sector-restricted solve: the LiH cation's (charge 1) sector.
     problems::MolecularSystemOptions cation;

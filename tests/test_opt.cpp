@@ -86,6 +86,43 @@ TEST(Spsa, NoisyObjectiveStillDescends)
     EXPECT_LT(r.best_value, 0.5);
 }
 
+TEST(Spsa, ContinuousBatchTakesTheProbesAndKeepsTheTrajectory)
+{
+    // The hook receives each iteration's two probes as one block, in
+    // (+, -) order; values computed there give the serial trajectory.
+    std::vector<std::vector<double>> serial_calls;
+    auto f = [&serial_calls](const std::vector<double>& x) {
+        serial_calls.push_back(x);
+        return (x[0] - 0.5) * (x[0] - 0.5) + 3.0 * x[1] * x[1];
+    };
+    const SpsaOptions options{.iterations = 40, .seed = 9};
+    const OptimizeOutcome serial =
+        SpsaOptimizer(options).minimize(f, {2.0, -1.0});
+    const std::vector<std::vector<double>> serial_order = serial_calls;
+
+    serial_calls.clear();
+    std::size_t blocks = 0;
+    SearchContext context;
+    context.continuous_batch =
+        [&](const std::vector<std::vector<double>>& points) {
+            ++blocks;
+            EXPECT_EQ(points.size(), 2u);
+            std::vector<double> values;
+            for (const auto& x : points) {
+                values.push_back(f(x));
+            }
+            return values;
+        };
+    const OptimizeOutcome batched =
+        SpsaOptimizer(options).minimize(f, {2.0, -1.0}, {}, context);
+
+    EXPECT_EQ(blocks, 40u);
+    EXPECT_EQ(serial_calls, serial_order);
+    EXPECT_EQ(batched.history, serial.history);
+    EXPECT_EQ(batched.best_x, serial.best_x);
+    EXPECT_EQ(batched.evaluations, serial.evaluations);
+}
+
 TEST(DecisionTree, FitsPiecewiseConstantExactly)
 {
     // y = 1 if x0 <= 0.5 else 3.

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/clifford_ansatz.hpp"
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
@@ -208,6 +213,60 @@ TEST(CafqaPipeline, DeterministicAcrossThreadCounts)
     }
     EXPECT_EQ(results[0].best_steps, results[1].best_steps);
     EXPECT_EQ(results[0].history, results[1].history);
+}
+
+TEST(CafqaPipeline, TuneIsIdenticalAcrossThreadCounts)
+{
+    // With two workers the statevector tune evaluates SPSA's two probes
+    // at once; every backend must still give the same result, byte for
+    // byte, and the same Progress events in the same order.
+    const auto system = problems::make_molecular_system("H2", 1.5);
+    const VqaObjective objective = problems::make_objective(system);
+    const auto bits = [](const std::vector<double>& values) {
+        std::vector<std::uint64_t> out;
+        for (const double v : values) {
+            out.push_back(std::bit_cast<std::uint64_t>(v));
+        }
+        return out;
+    };
+
+    for (const char* backend : {"statevector", "density", "sampled"}) {
+        std::vector<VqaTuneResult> results;
+        std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>>
+            progress(2);
+        for (const std::size_t threads : {1u, 2u}) {
+            PipelineConfig config;
+            config.ansatz = system.ansatz;
+            config.objective = objective;
+            config.search = small_budget(11);
+            config.tuner.iterations = 15;
+            config.tuner.backend = backend;
+            config.tuner.shots = 128;
+            config.threads = threads;
+            CafqaPipeline pipeline(std::move(config));
+            pipeline.run_clifford_search();
+            auto& seen = progress[results.size()];
+            pipeline.set_observer([&seen](const PipelineEvent& event) {
+                if (event.event == PipelineEvent::Kind::Progress) {
+                    seen.emplace_back(
+                        event.evaluation,
+                        std::bit_cast<std::uint64_t>(event.best_value));
+                }
+            });
+            results.push_back(pipeline.run_vqa_tune());
+        }
+        // Start point, then two probes and a step per iteration.
+        EXPECT_EQ(progress[0].size(), 1u + 3u * 15u) << backend;
+        EXPECT_EQ(progress[0], progress[1]) << backend;
+        EXPECT_EQ(bits(results[0].trace), bits(results[1].trace)) << backend;
+        EXPECT_EQ(bits(results[0].final_params),
+                  bits(results[1].final_params))
+            << backend;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(results[0].final_value),
+                  std::bit_cast<std::uint64_t>(results[1].final_value))
+            << backend;
+        EXPECT_EQ(results[0].stop_reason, results[1].stop_reason) << backend;
+    }
 }
 
 TEST(CafqaPipeline, ObserverSeesStagesAndProgress)
