@@ -2,7 +2,8 @@
  * Dense-kernel microbench: the library's compiled statevector
  * expectation, row-contiguous density prepare, compiled sampled
  * estimator and compiled Lanczos solve against the reference kernels
- * they replaced (tests/reference_dense.hpp), timed in the same run.
+ * they replaced (tests/reference_dense.hpp), and the pooled Lanczos
+ * solve against the serial one, timed in the same run.
  *
  * Kernels are the three dense tunes of the end-to-end benchmark:
  * - `h2o_statevector`: <H> of the H2O Hamiltonian on a prepared state,
@@ -14,7 +15,13 @@
  *   same seed (both streams advance in step, round after round);
  * - `beh2_lanczos`: the exact ground energy of BeH2 at the library's
  *   default Lanczos settings, against the per-term loop with a full
- *   eigensolve per iteration; energy and iteration count are compared.
+ *   eigensolve per iteration; energy and iteration count are compared;
+ * - `h2o_lanczos_pooled`: a Lanczos solve of H2O with its matvecs split
+ *   over a 2-worker pool, against the serial library solve. At 2.6 A,
+ *   capped at 100 iterations, the lowest Ritz value is still moving, so
+ *   bisection skips the serial Jacobi eigensolve on all but the last
+ *   iterations and the ratio is the split matvec's gain, which a
+ *   dropped pool path loses.
  * Every round compares the two results bit for bit; any difference
  * exits 1.
  *
@@ -27,7 +34,7 @@
  * names end in neither `_ms` nor `_us`, so `bench_check` does not gate
  * them.
  *
- * Usage: dense_kernels [--json PATH]
+ * Usage: dense_kernels [--json PATH]  (starts one 2-worker pool)
  */
 
 #include <chrono>
@@ -43,9 +50,11 @@
 
 #include "../tests/reference_dense.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/evaluator.hpp"
 #include "core/sampled_evaluator.hpp"
 #include "pauli/compiled_pauli_sum.hpp"
+#include "problems/molecule_factory.hpp"
 #include "problems/problem.hpp"
 #include "statevector/lanczos.hpp"
 
@@ -154,6 +163,15 @@ main(int argc, char** argv)
                                    static_cast<double>(g.iterations)};
     };
 
+    // H2O at 2.6 A, capped: serial and over a 2-worker pool.
+    const cafqa::PauliSum h2o_stretched =
+        cafqa::problems::make_molecular_system("H2O", 2.6).hamiltonian;
+    cafqa::LanczosOptions capped;
+    capped.max_iterations = 100;
+    cafqa::ThreadPool pool(2);
+    cafqa::LanczosOptions pooled = capped;
+    pooled.pool = &pool;
+
     const Kernel kernels[] = {
         {"h2o_statevector", 15,
          [&] {
@@ -195,11 +213,20 @@ main(int argc, char** argv)
              return energy_and_iterations(
                  cafqa::lanczos_ground_state(beh2.hamiltonian()));
          }},
+        {"h2o_lanczos_pooled", 3,
+         [&] {
+             return energy_and_iterations(
+                 cafqa::lanczos_ground_state(h2o_stretched, capped));
+         },
+         [&] {
+             return energy_and_iterations(
+                 cafqa::lanczos_ground_state(h2o_stretched, pooled));
+         }},
     };
 
     std::ostringstream json;
     json << "{\"bench\":\"dense_kernels\",\"kernels\":[";
-    std::cout << "kernel            reference ms  library ms  speedup\n";
+    std::cout << "kernel              reference ms  library ms  speedup\n";
     bool first = true;
     for (const Kernel& kernel : kernels) {
         double best_ref = 0.0;
@@ -225,7 +252,7 @@ main(int argc, char** argv)
         }
         const double speedup = best_ref / best_lib;
         const std::string name = kernel.name;
-        std::cout << name << std::string(18 - name.size(), ' ') << best_ref
+        std::cout << name << std::string(20 - name.size(), ' ') << best_ref
                   << "  " << best_lib << "  " << speedup << "x\n";
         json << (first ? "" : ",") << "{\"kernel\":\"" << name
              << "\",\"rounds\":" << kernel.rounds

@@ -34,6 +34,16 @@ struct PoolTelemetry
     }
 };
 
+/** The pool and worker id of the calling thread, when it is a pool
+ *  worker: a nested `parallel_for` on that pool runs inline. */
+struct CurrentWorker
+{
+    const ThreadPool* pool = nullptr;
+    std::size_t worker = 0;
+};
+
+thread_local CurrentWorker current_worker;
+
 } // namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -70,6 +80,7 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::worker_loop(std::size_t worker)
 {
+    current_worker = {this, worker};
     std::uint64_t seen_generation = 0;
     for (;;) {
         MutexLock lock(pool_mutex_);
@@ -121,10 +132,13 @@ ThreadPool::parallel_for(
         return;
     }
     PoolTelemetry& pool_metrics = PoolTelemetry::get();
-    // Single worker or single item: run inline, no synchronization.
-    if (workers_.size() == 1 || count == 1) {
+    // A nested call from one of this pool's workers, a single worker or
+    // a single item: run inline, no synchronization.
+    if (current_worker.pool == this || workers_.size() == 1 || count == 1) {
+        const std::size_t worker =
+            current_worker.pool == this ? current_worker.worker : 0;
         for (std::size_t i = 0; i < count; ++i) {
-            fn(0, i);
+            fn(worker, i);
         }
         pool_metrics.tasks.add(count);
         return;

@@ -2,8 +2,10 @@
  * @file
  * Minimal fixed-size thread pool for fan-out over independent work items
  * (batched candidate evaluation in the CAFQA warm-up phase, exhaustive
- * Clifford enumeration). Workers are long-lived; `parallel_for` blocks
- * the caller until every index has been processed.
+ * Clifford enumeration, SPSA's probes) and for the dense kernels'
+ * slices (Lanczos matvec, statevector expectation). Workers are
+ * long-lived; `parallel_for` blocks the caller until every index has
+ * been processed, and a nested call from a worker runs inline.
  */
 #ifndef CAFQA_COMMON_THREAD_POOL_HPP
 #define CAFQA_COMMON_THREAD_POOL_HPP
@@ -48,8 +50,10 @@ class ThreadPool
      *
      * Safe to call from several threads at once — concurrent jobs are
      * serialized, one at a time (relevant for the shared() pool, which
-     * every default-configured search funnels through). Must not be
-     * called from inside a running job (deadlock).
+     * every default-configured search funnels through). A call from one
+     * of this pool's own workers (a job that reaches a pooled kernel)
+     * runs every index inline on that worker, passing its own worker
+     * id, and lets any exception propagate.
      */
     void parallel_for(std::size_t count,
                       const std::function<void(std::size_t worker,

@@ -31,7 +31,8 @@ backend_registry()
              }},
             {"statevector",
              [](const BackendConfig& config) {
-                 return std::make_unique<IdealEvaluator>(config.ansatz);
+                 return std::make_unique<IdealEvaluator>(config.ansatz,
+                                                         config.pool);
              }},
             {"density",
              [](const BackendConfig& config) {

@@ -11,7 +11,7 @@
  * |---------------|--------------------|------------|-----------------|
  * | "clifford"    | CliffordEvaluator  | discrete   | -               |
  * | "clifford_t"  | CliffordTEvaluator | discrete   | -               |
- * | "statevector" | IdealEvaluator     | continuous | -               |
+ * | "statevector" | IdealEvaluator     | continuous | pool            |
  * | "density"     | NoisyEvaluator     | continuous | noise           |
  * | "sampled"     | SampledEvaluator   | continuous | shots, seed     |
  *
@@ -40,6 +40,8 @@
 
 namespace cafqa {
 
+class ThreadPool;
+
 /** Everything a backend factory may need; unused fields are ignored. */
 struct BackendConfig
 {
@@ -64,6 +66,15 @@ struct BackendConfig
      * configurations sharing one cache can never alias an entry.
      */
     std::shared_ptr<EvaluationCache> shared_cache;
+    /**
+     * Non-owning pool that splits each "statevector" expectation across
+     * its workers (null = serial; other kinds ignore it). The pool must
+     * outlive the backend and its clones; a clone evaluating on one of
+     * the pool's own workers runs the split inline. Like the cache
+     * fields it never changes a value, so `backend_config_hash` leaves
+     * it out.
+     */
+    ThreadPool* pool = nullptr;
 };
 
 /**
@@ -71,8 +82,8 @@ struct BackendConfig
  * expectation values: kind, ansatz gates, noise parameters, shots and
  * sampling seed. Two configs with equal hashes produce (up to a 64-bit
  * collision) interchangeable evaluations — the aliasing guard for
- * cross-run cache sharing. Cache options are deliberately excluded
- * (they never change values).
+ * cross-run cache sharing. Cache options and the pool are
+ * deliberately excluded (they never change values).
  */
 std::uint64_t backend_config_hash(const BackendConfig& config);
 

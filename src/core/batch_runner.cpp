@@ -176,9 +176,12 @@ execute_run_spec(const RunSpec& spec, const problems::Problem& problem,
     record.stop_reason =
         to_string(pipeline.clifford_result().stop_reason);
     if (spec.exact && !is_cancelled()) {
-        record.exact_energy = context.exact_memo
-                                  ? context.exact_memo->exact_energy(problem)
-                                  : problem.exact_energy();
+        // The pipeline's pool splits the solve (same bits as serial).
+        ThreadPool* const pool = pipeline.kernel_pool();
+        record.exact_energy =
+            context.exact_memo
+                ? context.exact_memo->exact_energy(problem, pool)
+                : problem.exact_energy(pool);
     }
     if (record.exact_energy.has_value()) {
         // Evals-to-chemical-accuracy, read off the recorded best trace
@@ -248,10 +251,11 @@ BatchRunner::run(const std::vector<RunSpec>& specs)
         (void)worker;
         RunSpec spec = specs[index];
         if (spec.threads == 0) {
-            // The batch fan-out may be running on the shared pool;
-            // a nested parallel_for on the same pool would deadlock,
-            // so give the run its own (small) pool instead. Thread
-            // count never changes results — evaluation batching is
+            // The batch fan-out may be running on the shared pool, where
+            // a run's nested parallel_for would run inline on this one
+            // worker; give the run its own (small) pool instead, so it
+            // keeps `run_threads` of parallelism. Thread count never
+            // changes results — evaluation batching is
             // trajectory-preserving.
             spec.threads = options_.run_threads;
         }

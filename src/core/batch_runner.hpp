@@ -147,10 +147,10 @@ struct BatchOptions
     std::size_t concurrency = 0;
     /**
      * Worker threads given to each run whose spec leaves `threads` at
-     * 0. Runs inside the batch must not lean on the shared pool (the
-     * batch fan-out itself may occupy it), so 0 is re-mapped to this
-     * per-run pool size; 1 (the default) keeps every core busy running
-     * whole specs side by side.
+     * 0. The batch fan-out itself may occupy the shared pool, where a
+     * run's own parallel_for would run inline on its one worker, so 0
+     * is re-mapped to this per-run pool size; 1 (the default) keeps
+     * every core busy running whole specs side by side.
      */
     std::size_t run_threads = 1;
 };

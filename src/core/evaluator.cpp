@@ -74,7 +74,9 @@ CliffordEvaluator::clone() const
 
 // ------------------------------------------------------------------- Ideal
 
-IdealEvaluator::IdealEvaluator(Circuit ansatz) : ansatz_(std::move(ansatz)) {}
+IdealEvaluator::IdealEvaluator(Circuit ansatz, ThreadPool* pool)
+    : ansatz_(std::move(ansatz)), pool_(pool)
+{}
 
 void
 IdealEvaluator::prepare(const std::vector<double>& params)
@@ -87,7 +89,7 @@ double
 IdealEvaluator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(state_.has_value(), "prepare() has not been called");
-    return state_->expectation(compiled_.get(op));
+    return state_->expectation(compiled_.get(op), pool_);
 }
 
 const Statevector&

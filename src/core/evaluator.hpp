@@ -87,11 +87,13 @@ class CliffordEvaluator final : public DiscreteBackend
 
 /** Noise-free statevector backend. Observables are compiled once per
  *  distinct sum (`CompiledPauliSum`), shared with clones the same way
- *  as `CliffordEvaluator`'s engines. */
+ *  as `CliffordEvaluator`'s engines. A non-null `pool` (non-owning,
+ *  shared with clones) splits each expectation across its workers,
+ *  with the same result to the bit. */
 class IdealEvaluator final : public ContinuousBackend
 {
   public:
-    explicit IdealEvaluator(Circuit ansatz);
+    explicit IdealEvaluator(Circuit ansatz, ThreadPool* pool = nullptr);
 
     std::string_view kind() const override { return "statevector"; }
     std::size_t num_qubits() const override { return ansatz_.num_qubits(); }
@@ -105,6 +107,7 @@ class IdealEvaluator final : public ContinuousBackend
 
   private:
     Circuit ansatz_;
+    ThreadPool* pool_;
     std::optional<Statevector> state_;
     mutable ObservableMemo<CompiledPauliSum> compiled_;
 };

@@ -17,7 +17,8 @@ ExactEnergyMemo::ExactEnergyMemo()
 }
 
 std::optional<double>
-ExactEnergyMemo::exact_energy(const problems::Problem& problem)
+ExactEnergyMemo::exact_energy(const problems::Problem& problem,
+                              ThreadPool* pool)
 {
     MutexLock lock(exact_memo_mutex_);
     for (auto found = index_.find(problem.key); found != index_.end();
@@ -44,7 +45,7 @@ ExactEnergyMemo::exact_energy(const problems::Problem& problem)
     std::optional<double> energy;
     std::optional<std::string> error;
     try {
-        energy = problem.exact_energy();
+        energy = problem.exact_energy(pool);
     } catch (const CafqaError& failure) {
         error = failure.what();
     } catch (...) {

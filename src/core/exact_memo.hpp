@@ -9,7 +9,7 @@
  * solo bench passes) has no memo and solves per run.
  *
  *   ExactEnergyMemo memo;
- *   const std::optional<double> e = memo.exact_energy(problem);
+ *   const std::optional<double> e = memo.exact_energy(problem, pool);
  *
  * Identity is the canonical `Problem::key`, compared as the full string.
  * The memo holds what the solve produced: the energy (nullopt when the
@@ -53,11 +53,14 @@ class ExactEnergyMemo
     ExactEnergyMemo& operator=(const ExactEnergyMemo&) = delete;
 
     /**
-     * `problem.exact_energy()`, solved at most once while its key stays
-     * resident. Counts one miss when this call runs the solve, else one
-     * hit (waiting on a solve in flight is a hit).
+     * `problem.exact_energy(pool)`, solved at most once while its key
+     * stays resident (the solving request's pool splits the solve; the
+     * value is the same without it). Counts one miss when this call
+     * runs the solve, else one hit (waiting on a solve in flight is a
+     * hit).
      */
-    std::optional<double> exact_energy(const problems::Problem& problem)
+    std::optional<double> exact_energy(const problems::Problem& problem,
+                                       ThreadPool* pool = nullptr)
         CAFQA_EXCLUDES(exact_memo_mutex_);
 
   private:

@@ -156,6 +156,12 @@ CafqaPipeline::pool()
     return *own_pool_;
 }
 
+ThreadPool*
+CafqaPipeline::kernel_pool()
+{
+    return config_.threads == 1 ? nullptr : &pool();
+}
+
 std::vector<double>
 CafqaPipeline::batch_objective(const DiscreteBackend& prototype,
                                const std::vector<std::vector<int>>& candidates)
@@ -388,7 +394,19 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
     backend_config.noise = options.noise;
     backend_config.shots = options.shots;
     backend_config.seed = options.seed;
-    const auto backend = make_continuous_backend(backend_config);
+    auto backend = make_continuous_backend(backend_config);
+    // Only for "statevector": a "sampled" value depends on how many calls
+    // its instance has served, and a "density" clone costs a 4^n matrix
+    // for a small gain. A one-thread run never starts a pool here.
+    ThreadPool* const workers =
+        backend->kind() == "statevector" ? kernel_pool() : nullptr;
+    const bool pooled = workers != nullptr && workers->size() > 1;
+    if (pooled) {
+        // Rebuilt over the pool, which then also splits each
+        // expectation; clones share it and split inline on a worker.
+        backend_config.pool = workers;
+        backend = make_continuous_backend(backend_config);
+    }
 
     std::size_t evaluations = 0;
     double best_seen = 0.0;
@@ -414,19 +432,15 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
 
     // Independent points (SPSA's two probes) fan out over the pool with
     // one clone per worker, kept for the stage; counting and Progress
-    // stay here, in point order. Only for "statevector": a "sampled"
-    // value depends on how many calls its instance has served, and a
-    // "density" clone costs a 4^n matrix for a small gain. A one-thread
-    // run never starts a pool here.
+    // stay here, in point order.
     SearchContext context;
     std::vector<std::unique_ptr<ContinuousBackend>> clones;
-    if (backend->kind() == "statevector" && config_.threads != 1 &&
-        pool().size() > 1) {
-        clones.resize(pool().size());
+    if (pooled) {
+        clones.resize(workers->size());
         context.continuous_batch =
             [&](const std::vector<std::vector<double>>& points) {
                 std::vector<double> values(points.size());
-                pool().parallel_for(
+                workers->parallel_for(
                     points.size(), [&](std::size_t worker, std::size_t i) {
                         auto& clone = clones[worker];
                         if (!clone) {

@@ -23,7 +23,9 @@
  * tuner's SPSA gains, which are a constant of the pipeline. Candidate
  * evaluation in block-generated phases, and a statevector tune's two
  * SPSA probes, are batched across a thread pool with per-worker backend
- * clones. Observers receive begin/progress/end
+ * clones; the same pool splits each statevector expectation of the tune
+ * (and, through `kernel_pool()`, the run's exact solve). Observers
+ * receive begin/progress/end
  * events per stage, which is how the bench harness collects its traces.
  *
  * Concurrency contract: a `CafqaPipeline` is THREAD-CONFINED — drive
@@ -208,9 +210,10 @@ struct PipelineConfig
     VqaTunerOptions tuner = VqaTunerOptions();
     /** Worker threads for batched candidate evaluation (block phases
      *  of the discrete searches) and, on the "statevector" tune
-     *  backend, for SPSA's two gradient probes; 0 uses the
-     *  process-wide shared pool (sized to the hardware). Results do not
-     *  depend on the count. */
+     *  backend, for SPSA's two gradient probes and the slices of each
+     *  expectation; `kernel_pool()` hands the same pool to the exact
+     *  solve. 0 uses the process-wide shared pool (sized to the
+     *  hardware). Results never depend on the count, to the bit. */
     std::size_t threads = 0;
     /** Registry kind of the discrete search backend. */
     std::string search_backend = "clifford";
@@ -317,6 +320,11 @@ class CafqaPipeline
     const CafqaResult& clifford_result() const;
     const TBoostResult& t_boost_result() const;
     const VqaTuneResult& tune_result() const;
+
+    /** The run's pool for dense kernels outside the stages (the exact
+     *  solve `execute_run_spec` runs): null on a one-thread run, else
+     *  the pool the stages use, started on first use. */
+    ThreadPool* kernel_pool();
 
     const PipelineConfig& config() const { return config_; }
 

@@ -27,9 +27,10 @@ constexpr std::size_t kMaxLanczosQubits = 20;
  *  the solve stops at its iteration cap unconverged: an unconverged
  *  value must never pass for the exact reference. */
 std::optional<double>
-converged_ground_energy(const PauliSum& hamiltonian,
-                        const LanczosOptions& options = {})
+converged_ground_energy(const PauliSum& hamiltonian, ThreadPool* pool,
+                        LanczosOptions options = {})
 {
+    options.pool = pool;
     const GroundState ground = lanczos_ground_state(hamiltonian, options);
     if (!ground.converged) {
         throw CafqaError(
@@ -256,9 +257,9 @@ make_molecule_problem(const ProblemKey& key)
             // Neutral singlet: the global minimum of the reduced
             // Hamiltonian (matches the historical CLI read-out).
             PauliSum hamiltonian = system.hamiltonian;
-            problem.exact_solver = [hamiltonian =
-                                        std::move(hamiltonian)]() {
-                return converged_ground_energy(hamiltonian);
+            problem.exact_solver = [hamiltonian = std::move(hamiltonian)](
+                                       ThreadPool* pool) {
+                return converged_ground_energy(hamiltonian, pool);
             };
         } else {
             // Constrained sector: restrict the Krylov basis so the
@@ -266,10 +267,11 @@ make_molecule_problem(const ProblemKey& key)
             PauliSum hamiltonian = system.hamiltonian;
             auto filter = sector_filter(system);
             problem.exact_solver = [hamiltonian = std::move(hamiltonian),
-                                    filter = std::move(filter)]() {
+                                    filter = std::move(filter)](
+                                       ThreadPool* pool) {
                 LanczosOptions options;
                 options.basis_filter = filter;
-                return converged_ground_energy(hamiltonian, options);
+                return converged_ground_energy(hamiltonian, pool, options);
             };
         }
     }
@@ -339,7 +341,8 @@ make_maxcut_problem(const ProblemKey& key)
 
     if (instance.num_vertices <=
         MaxCutProblem::max_brute_force_vertices) {
-        problem.exact_solver = [instance = std::move(instance)]() {
+        problem.exact_solver = [instance = std::move(instance)](
+                                   ThreadPool*) {
             // H = sum (Z_i Z_j - 1)/2, so the ground energy is minus
             // the maximum cut weight.
             return std::optional<double>(-instance.optimal_cut());
@@ -384,8 +387,9 @@ finish_spin_chain(const ProblemKey& key, SpinChainProblem chain,
 
     if (chain.num_sites <= kMaxLanczosQubits) {
         PauliSum hamiltonian = problem.hamiltonian();
-        problem.exact_solver = [hamiltonian = std::move(hamiltonian)]() {
-            return converged_ground_energy(hamiltonian);
+        problem.exact_solver = [hamiltonian = std::move(hamiltonian)](
+                                   ThreadPool* pool) {
+            return converged_ground_energy(hamiltonian, pool);
         };
     }
     return problem;
@@ -597,10 +601,10 @@ Problem::metric(const std::string& name) const
 }
 
 std::optional<double>
-Problem::exact_energy() const
+Problem::exact_energy(ThreadPool* pool) const
 {
     if (!exact_cache_) {
-        exact_cache_ = exact_solver ? exact_solver()
+        exact_cache_ = exact_solver ? exact_solver(pool)
                                     : std::optional<double>();
     }
     return *exact_cache_;

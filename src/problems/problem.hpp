@@ -39,6 +39,10 @@
 #include "core/objective.hpp"
 #include "pauli/pauli_sum.hpp"
 
+namespace cafqa {
+class ThreadPool;
+}
+
 namespace cafqa::problems {
 
 /** A parsed problem key: `family:instance?param=value&...`. */
@@ -97,8 +101,9 @@ struct Problem
 
     /** Solver for the exact ground energy; nullopt-returning (or
      *  absent) when the instance is too large. Set by the factory;
-     *  invoked lazily by `exact_energy()`. */
-    std::function<std::optional<double>()> exact_solver;
+     *  invoked lazily by `exact_energy()`, which passes its pool (null
+     *  = serial; the pool never changes the value). */
+    std::function<std::optional<double>(ThreadPool* pool)> exact_solver;
 
     /** The problem Hamiltonian (alias of `objective.hamiltonian`). */
     const PauliSum& hamiltonian() const { return objective.hamiltonian; }
@@ -110,9 +115,11 @@ struct Problem
      * Exact ground energy of the bare Hamiltonian (Lanczos for
      * molecules and spin chains, brute force for MaxCut), or nullopt
      * when the instance is too large for an exact solve. Computed on
-     * first call and memoized; potentially expensive.
+     * first call and memoized; potentially expensive. A `pool` splits
+     * the Lanczos matvecs across its workers with the same result to
+     * the bit.
      */
-    std::optional<double> exact_energy() const;
+    std::optional<double> exact_energy(ThreadPool* pool = nullptr) const;
 
   private:
     mutable std::optional<std::optional<double>> exact_cache_;

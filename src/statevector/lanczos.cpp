@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "statevector/pair_kernel.hpp"
 
 namespace cafqa {
@@ -19,6 +20,12 @@ using Vec = std::vector<Complex>;
 /** Basis states per block of the matvec: the index bits above 16 are
  *  constant within a block, so one table lookup gives each parity. */
 constexpr std::size_t kMatvecBlock = std::size_t{1} << 16;
+
+/** Destination slices per pool worker in a pooled matvec, so a worker
+ *  that starts late still gets a share, and the fewest basis states a
+ *  slice holds, so each term's setup stays small against its sweep. */
+constexpr std::size_t kSlicesPerWorker = 2;
+constexpr std::size_t kMinMatvecSlice = 512;
 
 Complex
 dot(const Vec& a, const Vec& b)
@@ -71,19 +78,18 @@ random_unit_vector(std::size_t dim, std::uint64_t seed)
     return v;
 }
 
-} // namespace
-
+/**
+ * y[d] += (±w_t) x[d ^ x_t] for every term t in order and every
+ * destination d in [lo, lo + len), where `len` is a power of two and
+ * `lo` a multiple of it. The sign is the parity of (d ^ x_t) & z_t,
+ * which splits as parity((base ^ x_t) & z_t) ^ parity(i & z_t) over
+ * d = base + i, for base a multiple of the block and i < 2^16.
+ */
 void
-accumulate_matvec(const CompiledPauliSum& op, const std::vector<Complex>& x,
-                  std::vector<Complex>& y)
+apply_terms(const CompiledPauliSum& op, const double* in, double* out,
+            std::uint64_t lo, std::uint64_t len)
 {
-    CAFQA_REQUIRE(op.num_qubits() < 64, "matvec limited to 63 qubits");
-    const std::size_t dim = std::size_t{1} << op.num_qubits();
-    CAFQA_REQUIRE(x.size() == dim && y.size() == dim,
-                  "buffer size mismatch");
-    const std::size_t block = std::min(dim, kMatvecBlock);
-    const double* in = reinterpret_cast<const double*>(x.data());
-    double* out = reinterpret_cast<double*>(y.data());
+    const std::uint64_t block = std::min<std::uint64_t>(len, kMatvecBlock);
     for (const CompiledTerm& term : op.terms()) {
         const Complex w =
             term.coefficient * PauliString::i_power(term.phase);
@@ -97,19 +103,47 @@ accumulate_matvec(const CompiledPauliSum& op, const std::vector<Complex>& x,
             im[odd] = Lanes{-signed_w.imag(), signed_w.imag()};
         }
         const std::uint64_t low_z = term.z & 0xffff;
-        for (std::uint64_t base = 0; base < dim; base += block) {
-            const unsigned high = std::popcount(base & term.z) & 1u;
-            const double* src = in + 2 * base;
+        for (std::uint64_t base = lo; base < lo + len; base += block) {
+            const std::uint64_t from = base ^ term.x;
+            const unsigned high = std::popcount(from & term.z) & 1u;
+            double* dst = out + 2 * base;
             for (std::uint64_t i = 0; i < block; ++i) {
                 const unsigned odd = high ^ kParity16[i & low_z];
-                const Lanes a = load_lanes(src + 2 * i);
+                const Lanes a = load_lanes(in + 2 * (from ^ i));
                 const Lanes swapped = __builtin_shufflevector(a, a, 1, 0);
-                double* dst = out + 2 * ((base + i) ^ term.x);
-                store_lanes(dst, load_lanes(dst) +
-                                     (re[odd] * a + im[odd] * swapped));
+                store_lanes(dst + 2 * i,
+                            load_lanes(dst + 2 * i) +
+                                (re[odd] * a + im[odd] * swapped));
             }
         }
     }
+}
+
+} // namespace
+
+void
+accumulate_matvec(const CompiledPauliSum& op, const std::vector<Complex>& x,
+                  std::vector<Complex>& y, ThreadPool* pool)
+{
+    CAFQA_REQUIRE(op.num_qubits() < 64, "matvec limited to 63 qubits");
+    const std::size_t dim = std::size_t{1} << op.num_qubits();
+    CAFQA_REQUIRE(x.size() == dim && y.size() == dim,
+                  "buffer size mismatch");
+    const double* in = reinterpret_cast<const double*>(x.data());
+    double* out = reinterpret_cast<double*>(y.data());
+    if (!splits_across(pool, dim * op.terms().size())) {
+        apply_terms(op, in, out, 0, dim);
+        return;
+    }
+    // Every slice applies all terms, in order, to its own destinations,
+    // so each element gets the serial sequence of adds.
+    const std::size_t slices =
+        std::min(std::bit_ceil(kSlicesPerWorker * pool->size()),
+                 std::max<std::size_t>(dim / kMinMatvecSlice, 1));
+    const std::size_t len = dim / slices;
+    pool->parallel_for(slices, [&](std::size_t, std::size_t slice) {
+        apply_terms(op, in, out, slice * len, len);
+    });
 }
 
 GroundState
@@ -158,7 +192,7 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
     for (std::size_t j = 0; j < options.max_iterations; ++j) {
         ++result.iterations;
         std::fill(w.begin(), w.end(), Complex{0.0, 0.0});
-        accumulate_matvec(compiled, v_cur, w);
+        accumulate_matvec(compiled, v_cur, w, options.pool);
         project(w); // guard against roundoff leakage out of the sector
 
         const double a_j = dot(v_cur, w).real();

@@ -19,6 +19,12 @@
  * decides the stop and gives the reported values, exactly as the oracle
  * loop does at every iteration.
  *
+ * Given a pool (`LanczosOptions::pool`), each matvec splits its
+ * destination range across the workers; every element still receives
+ * its adds in term order, so a pooled solve returns the serial one's
+ * energy and iteration count bit for bit. The inner products, norms
+ * and Ritz solves stay serial.
+ *
  * A solve that reaches `max_iterations` before the lowest Ritz value
  * settles returns `converged == false`; callers that need a reference
  * value must check it.
@@ -51,6 +57,10 @@ struct LanczosOptions
      * the solve then returns the lowest eigenvalue *within the sector*.
      */
     std::function<bool(std::uint64_t)> basis_filter;
+    /** Non-owning pool that splits each matvec (null = serial). The
+     *  result is the same to the bit; `dot`, `norm` and the Ritz
+     *  solves stay serial. */
+    ThreadPool* pool = nullptr;
 };
 
 /** Result of a ground-state solve. */
@@ -77,11 +87,14 @@ GroundState lanczos_ground_state(const PauliSum& hamiltonian,
  * Terms are applied in `op.terms()` order, each as one sweep of
  * y[b ^ x_t] += (±w_t) x[b] with w_t = coefficient * i^phase, so every
  * element receives the same sequence of IEEE operations as the plain
- * per-term loop.
+ * per-term loop. With a `pool` and at least `kPooledKernelWork`
+ * element-terms, the destination range is cut into contiguous slices
+ * and each job applies every term, in order, to its own slice: the
+ * per-element sequence, and so the result, is unchanged.
  */
 void accumulate_matvec(const CompiledPauliSum& op,
                        const std::vector<Complex>& x,
-                       std::vector<Complex>& y);
+                       std::vector<Complex>& y, ThreadPool* pool = nullptr);
 
 } // namespace cafqa
 

@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "statevector/pair_kernel.hpp"
 
 namespace cafqa {
@@ -63,7 +64,75 @@ accumulate_terms(const LaneBits* products, std::size_t n, std::uint64_t base,
     }
 }
 
+/** Per-worker buffers of one group pass. */
+struct GroupScratch
+{
+    std::vector<LaneBits> products;
+    std::vector<std::uint64_t> zs;
+    std::vector<Lanes> acc;
+};
+
+/**
+ * One X-mask group of the compiled expectation: forms
+ * p_b = conj(a[b ^ x]) * a[b] chunk by chunk and sets
+ * sums[t] = sum_b (-1)^{parity(b & z_t)} p_b, in ascending b, for each
+ * term t of the group.
+ */
+void
+accumulate_group(const double* amps, std::size_t dim,
+                 const CompiledPauliSum& op, const XMaskGroup& group,
+                 GroupScratch& scratch, std::vector<Complex>& sums)
+{
+    const std::size_t chunk = std::min(dim, kExpectationChunk);
+    const std::size_t m = group.terms.size();
+    scratch.products.resize(chunk);
+    scratch.zs.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        scratch.zs[j] = op.terms()[group.terms[j]].z;
+    }
+    scratch.acc.assign(m, Lanes{0.0, 0.0});
+    LaneBits* products = scratch.products.data();
+    const std::uint64_t* zs = scratch.zs.data();
+    Lanes* acc = scratch.acc.data();
+    for (std::uint64_t base = 0; base < dim; base += chunk) {
+        // p_b = conj(a[b ^ x]) * a[b], with std::complex's finite-path
+        // arithmetic.
+        for (std::size_t i = 0; i < chunk; ++i) {
+            const double* c = amps + 2 * ((base + i) ^ group.x);
+            const double* d = amps + 2 * (base + i);
+            products[i] = (LaneBits)Lanes{c[0] * d[0] + c[1] * d[1],
+                                          c[0] * d[1] - c[1] * d[0]};
+        }
+        std::size_t j = 0;
+        for (; j + 4 <= m; j += 4) {
+            accumulate_terms<4>(products, chunk, base, zs + j, acc + j);
+        }
+        switch (m - j) {
+          case 3:
+            accumulate_terms<3>(products, chunk, base, zs + j, acc + j);
+            break;
+          case 2:
+            accumulate_terms<2>(products, chunk, base, zs + j, acc + j);
+            break;
+          case 1:
+            accumulate_terms<1>(products, chunk, base, zs + j, acc + j);
+            break;
+          default:
+            break;
+        }
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+        sums[group.terms[j]] = Complex{acc[j][0], acc[j][1]};
+    }
+}
+
 } // namespace
+
+bool
+splits_across(const ThreadPool* pool, std::size_t work)
+{
+    return pool != nullptr && pool->size() > 1 && work >= kPooledKernelWork;
+}
 
 Statevector::Statevector(std::size_t num_qubits)
     : num_qubits_(num_qubits),
@@ -273,58 +342,26 @@ Statevector::expectation(const PauliSum& op) const
 }
 
 double
-Statevector::expectation(const CompiledPauliSum& op) const
+Statevector::expectation(const CompiledPauliSum& op, ThreadPool* pool) const
 {
     CAFQA_REQUIRE(op.num_qubits() == num_qubits_,
                   "operator qubit count mismatch");
     const std::size_t dim = amplitudes_.size();
-    const std::size_t chunk = std::min(dim, kExpectationChunk);
     // std::complex<double> is layout-compatible with double[2].
     const double* amps = reinterpret_cast<const double*>(amplitudes_.data());
-    std::vector<LaneBits> products(chunk);
+    const std::vector<XMaskGroup>& groups = op.x_groups();
     std::vector<Complex> sums(op.terms().size());
-    std::vector<std::uint64_t> zs;
-    std::vector<Lanes> acc;
-    for (const XMaskGroup& group : op.x_groups()) {
-        const std::size_t m = group.terms.size();
-        zs.resize(m);
-        for (std::size_t j = 0; j < m; ++j) {
-            zs[j] = op.terms()[group.terms[j]].z;
-        }
-        acc.assign(m, Lanes{0.0, 0.0});
-        for (std::uint64_t base = 0; base < dim; base += chunk) {
-            // p_b = conj(a[b ^ x]) * a[b], with std::complex's
-            // finite-path arithmetic.
-            for (std::size_t i = 0; i < chunk; ++i) {
-                const double* c = amps + 2 * ((base + i) ^ group.x);
-                const double* d = amps + 2 * (base + i);
-                products[i] = (LaneBits)Lanes{c[0] * d[0] + c[1] * d[1],
-                                              c[0] * d[1] - c[1] * d[0]};
-            }
-            std::size_t j = 0;
-            for (; j + 4 <= m; j += 4) {
-                accumulate_terms<4>(products.data(), chunk, base,
-                                    zs.data() + j, acc.data() + j);
-            }
-            switch (m - j) {
-              case 3:
-                accumulate_terms<3>(products.data(), chunk, base,
-                                    zs.data() + j, acc.data() + j);
-                break;
-              case 2:
-                accumulate_terms<2>(products.data(), chunk, base,
-                                    zs.data() + j, acc.data() + j);
-                break;
-              case 1:
-                accumulate_terms<1>(products.data(), chunk, base,
-                                    zs.data() + j, acc.data() + j);
-                break;
-              default:
-                break;
-            }
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            sums[group.terms[j]] = Complex{acc[j][0], acc[j][1]};
+    // One job per group; each writes only its own terms' sums.
+    const bool split = splits_across(pool, dim * op.terms().size());
+    std::vector<GroupScratch> scratch(split ? pool->size() : 1);
+    const auto group_job = [&](std::size_t worker, std::size_t g) {
+        accumulate_group(amps, dim, op, groups[g], scratch[worker], sums);
+    };
+    if (split) {
+        pool->parallel_for(groups.size(), group_job);
+    } else {
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            group_job(0, g);
         }
     }
     double total = 0.0;

@@ -22,6 +22,18 @@ namespace cafqa {
 
 using Complex = std::complex<double>;
 
+class ThreadPool;
+
+/** Work, in basis states times Pauli terms, from which a dense kernel
+ *  given a pool (Lanczos matvec, compiled expectation) splits across
+ *  it; below it the dispatch would cost more than it saves. */
+constexpr std::size_t kPooledKernelWork = std::size_t{1} << 18;
+
+/** True when a dense kernel of `work` basis-state terms splits across
+ *  `pool`: a pool of two or more workers, and at least
+ *  `kPooledKernelWork`. */
+bool splits_across(const ThreadPool* pool, std::size_t work);
+
 /** Dense pure state on up to 28 qubits. */
 class Statevector
 {
@@ -70,9 +82,14 @@ class Statevector
      * parity, into that term's accumulator in ascending b. Every
      * floating-point operation matches the per-term sweep
      * `sum_t (c_t * (i^k_t * sum_b conj(a[b^x_t]) * s_t(b) * a[b])).real()`
-     * in order, so the result is bit-identical to it.
+     * in order, so the result is bit-identical to it. With a `pool`
+     * and at least `kPooledKernelWork` basis-state terms, the X-mask
+     * groups run as separate jobs; each writes only its own terms'
+     * sums, and the total is still added serially in term order, so
+     * the result is the same to the bit.
      */
-    double expectation(const CompiledPauliSum& op) const;
+    double expectation(const CompiledPauliSum& op,
+                       ThreadPool* pool = nullptr) const;
 
     /** <this|other>. */
     Complex inner(const Statevector& other) const;

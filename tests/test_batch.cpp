@@ -237,6 +237,40 @@ TEST(RunSpec, TBoostedCircuitKeepsItsParametersForTheTune)
     EXPECT_TRUE(record.tuned_value.has_value());
 }
 
+TEST(RunSpec, ThreadCountNeverChangesTheRecord)
+{
+    // LiH is the spec the CI smoke step diffs; tfim:chain-14 is large
+    // enough that the tune's expectations and the exact solve's matvecs
+    // split across the pool.
+    for (const char* text :
+         {"problem=molecule:LiH?bond=2.4 search=anneal tune=20 exact=1",
+          "problem=tfim:chain-14 search=anneal warmup=20 iterations=20 "
+          "tune=10 exact=1"}) {
+        SCOPED_TRACE(text);
+        const RunSpec base = RunSpec::parse(text);
+        std::string want;
+        for (const std::size_t threads : {1, 2, 3}) {
+            RunSpec spec = base;
+            spec.threads = threads;
+            RunRecord record = execute_run_spec(spec);
+            ASSERT_TRUE(record.ok) << record.error;
+            ASSERT_TRUE(record.tuned_value.has_value());
+            ASSERT_TRUE(record.exact_energy.has_value());
+            // The spec echo names the thread count and wall_ms is a
+            // timing; everything else must match byte for byte.
+            record.spec = base;
+            std::string json = record.to_json();
+            const std::size_t at = json.find("\"wall_ms\":");
+            json.erase(at, json.find(',', at) + 1 - at);
+            if (threads == 1) {
+                want = json;
+            } else {
+                EXPECT_EQ(json, want) << threads << " threads";
+            }
+        }
+    }
+}
+
 /** The four-family batch used by the concurrency regression tests. */
 std::vector<RunSpec>
 sample_specs()
@@ -409,7 +443,7 @@ problem_with_solver(std::atomic<int>& calls,
                     std::function<std::optional<double>()> solver)
 {
     problems::Problem problem = problems::make_problem(memo_spec().problem);
-    problem.exact_solver = [&calls, solver = std::move(solver)] {
+    problem.exact_solver = [&calls, solver = std::move(solver)](ThreadPool*) {
         calls.fetch_add(1);
         return solver();
     };

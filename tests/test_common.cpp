@@ -461,6 +461,63 @@ TEST(ThreadPool, ShutdownStressNeverDropsTasks)
     }
 }
 
+TEST(ThreadPool, NestedParallelForRunsInline)
+{
+    // A job reaching a pooled kernel calls parallel_for on its own pool:
+    // the nested call runs every index on the calling worker, under that
+    // worker's id, instead of waiting for the busy pool.
+    ThreadPool pool(3);
+    constexpr std::size_t kOuter = 12;
+    constexpr std::size_t kInner = 40;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    std::atomic<int> elsewhere{0};
+    pool.parallel_for(kOuter, [&](std::size_t worker, std::size_t outer) {
+        const std::thread::id caller = std::this_thread::get_id();
+        pool.parallel_for(kInner, [&](std::size_t inner_worker,
+                                      std::size_t inner) {
+            if (inner_worker != worker ||
+                std::this_thread::get_id() != caller) {
+                elsewhere.fetch_add(1, std::memory_order_relaxed);
+            }
+            hits[outer * kInner + inner].fetch_add(
+                1, std::memory_order_relaxed);
+        });
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+
+    // The nested call rethrows into the job, and an uncaught one reaches
+    // the outer caller.
+    const auto throwing = [](std::size_t, std::size_t index) {
+        if (index == 5) {
+            throw std::runtime_error("inner");
+        }
+    };
+    std::atomic<int> caught{0};
+    pool.parallel_for(kOuter, [&](std::size_t, std::size_t) {
+        try {
+            pool.parallel_for(8, throwing);
+        } catch (const std::runtime_error&) {
+            caught.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    EXPECT_EQ(caught.load(), static_cast<int>(kOuter));
+    EXPECT_THROW(pool.parallel_for(kOuter,
+                                   [&](std::size_t, std::size_t) {
+                                       pool.parallel_for(8, throwing);
+                                   }),
+                 std::runtime_error);
+
+    // Still usable afterwards.
+    std::atomic<std::size_t> done{0};
+    pool.parallel_for(32, [&](std::size_t, std::size_t) {
+        done.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(done.load(), 32u);
+}
+
 TEST(ThreadPool, SingleWorkerRunsInline)
 {
     ThreadPool pool(1);

@@ -3,7 +3,8 @@
 // expectation, the compiled sampled estimator and the row-contiguous
 // density-matrix gates and channels must agree by exact bits, not to a
 // tolerance. The same holds for the Lanczos matvec and solve against the
-// per-term loop they replaced. Also pins the observable memo's identity
+// per-term loop they replaced, and for every kernel split across a
+// thread pool against its serial form. Also pins the observable memo's identity
 // contract: a hash hit counts only when the full term list matches.
 
 #include <gtest/gtest.h>
@@ -250,6 +251,72 @@ TEST(DenseKernels, CloneSharedCompiledFormsMatchAcrossThreads)
     }
 }
 
+TEST(DenseKernels, PooledExpectationMatchesSerialByBits)
+{
+    struct Case
+    {
+        std::string label;
+        Statevector psi;
+        PauliSum op;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t n : {10, 12, 17}) {
+        cases.push_back({std::to_string(n) + " qubits",
+                         random_state(n, 300 + n),
+                         random_sum(n, n > 12 ? 24 : 300, 400 + n)});
+    }
+    const problems::Problem h2o = problems::make_problem("molecule:H2O");
+    cases.push_back({"H2O", random_state(h2o.num_qubits, 5),
+                     h2o.hamiltonian()});
+    for (const std::size_t workers : {1, 2, 3}) {
+        ThreadPool pool(workers);
+        for (const Case& c : cases) {
+            const CompiledPauliSum compiled(c.op);
+            // Large enough that the pool splits the groups.
+            ASSERT_GE(c.psi.dim() * compiled.terms().size(),
+                      kPooledKernelWork)
+                << c.label;
+            EXPECT_SAME_BITS(c.psi.expectation(compiled, &pool),
+                             c.psi.expectation(compiled))
+                << c.label << ", " << workers << " workers";
+        }
+    }
+}
+
+TEST(DenseKernels, PooledEvaluatorClonesMatchSerialInsideTheirPool)
+{
+    // The tune's probe fan-out: clones of a pooled evaluator measure on
+    // the pool's own workers, where the split runs inline.
+    const problems::Problem problem = problems::make_problem("molecule:H2O");
+    const PauliSum& h = problem.hamiltonian();
+    ThreadPool pool(2);
+    IdealEvaluator serial(problem.ansatz);
+    IdealEvaluator pooled(problem.ansatz, &pool);
+    std::vector<std::vector<double>> points;
+    std::vector<double> want;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        points.push_back(random_params(problem.ansatz.num_params(), seed));
+        serial.prepare(points.back());
+        want.push_back(serial.expectation(h));
+    }
+    pooled.prepare(points.front());
+    EXPECT_SAME_BITS(pooled.expectation(h), want.front());
+
+    std::vector<std::unique_ptr<ContinuousBackend>> clones(pool.size());
+    std::vector<double> got(points.size());
+    pool.parallel_for(points.size(), [&](std::size_t worker, std::size_t i) {
+        auto& clone = clones[worker];
+        if (!clone) {
+            clone = pooled.clone_continuous();
+        }
+        clone->prepare(points[i]);
+        got[i] = clone->expectation(h);
+    });
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_SAME_BITS(got[i], want[i]) << "point " << i;
+    }
+}
+
 // ---------------------------------------------------------------- sampled
 
 TEST(DenseKernels, SampledConsecutiveCallsMatchByBits)
@@ -483,6 +550,65 @@ TEST(LanczosKernels, CompiledMatvecMatchesOracleByBitsOnProblems)
         reference::accumulate_apply(h, x, want);
         EXPECT_TRUE(same_vector(got, want)) << key;
     }
+}
+
+TEST(LanczosKernels, PooledMatvecMatchesSerialByBits)
+{
+    struct Case
+    {
+        std::string label;
+        PauliSum h;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t n : {10, 11, 12}) {
+        cases.push_back({std::to_string(n) + " qubits",
+                         random_hermitian_sum(n, 300, 60 + n, true)});
+    }
+    // Above 16 qubits: at 17, every slice lies inside one 2^16 parity
+    // block and most start off its boundary; at 20, every slice spans
+    // several blocks.
+    cases.push_back({"17 qubits", random_hermitian_sum(17, 6, 77, true)});
+    cases.push_back({"20 qubits", random_hermitian_sum(20, 2, 80, true)});
+    cases.push_back(
+        {"H2O", problems::make_problem("molecule:H2O").hamiltonian()});
+    for (const std::size_t workers : {1, 2, 3}) {
+        ThreadPool pool(workers);
+        for (const Case& c : cases) {
+            const CompiledPauliSum compiled(c.h);
+            const std::size_t n = c.h.num_qubits();
+            // Large enough that the pool splits the destination range.
+            ASSERT_GE((std::size_t{1} << n) * compiled.terms().size(),
+                      kPooledKernelWork)
+                << c.label;
+            // Accumulates onto a nonzero y.
+            const std::vector<Complex> x = random_vector(n, 500 + n);
+            std::vector<Complex> got = random_vector(n, 600 + n);
+            std::vector<Complex> want = got;
+            accumulate_matvec(compiled, x, got, &pool);
+            accumulate_matvec(compiled, x, want);
+            EXPECT_TRUE(same_vector(got, want))
+                << c.label << ", " << workers << " workers";
+        }
+    }
+}
+
+TEST(LanczosKernels, PooledGroundStateMatchesSerialByBits)
+{
+    // BeH2 restricted to its own electron-number sector, so the pooled
+    // matvecs run between the projections of a filtered solve.
+    const auto beh2 = problems::make_molecular_system("BeH2", 1.3);
+    LanczosOptions serial;
+    serial.basis_filter = problems::sector_filter(beh2);
+    const GroundState want = lanczos_ground_state(beh2.hamiltonian, serial);
+    ASSERT_TRUE(want.converged);
+    ThreadPool pool(2);
+    LanczosOptions pooled = serial;
+    pooled.pool = &pool;
+    const GroundState got = lanczos_ground_state(beh2.hamiltonian, pooled);
+    EXPECT_SAME_BITS(got.energy, want.energy);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.converged, want.converged);
+    EXPECT_SAME_BITS(got.ritz_change, want.ritz_change);
 }
 
 TEST(LanczosKernels, GroundStateMatchesOracleLoopByBits)
