@@ -2,8 +2,9 @@
  * Dense-kernel microbench: the library's compiled statevector
  * expectation, row-contiguous density prepare, compiled sampled
  * estimator and compiled Lanczos solve against the reference kernels
- * they replaced (tests/reference_dense.hpp), and the pooled Lanczos
- * solve against the serial one, timed in the same run.
+ * they replaced (tests/reference_dense.hpp), the pooled sampled
+ * estimator against the reference too, and the pooled Lanczos solve
+ * against the serial one, timed in the same run.
  *
  * Kernels are the three dense tunes of the end-to-end benchmark:
  * - `h2o_statevector`: <H> of the H2O Hamiltonian on a prepared state,
@@ -11,8 +12,13 @@
  * - `tfim8_density`: one noise-free density-matrix prepare of the
  *   tfim:chain-8 ansatz;
  * - `h6_sampled`: one 4096-shot `SampledEvaluator` evaluation of the H6
- *   Hamiltonian, against the reference loop fed by a generator with the
- *   same seed (both streams advance in step, round after round);
+ *   Hamiltonian, against the reference loop fed by a `std::mt19937_64`
+ *   with the same seed (both streams advance in step, round after
+ *   round);
+ * - `h6_sampled_pooled`: the same evaluation at the all-zero Clifford
+ *   point with the measured groups split over a 2-worker pool, against
+ *   the reference loop; the ratio holds the in-tree engine's block
+ *   draws and the split, and drops below the gate without either;
  * - `beh2_lanczos`: the exact ground energy of BeH2 at the library's
  *   default Lanczos settings, against the per-term loop with a full
  *   eigensolve per iteration; energy and iteration count are compared;
@@ -44,6 +50,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -154,7 +161,14 @@ main(int argc, char** argv)
     sampled.prepare(h6_params);
     const cafqa::Statevector h6_state =
         cafqa::reference::prepare(h6.ansatz, h6_params);
-    cafqa::Rng oracle_rng(kSeed);
+    std::mt19937_64 oracle_rng(kSeed);
+
+    // The same over the pool, at the Clifford point; constructed after
+    // the pool below.
+    const std::vector<double> h6_clifford(h6.ansatz.num_params(), 0.0);
+    const cafqa::Statevector h6_clifford_state =
+        cafqa::reference::prepare(h6.ansatz, h6_clifford);
+    std::mt19937_64 pooled_oracle_rng(kSeed);
 
     // BeH2 exact reference: the solve `molecule:BeH2` runs.
     const auto beh2 = cafqa::problems::make_problem("molecule:BeH2");
@@ -171,6 +185,8 @@ main(int argc, char** argv)
     cafqa::ThreadPool pool(2);
     cafqa::LanczosOptions pooled = capped;
     pooled.pool = &pool;
+    cafqa::SampledEvaluator pooled_sampled(h6.ansatz, kShots, kSeed, &pool);
+    pooled_sampled.prepare(h6_clifford);
 
     const Kernel kernels[] = {
         {"h2o_statevector", 15,
@@ -203,6 +219,17 @@ main(int argc, char** argv)
          [&] {
              return std::vector<double>{
                  sampled.expectation(h6.hamiltonian())};
+         }},
+        {"h6_sampled_pooled", 5,
+         [&] {
+             return std::vector<double>{
+                 cafqa::reference::sampled_expectation(
+                     h6_clifford_state, h6.hamiltonian(), kShots,
+                     pooled_oracle_rng)};
+         },
+         [&] {
+             return std::vector<double>{
+                 pooled_sampled.expectation(h6.hamiltonian())};
          }},
         {"beh2_lanczos", 3,
          [&] {

@@ -42,7 +42,7 @@ backend_registry()
             {"sampled",
              [](const BackendConfig& config) {
                  return std::make_unique<SampledEvaluator>(
-                     config.ansatz, config.shots, config.seed);
+                     config.ansatz, config.shots, config.seed, config.pool);
              }},
         });
     return registry;

@@ -13,7 +13,8 @@
  * | "clifford_t"  | CliffordTEvaluator | discrete   | -               |
  * | "statevector" | IdealEvaluator     | continuous | pool            |
  * | "density"     | NoisyEvaluator     | continuous | noise           |
- * | "sampled"     | SampledEvaluator   | continuous | shots, seed     |
+ * | "sampled"     | SampledEvaluator   | continuous | shots, seed,    |
+ * |               |                    |            | pool            |
  *
  * Composition: setting `BackendConfig::cache.enabled` wraps the
  * constructed backend in the memoizing decorator of
@@ -67,8 +68,9 @@ struct BackendConfig
      */
     std::shared_ptr<EvaluationCache> shared_cache;
     /**
-     * Non-owning pool that splits each "statevector" expectation across
-     * its workers (null = serial; other kinds ignore it). The pool must
+     * Non-owning pool that splits each "statevector" and "sampled"
+     * expectation across its workers (null = serial; other kinds
+     * ignore it). The pool must
      * outlive the backend and its clones; a clone evaluating on one of
      * the pool's own workers runs the split inline. Like the cache
      * fields it never changes a value, so `backend_config_hash` leaves

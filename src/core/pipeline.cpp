@@ -394,19 +394,17 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
     backend_config.noise = options.noise;
     backend_config.shots = options.shots;
     backend_config.seed = options.seed;
+    // The pool splits each "statevector" and "sampled" expectation;
+    // clones share it and split inline on a worker. A one-thread run
+    // never starts a pool here.
+    backend_config.pool = kernel_pool();
     auto backend = make_continuous_backend(backend_config);
-    // Only for "statevector": a "sampled" value depends on how many calls
-    // its instance has served, and a "density" clone costs a 4^n matrix
-    // for a small gain. A one-thread run never starts a pool here.
+    // The probe fan-out only for "statevector": a "sampled" value
+    // depends on how many calls its instance has served, and a
+    // "density" clone costs a 4^n matrix for a small gain.
     ThreadPool* const workers =
-        backend->kind() == "statevector" ? kernel_pool() : nullptr;
+        backend->kind() == "statevector" ? backend_config.pool : nullptr;
     const bool pooled = workers != nullptr && workers->size() > 1;
-    if (pooled) {
-        // Rebuilt over the pool, which then also splits each
-        // expectation; clones share it and split inline on a worker.
-        backend_config.pool = workers;
-        backend = make_continuous_backend(backend_config);
-    }
 
     std::size_t evaluations = 0;
     double best_seen = 0.0;

@@ -23,10 +23,10 @@
  * tuner's SPSA gains, which are a constant of the pipeline. Candidate
  * evaluation in block-generated phases, and a statevector tune's two
  * SPSA probes, are batched across a thread pool with per-worker backend
- * clones; the same pool splits each statevector expectation of the tune
- * (and, through `kernel_pool()`, the run's exact solve). Observers
- * receive begin/progress/end
- * events per stage, which is how the bench harness collects its traces.
+ * clones; the same pool splits each statevector or sampled expectation
+ * of the tune (and, through `kernel_pool()`, the run's exact solve).
+ * Observers receive begin/progress/end events per stage, which is how
+ * the bench harness collects its traces.
  *
  * Concurrency contract: a `CafqaPipeline` is THREAD-CONFINED — drive
  * it from one thread. It deliberately owns no mutex of its own (the
@@ -209,9 +209,10 @@ struct PipelineConfig
     /** Continuous-stage controls (budget, seed, noise, backend kind). */
     VqaTunerOptions tuner = VqaTunerOptions();
     /** Worker threads for batched candidate evaluation (block phases
-     *  of the discrete searches) and, on the "statevector" tune
-     *  backend, for SPSA's two gradient probes and the slices of each
-     *  expectation; `kernel_pool()` hands the same pool to the exact
+     *  of the discrete searches), for the slices of each
+     *  "statevector" or "sampled" tune expectation and, on the
+     *  "statevector" tune backend, for SPSA's two gradient probes;
+     *  `kernel_pool()` hands the same pool to the exact
      *  solve. 0 uses the process-wide shared pool (sized to the
      *  hardware). Results never depend on the count, to the bit. */
     std::size_t threads = 0;

@@ -18,6 +18,17 @@
  * bit-identical to the regroup-per-call loop kept in
  * tests/reference_dense.hpp.
  *
+ * Every measured (not identity-only) group takes exactly `shots` draws,
+ * so one call draws `shots` times its measured-group count, and
+ * measured group k reads stream positions [k shots, (k + 1) shots). That
+ * fixed layout is what lets a pool split a call: the measured groups
+ * are cut into one contiguous run per worker, each run jumps a copy of
+ * the generator to its first group with `Rng::discard` and samples
+ * into its own scratch, each group writes only its own terms' odd-shot
+ * counts, and the sum is taken afterwards on the caller in group and
+ * term order. The value and the generator's position after the call
+ * are the same to the bit at any worker count.
+ *
  * The generator is a member whose stream advances with every call, so a
  * value depends on how many calls came before it on this instance (and
  * a clone continues from the state it was copied at).
@@ -41,9 +52,13 @@ class SampledEvaluator final : public ContinuousBackend
      * @param ansatz  parameterized circuit.
      * @param shots   measurement shots per qubit-wise-commuting group.
      * @param seed    sampling RNG seed.
+     * @param pool    non-owning pool (shared with clones) that splits
+     *                each call's measured groups across its workers
+     *                once groups x (basis states + shots) reaches
+     *                `kPooledKernelWork`; null = serial.
      */
-    SampledEvaluator(Circuit ansatz, std::size_t shots,
-                     std::uint64_t seed);
+    SampledEvaluator(Circuit ansatz, std::size_t shots, std::uint64_t seed,
+                     ThreadPool* pool = nullptr);
 
     std::string_view kind() const override { return "sampled"; }
     std::size_t num_qubits() const override { return ansatz_.num_qubits(); }
@@ -58,6 +73,7 @@ class SampledEvaluator final : public ContinuousBackend
   private:
     Circuit ansatz_;
     std::size_t shots_;
+    ThreadPool* pool_;
     mutable Rng rng_;
     std::optional<Statevector> state_;
     mutable ObservableMemo<CompiledPauliSum> compiled_;

@@ -11,8 +11,10 @@
  *   arithmetic.
  * - `statevector_expectation`: one popcount sweep over every amplitude
  *   per term.
- * - `sampled_expectation`: regroups the sum on every call and rebuilds
- *   each term's support bit by bit on every shot.
+ * - `sampled_expectation`: regroups the sum on every call, draws each
+ *   shot through `std::uniform_real_distribution` on `std::mt19937_64`
+ *   (so it also checks the library's in-tree engine and block draws),
+ *   and rebuilds each term's support bit by bit on every shot.
  * - `DensityMatrix`: left multiplies stride down the columns of the
  *   row-major matrix; depolarizing and Kraus channels copy the whole
  *   matrix per Pauli or Kraus operator.
@@ -36,6 +38,7 @@
 #include <complex>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -127,11 +130,12 @@ statevector_expectation(const Statevector& psi, const PauliSum& op)
 /**
  * Finite-shot estimate of `op` on `state`: `shots` draws from `rng` per
  * qubit-wise-commuting group, in group order. Advances `rng` exactly as
- * `SampledEvaluator::expectation` advances its own generator.
+ * `SampledEvaluator::expectation` advances its own generator seeded
+ * alike.
  */
 inline double
 sampled_expectation(const Statevector& state, const PauliSum& op,
-                    std::size_t shots, Rng& rng)
+                    std::size_t shots, std::mt19937_64& rng)
 {
     const auto groups = group_qubitwise_commuting(op);
     double total = 0.0;
@@ -169,8 +173,9 @@ sampled_expectation(const Statevector& state, const PauliSum& op,
             cumulative[i] = acc;
         }
         std::vector<double> term_sums(group.term_indices.size(), 0.0);
+        std::uniform_real_distribution<double> draw(0.0, acc);
         for (std::size_t shot = 0; shot < shots; ++shot) {
-            const double u = rng.uniform_real(0.0, acc);
+            const double u = draw(rng);
             const auto it = std::lower_bound(cumulative.begin(),
                                              cumulative.end(), u);
             const std::uint64_t bits = static_cast<std::uint64_t>(

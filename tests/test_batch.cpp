@@ -239,13 +239,16 @@ TEST(RunSpec, TBoostedCircuitKeepsItsParametersForTheTune)
 
 TEST(RunSpec, ThreadCountNeverChangesTheRecord)
 {
-    // LiH is the spec the CI smoke step diffs; tfim:chain-14 is large
-    // enough that the tune's expectations and the exact solve's matvecs
-    // split across the pool.
+    // LiH and the sampled H6 tune are the specs the CI smoke step
+    // diffs; tfim:chain-14 is large enough that the tune's expectations
+    // and the exact solve's matvecs split across the pool, and H6's
+    // sampled tune splits its measurement groups.
     for (const char* text :
          {"problem=molecule:LiH?bond=2.4 search=anneal tune=20 exact=1",
           "problem=tfim:chain-14 search=anneal warmup=20 iterations=20 "
-          "tune=10 exact=1"}) {
+          "tune=10 exact=1",
+          "problem=molecule:H6 search=anneal warmup=20 iterations=20 "
+          "tune=8 tune-backend=sampled exact=1"}) {
         SCOPED_TRACE(text);
         const RunSpec base = RunSpec::parse(text);
         std::string want;

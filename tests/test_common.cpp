@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/linalg.hpp"
@@ -277,6 +279,137 @@ TEST(Rng, RademacherIsBalanced)
         sum += rng.rademacher();
     }
     EXPECT_LT(std::abs(sum), 400); // ~4 sigma
+}
+
+// The in-tree engine against std::mt19937_64: seeds at both ends of the
+// range and the default, over more than three 312-word twists.
+const std::uint64_t kEngineSeeds[] = {0, 1, 0x5eed, ~std::uint64_t{0}};
+constexpr std::size_t kEngineDraws = 3 * 312 + 157;
+
+TEST(Mt19937_64, CallsMatchTheStdEngine)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        Mt19937_64 engine(seed);
+        std::mt19937_64 want(seed);
+        for (std::size_t i = 0; i < kEngineDraws; ++i) {
+            ASSERT_EQ(engine(), want()) << "seed " << seed << " draw " << i;
+        }
+    }
+    EXPECT_EQ(Mt19937_64()(), std::mt19937_64()());
+}
+
+TEST(Mt19937_64, FillInOddPiecesMatchesTheStdEngine)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        Mt19937_64 engine(seed);
+        std::mt19937_64 want(seed);
+        // Pieces that start and end inside a block, span a whole one,
+        // and a lone call between fills.
+        std::size_t drawn = 0;
+        for (const std::size_t piece : {1, 7, 311, 313, 0, 625, 3}) {
+            std::vector<std::uint64_t> got(piece);
+            engine.fill(got.data(), piece);
+            for (std::size_t i = 0; i < piece; ++i) {
+                ASSERT_EQ(got[i], want())
+                    << "seed " << seed << " draw " << drawn + i;
+            }
+            drawn += piece;
+            ASSERT_EQ(engine(), want()) << "seed " << seed;
+            ++drawn;
+        }
+        EXPECT_GE(drawn, kEngineDraws);
+    }
+}
+
+TEST(Mt19937_64, DiscardEqualsThatManyCalls)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        for (const std::uint64_t skip : {0, 1, 311, 312, 313, 1000}) {
+            // From the start and from inside a block.
+            for (const std::uint64_t offset : {0, 100}) {
+                Mt19937_64 engine(seed);
+                Mt19937_64 stepped(seed);
+                for (std::uint64_t i = 0; i < offset; ++i) {
+                    engine();
+                    stepped();
+                }
+                engine.discard(skip);
+                for (std::uint64_t i = 0; i < skip; ++i) {
+                    stepped();
+                }
+                for (int i = 0; i < 400; ++i) {
+                    ASSERT_EQ(engine(), stepped())
+                        << "seed " << seed << " skip " << skip;
+                }
+            }
+        }
+    }
+}
+
+TEST(Rng, UniformRealsMatchTheStdDistributionByBits)
+{
+    const std::pair<double, double> ranges[] = {
+        {0.0, 1.0}, {-3.2, 3.2}, {0.0, 0.9999999999}, {2.5, 1e6}};
+    for (const std::uint64_t seed : kEngineSeeds) {
+        for (const auto& [lo, hi] : ranges) {
+            Rng rng(seed);
+            std::mt19937_64 engine(seed);
+            std::uniform_real_distribution<double> want(lo, hi);
+            // Blocks that cross the fill's buffer and the engine's
+            // twist, then single draws continuing the stream.
+            for (const std::size_t n : {1, 311, 600, 1100}) {
+                std::vector<double> got(n);
+                rng.uniform_reals(lo, hi, got.data(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double expected = want(engine);
+                    ASSERT_EQ(std::memcmp(&got[i], &expected, sizeof(double)),
+                              0)
+                        << "seed " << seed << " [" << lo << ", " << hi
+                        << ") draw " << i << " of " << n;
+                }
+                const double single = rng.uniform_real(lo, hi);
+                const double expected = want(engine);
+                ASSERT_EQ(std::memcmp(&single, &expected, sizeof(double)), 0);
+            }
+        }
+    }
+}
+
+/** A generator returning one fixed output, to craft canonical inputs. */
+struct FixedOutput
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() const { return value; }
+    result_type value;
+};
+
+TEST(Rng, CanonicalDoubleMatchesTheStdConversion)
+{
+    const std::uint64_t top = ~std::uint64_t{0};
+    // Outputs that round up to 2^64 and are clamped below 1 (top - 1023
+    // is the round-to-even tie), the largest that rounds down, an exact
+    // one below 2^64, and small and mid-range values.
+    const std::uint64_t crafted[] = {top,
+                                     top - 1023,
+                                     top - 1024,
+                                     top - 2047,
+                                     0,
+                                     1,
+                                     std::uint64_t{1} << 63,
+                                     (std::uint64_t{1} << 53) + 1,
+                                     (std::uint64_t{1} << 54) + 2,
+                                     0x0123456789abcdefULL};
+    for (const std::uint64_t x : crafted) {
+        FixedOutput engine{x};
+        const double want = std::generate_canonical<double, 53>(engine);
+        const double got = canonical_double(x);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << x;
+        EXPECT_LT(got, 1.0) << x;
+    }
+    EXPECT_EQ(canonical_double(top), std::nextafter(1.0, 0.0));
+    EXPECT_EQ(canonical_double(top - 1023), std::nextafter(1.0, 0.0));
 }
 
 TEST(Table, AlignedOutput)

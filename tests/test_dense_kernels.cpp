@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -332,7 +333,7 @@ TEST(DenseKernels, SampledConsecutiveCallsMatchByBits)
         const PauliSum& h = problem.hamiltonian();
         const std::uint64_t seed = 41;
         SampledEvaluator sampled(problem.ansatz, c.shots, seed);
-        Rng oracle_rng(seed);
+        std::mt19937_64 oracle_rng(seed);
         for (std::uint64_t call = 0; call < 4; ++call) {
             const auto params =
                 random_params(problem.ansatz.num_params(), call);
@@ -368,7 +369,7 @@ TEST(DenseKernels, SampledRandomSumsMatchByBits)
         const Circuit ansatz = random_circuit(n, 30, n);
         const PauliSum op = random_sum(n, 40, 300 + n);
         SampledEvaluator sampled(ansatz, 200, 5);
-        Rng oracle_rng(5);
+        std::mt19937_64 oracle_rng(5);
         sampled.prepare({});
         const Statevector psi = reference::prepare(ansatz);
         for (int call = 0; call < 3; ++call) {
@@ -376,6 +377,45 @@ TEST(DenseKernels, SampledRandomSumsMatchByBits)
                 sampled.expectation(op),
                 reference::sampled_expectation(psi, op, 200, oracle_rng))
                 << n << " qubits, call " << call;
+        }
+    }
+}
+
+TEST(DenseKernels, PooledSampledMatchesSerialByBits)
+{
+    // The tune's H6 spec: split measured groups, each run of them from a
+    // generator jumped to its first draw.
+    const problems::Problem problem = problems::make_problem("molecule:H6");
+    const PauliSum& h = problem.hamiltonian();
+    constexpr std::size_t kShots = 4096;
+    constexpr std::uint64_t kSeed = 77;
+    const CompiledPauliSum compiled(h);
+    std::size_t measured = 0;
+    for (const MeasurementGroup& group : compiled.measurement_groups()) {
+        measured += group.basis.is_identity_letters() ? 0 : 1;
+    }
+    // Large enough that the pool splits the groups.
+    ASSERT_GE(measured * ((std::size_t{1} << problem.num_qubits) + kShots),
+              kPooledKernelWork);
+    const std::vector<std::vector<double>> points = {
+        std::vector<double>(problem.ansatz.num_params(), 0.0),
+        random_params(problem.ansatz.num_params(), 21)};
+    for (const std::size_t workers : {1, 2, 3}) {
+        ThreadPool pool(workers);
+        SampledEvaluator serial(problem.ansatz, kShots, kSeed);
+        SampledEvaluator pooled(problem.ansatz, kShots, kSeed, &pool);
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            serial.prepare(points[p]);
+            pooled.prepare(points[p]);
+            // Two calls per point: the second one starts where the split
+            // call left the generator.
+            for (int repeat = 0; repeat < 2; ++repeat) {
+                const double got = pooled.expectation(h);
+                const double want = serial.expectation(h);
+                EXPECT_SAME_BITS(got, want)
+                    << "; " << workers << " workers, point " << p
+                    << " repeat " << repeat;
+            }
         }
     }
 }
