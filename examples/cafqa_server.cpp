@@ -1,22 +1,21 @@
 /**
  * @file
  * The CAFQA serving daemon: bind a socket, accept JSON-lines requests,
- * execute jobs over a shared worker pool and ONE process-wide
- * evaluation cache, stream records back. SIGTERM/SIGINT drain
- * gracefully — admission stops, in-flight and queued jobs finish and
- * flush their records, then the server says bye and exits.
+ * execute jobs over a shared worker pool, stream records back. A served
+ * job runs exactly as a solo run of its spec; the only state jobs share
+ * is the exact-energy memo. SIGTERM/SIGINT drain gracefully — admission
+ * stops, in-flight and queued jobs finish and flush their records, then
+ * the server says bye and exits.
  *
  * Usage:
  *   cafqa_server [--unix PATH | --host ADDR --port N]
  *                [--workers N] [--queue N] [--run-threads N]
- *                [--cache-capacity N] [--no-cache]
  *
  * Defaults: TCP on 127.0.0.1 with an ephemeral port (printed on
- * stdout as `listening on 127.0.0.1:PORT`), 2 workers, queue of 1024,
- * shared cache on with room for 8192 entries (`kServerCacheCapacity`).
- * A Unix-domain server prints
- * `listening on PATH` instead. The protocol grammar lives in
- * `src/server/protocol.hpp` and the README's Serving section.
+ * stdout as `listening on 127.0.0.1:PORT`), 2 workers, queue of 1024.
+ * A Unix-domain server prints `listening on PATH` instead. The protocol
+ * grammar lives in `src/server/protocol.hpp` and the README's Serving
+ * section.
  */
 #include <csignal>
 #include <cstdlib>
@@ -36,11 +35,7 @@ fail(const std::string& message)
 {
     std::cerr << "cafqa_server: " << message << '\n'
               << "usage: cafqa_server [--unix PATH | --host ADDR "
-                 "--port N] [--workers N] [--queue N] [--run-threads N]"
-                 " [--cache-capacity N] [--no-cache]\n"
-              << "  --cache-capacity N  shared evaluation-cache entries "
-                 "(default "
-              << cafqa::server::kServerCacheCapacity << ")\n";
+                 "--port N] [--workers N] [--queue N] [--run-threads N]\n";
     std::exit(1);
 }
 
@@ -98,10 +93,6 @@ main(int argc, char** argv)
                 options.queue_capacity = parse_count(arg, next(), 1);
             } else if (arg == "--run-threads") {
                 options.run_threads = parse_count(arg, next(), 1);
-            } else if (arg == "--cache-capacity") {
-                options.cache.capacity = parse_count(arg, next(), 1);
-            } else if (arg == "--no-cache") {
-                options.cache.enabled = false;
             } else {
                 fail("unknown option '" + arg + "'");
             }

@@ -60,8 +60,8 @@ struct BackendConfig
      *  caching decorator. */
     CacheOptions cache;
     /**
-     * Shared cache (a pipeline run's cache, which the job server shares
-     * across runs). When set, the backend is wrapped over THIS cache
+     * Shared cache (a pipeline run's cache, which its stages share).
+     * When set, the backend is wrapped over THIS cache
      * instead of a fresh one — regardless of `cache.enabled` — with
      * `backend_config_hash(*this)` mixed into every key, so distinct
      * configurations sharing one cache can never alias an entry.

@@ -134,9 +134,6 @@ execute_run_spec(const RunSpec& spec, const problems::Problem& problem,
 
     PipelineConfig config = make_pipeline_config(spec, problem);
     config.stopping.cancel = context.cancel;
-    if (context.shared_cache) {
-        config.cache = context.shared_cache;
-    }
     CafqaPipeline pipeline(std::move(config));
     if (context.observer) {
         pipeline.set_observer(context.observer);

@@ -111,11 +111,6 @@ struct RunContext
      * in batched phases).
      */
     std::shared_ptr<std::atomic<bool>> cancel;
-    /** Cross-run shared evaluation cache: when set, it replaces the
-     *  run's own `PipelineConfig::cache` (whatever the spec's `cache`
-     *  field says), so jobs on the same problem share materialized
-     *  evaluations process-wide. */
-    std::shared_ptr<EvaluationCache> shared_cache;
     /** Cross-run exact-energy memo (the job server's): when set, the
      *  record's exact reference comes from it instead of a solve of this
      *  run's own (same value, same error text). */
@@ -126,9 +121,8 @@ struct RunContext
  * Execute one spec end to end: resolve the problem, run the discrete
  * search, the optional T-boost and the optional continuous tuning, and
  * collect the record. Throws on failure (the batch runner catches and
- * records instead). `context` carries the observer, cancel token,
- * shared cache and exact-energy memo; the default reproduces a plain
- * solo run.
+ * records instead). `context` carries the observer, cancel token and
+ * exact-energy memo; the default reproduces a plain solo run.
  */
 RunRecord execute_run_spec(const RunSpec& spec,
                            const RunContext& context = {});

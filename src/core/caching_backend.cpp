@@ -126,22 +126,41 @@ CacheStats::to_json() const
     return out;
 }
 
+CacheCounters
+CacheCounters::fetch()
+{
+    auto& registry = telemetry::MetricsRegistry::instance();
+    return CacheCounters{
+        registry.counter("cafqa_cache_hits_total", {},
+                         "Evaluation-cache lookups answered from the cache"),
+        registry.counter("cafqa_cache_misses_total", {},
+                         "Evaluation-cache lookups that fell through to "
+                         "the backend"),
+        registry.counter("cafqa_cache_evictions_total", {},
+                         "Evaluation-cache entries dropped by the LRU "
+                         "bound"),
+        registry.counter("cafqa_cache_preparations_total", {},
+                         "State preparations wrapped backends actually "
+                         "performed"),
+    };
+}
+
+CacheStats
+CacheCounters::totals() const
+{
+    CacheStats stats;
+    stats.hits = hits.value();
+    stats.misses = misses.value();
+    stats.evictions = evictions.value();
+    stats.preparations = preparations.value();
+    return stats;
+}
+
 EvaluationCache::EvaluationCache(const CacheOptions& options)
     : capacity_(options.capacity),
       // Registered here, with no lock held; the per-access bumps below
       // run lock-free under the shard locks.
-      hits_metric_(telemetry::MetricsRegistry::instance().counter(
-          "cafqa_cache_hits_total", {},
-          "Evaluation-cache lookups answered from the cache")),
-      misses_metric_(telemetry::MetricsRegistry::instance().counter(
-          "cafqa_cache_misses_total", {},
-          "Evaluation-cache lookups that fell through to the backend")),
-      evictions_metric_(telemetry::MetricsRegistry::instance().counter(
-          "cafqa_cache_evictions_total", {},
-          "Evaluation-cache entries dropped by the LRU bound")),
-      preparations_metric_(telemetry::MetricsRegistry::instance().counter(
-          "cafqa_cache_preparations_total", {},
-          "State preparations wrapped backends actually performed"))
+      metrics_(CacheCounters::fetch())
 {
     CAFQA_REQUIRE(options.capacity >= 1,
                   "cache capacity must be at least 1 entry");
@@ -175,12 +194,12 @@ EvaluationCache::lookup(const Key& key)
         if (it->second->key == key) {
             shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
             ++shard.hits;
-            hits_metric_.add();
+            metrics_.hits.add();
             return it->second->value;
         }
     }
     ++shard.misses;
-    misses_metric_.add();
+    metrics_.misses.add();
     return std::nullopt;
 }
 
@@ -218,7 +237,7 @@ EvaluationCache::insert(const Key& key, double value)
                        sizeof(double);
         shard.lru.pop_back();
         ++shard.evictions;
-        evictions_metric_.add();
+        metrics_.evictions.add();
     }
 }
 

@@ -102,6 +102,27 @@ struct CacheStats
 };
 
 /**
+ * The process-registry series every `EvaluationCache` mirrors its
+ * monotonic counters into (`cafqa_cache_*_total`), summed over every
+ * cache the process has built.
+ */
+struct CacheCounters
+{
+    telemetry::Counter& hits;
+    telemetry::Counter& misses;
+    telemetry::Counter& evictions;
+    telemetry::Counter& preparations;
+
+    /** Fetch (registering on first use) the four series. Takes
+     *  `metrics_mutex`, so call it with no named lock held. */
+    static CacheCounters fetch();
+
+    /** The process-wide totals. `entries` and `bytes` are 0: residency
+     *  belongs to one cache, not to the process. */
+    CacheStats totals() const;
+};
+
+/**
  * Thread-safe sharded LRU mapping `(point key, observable hash)` to an
  * expectation value. One instance is shared (via `shared_ptr`) by a
  * wrapper and all of its clones, which is what makes the pipeline's
@@ -138,7 +159,7 @@ class EvaluationCache
     count_preparation()
     {
         preparations_.fetch_add(1);
-        preparations_metric_.add();
+        metrics_.preparations.add();
     }
 
     /** Snapshot of the aggregate counters. */
@@ -178,15 +199,11 @@ class EvaluationCache
 
     std::size_t capacity_ = 0;
     std::size_t per_shard_capacity_ = 0;
-    /** Process-registry mirrors of the monotonic `CacheStats` counters
-     *  (`cafqa_cache_*_total`), fetched in the constructor — never
-     *  under a shard lock; the bumps themselves are lock-free, so
-     *  counting under `shard_mutex` is fine. All `EvaluationCache`
-     *  instances in the process share these series. */
-    telemetry::Counter& hits_metric_;
-    telemetry::Counter& misses_metric_;
-    telemetry::Counter& evictions_metric_;
-    telemetry::Counter& preparations_metric_;
+    /** Process-registry mirrors of the monotonic `CacheStats` counters,
+     *  fetched in the constructor — never under a shard lock; the bumps
+     *  themselves are lock-free, so counting under `shard_mutex` is
+     *  fine. */
+    CacheCounters metrics_;
     /** Sized once in the constructor, structurally immutable after —
      *  no `CAFQA_PT_GUARDED_BY` applies because each pointee carries
      *  its OWN capability (`Shard::shard_mutex`); all mutable shard
@@ -222,8 +239,8 @@ class CachingBackend final : public Base
     }
 
     /**
-     * Wrap `inner` over an EXISTING cache (the job server's
-     * process-wide one). A nonzero `salt` — `backend_config_hash` of
+     * Wrap `inner` over an EXISTING cache (the run cache every stage of
+     * one pipeline shares). A nonzero `salt` — `backend_config_hash` of
      * the full configuration — is part of every key, so distinct
      * circuits/kinds sharing the cache never alias.
      */

@@ -242,9 +242,9 @@ struct PipelineConfig
      * null runs uncached. Every stage backend — discrete search, T-boost
      * candidates, continuous tuner — is wrapped over this one cache,
      * with `backend_config_hash` salting the keys so distinct circuits
-     * and kinds never alias, so it may also be shared across runs (the
-     * job server's process-wide cache). StageEnd events carry its
-     * counters so far. Results stay bit-identical to an uncached run
+     * and kinds never alias. `execute_run_spec` gives each run with
+     * `cache=1` a cache of its own, served or solo. StageEnd events
+     * carry its counters so far. Results stay bit-identical to an uncached run
      * for deterministic backends (the cache is a pure memoizer); a
      * *stochastic* backend ("sampled") replays the frozen shot noise of
      * each point's first evaluation.

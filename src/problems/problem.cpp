@@ -603,11 +603,7 @@ Problem::metric(const std::string& name) const
 std::optional<double>
 Problem::exact_energy(ThreadPool* pool) const
 {
-    if (!exact_cache_) {
-        exact_cache_ = exact_solver ? exact_solver(pool)
-                                    : std::optional<double>();
-    }
-    return *exact_cache_;
+    return exact_solver ? exact_solver(pool) : std::nullopt;
 }
 
 // --------------------------------------------------------- factory API

@@ -101,8 +101,8 @@ struct Problem
 
     /** Solver for the exact ground energy; nullopt-returning (or
      *  absent) when the instance is too large. Set by the factory;
-     *  invoked lazily by `exact_energy()`, which passes its pool (null
-     *  = serial; the pool never changes the value). */
+     *  invoked by `exact_energy()`, which passes its pool (null =
+     *  serial; the pool never changes the value). */
     std::function<std::optional<double>(ThreadPool* pool)> exact_solver;
 
     /** The problem Hamiltonian (alias of `objective.hamiltonian`). */
@@ -114,15 +114,13 @@ struct Problem
     /**
      * Exact ground energy of the bare Hamiltonian (Lanczos for
      * molecules and spin chains, brute force for MaxCut), or nullopt
-     * when the instance is too large for an exact solve. Computed on
-     * first call and memoized; potentially expensive. A `pool` splits
-     * the Lanczos matvecs across its workers with the same result to
-     * the bit.
+     * when the instance is too large for an exact solve. Solved on
+     * every call, so a caller that needs it twice keeps the value (a
+     * served job reads `ExactEnergyMemo`); potentially expensive. A
+     * `pool` splits the Lanczos matvecs across its workers with the
+     * same result to the bit.
      */
     std::optional<double> exact_energy(ThreadPool* pool = nullptr) const;
-
-  private:
-    mutable std::optional<std::optional<double>> exact_cache_;
 };
 
 /** One registry entry's metadata (for usage text and docs). */

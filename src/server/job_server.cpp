@@ -262,6 +262,7 @@ JobServer::make_telemetry()
         registry.histogram("cafqa_server_job_latency_ms", {},
                            "Submit-to-result milliseconds for jobs "
                            "that ran"),
+        CacheCounters::fetch(),
     };
 }
 
@@ -276,9 +277,6 @@ JobServer::JobServer(ServerOptions options)
                   "per-run thread count must be at least 1");
     CAFQA_REQUIRE(options_.unix_path.empty() || options_.port == 0,
                   "configure either unix_path or a TCP port, not both");
-    if (options_.cache.enabled) {
-        cache_ = std::make_shared<EvaluationCache>(options_.cache);
-    }
 }
 
 JobServer::~JobServer()
@@ -509,23 +507,13 @@ void
 JobServer::register_callback_gauges()
 {
     auto& registry = telemetry::MetricsRegistry::instance();
-    // Each callback runs under `metrics_mutex` at scrape time and takes
-    // its owner's lock — the `metrics_mutex -> queue_mutex` and
-    // `metrics_mutex -> shard_mutex` edges in the lock-order manifest.
+    // The callback runs under `metrics_mutex` at scrape time and takes
+    // the queue's lock — the `metrics_mutex -> queue_mutex` edge in the
+    // lock-order manifest.
     registry.set_callback_gauge(
         "cafqa_server_queue_depth", {},
         [this] { return static_cast<double>(queue_.size()); },
         "Jobs admitted but not yet handed to a worker");
-    if (cache_) {
-        registry.set_callback_gauge(
-            "cafqa_cache_entries", {},
-            [this] { return static_cast<double>(cache_->stats().entries); },
-            "Resident evaluation-cache entries");
-        registry.set_callback_gauge(
-            "cafqa_cache_resident_bytes", {},
-            [this] { return static_cast<double>(cache_->stats().bytes); },
-            "Approximate resident evaluation-cache payload bytes");
-    }
 }
 
 void
@@ -535,10 +523,6 @@ JobServer::clear_callback_gauges()
     // after teardown must not call into freed state.
     auto& registry = telemetry::MetricsRegistry::instance();
     registry.clear_callback_gauge("cafqa_server_queue_depth", {});
-    if (cache_) {
-        registry.clear_callback_gauge("cafqa_cache_entries", {});
-        registry.clear_callback_gauge("cafqa_cache_resident_bytes", {});
-    }
 }
 
 void
@@ -600,14 +584,13 @@ JobServer::handle_line(const std::shared_ptr<Connection>& connection,
       }
       case Op::Stats:
         metrics_.stats_requests.add();
-        connection->post(event_stats(
-            counters(), cache_ ? cache_->stats() : CacheStats{}));
+        connection->post(event_stats(counters(), metrics_.cache.totals()));
         break;
       case Op::Metrics: {
         metrics_.metrics_requests.add();
         // No named lock is held here (I/O thread): the scrape takes
-        // metrics_mutex and, inside the callback gauges, queue_mutex /
-        // shard_mutex — the declared manifest edges.
+        // metrics_mutex and, inside the callback gauge, queue_mutex —
+        // the declared manifest edge.
         auto& registry = telemetry::MetricsRegistry::instance();
         connection->post(
             event_metrics(telemetry::wall_timestamp_seconds(),
@@ -721,7 +704,6 @@ JobServer::process_job(Job& job)
     }
     RunContext context;
     context.cancel = job.cancel;
-    context.shared_cache = cache_;
     context.exact_memo = exact_memo_;
 
     RunRecord record;

@@ -3,11 +3,11 @@
  * The CAFQA job server — the north-star serving daemon. One process
  * owns a listening socket (TCP loopback or Unix-domain), a bounded
  * client-fair job queue, a pool of worker threads executing `RunSpec`s
- * through `execute_run_spec`, ONE process-wide evaluation cache that
- * every job shares (config-hash-salted keys, so distinct problems never
- * alias while repeated problems hit each other's entries), and ONE
- * exact-energy memo (`core/exact_memo.hpp`), so each problem's exact
- * reference is solved once per process rather than once per job.
+ * through `execute_run_spec`, and ONE exact-energy memo
+ * (`core/exact_memo.hpp`), so each problem's exact reference is solved
+ * once per process rather than once per job. The memo is the only state
+ * jobs share: a job with `cache=1` gets its own run cache, exactly as
+ * a solo run does.
  *
  * Threads: one I/O thread plus the workers, whatever the connection
  * count. The I/O thread polls the listen socket, a wake pipe and every
@@ -63,9 +63,6 @@
 
 namespace cafqa::server {
 
-/** Default entry bound of the server's shared evaluation cache. */
-inline constexpr std::size_t kServerCacheCapacity = 8192;
-
 /** Daemon configuration. */
 struct ServerOptions
 {
@@ -94,16 +91,6 @@ struct ServerOptions
      *  so its unbounded backlog cannot wedge drain shutdown. 0 disables
      *  the bound (shutdown may then wait forever on a stalled peer). */
     std::size_t send_timeout_ms = 10'000;
-    /** Process-wide shared evaluation cache. `enabled` here means
-     *  "give the server one cross-job cache"; capacity bounds its
-     *  residency. Disabled, each job falls back to whatever its own
-     *  spec asked for. The default bound (`kServerCacheCapacity`)
-     *  keeps the cache under about 2 MB: an entry costs 150-240 B
-     *  resident with its key, LRU node and index slot, and the cache
-     *  fills with every job the server completes, so without a tight
-     *  bound its size tracks throughput rather than the number of
-     *  distinct problems. */
-    CacheOptions cache{.enabled = true, .capacity = kServerCacheCapacity};
 };
 
 class JobServer
@@ -142,10 +129,6 @@ class JobServer
 
     /** Snapshot of the server counters (stats verb / tests). */
     ServerCounters counters() const;
-
-    /** The process-wide cache (null when `options.cache.enabled` is
-     *  false). */
-    const std::shared_ptr<EvaluationCache>& cache() const { return cache_; }
 
   private:
     /** One client socket (defined in job_server.cpp). */
@@ -199,12 +182,15 @@ class JobServer
         telemetry::Gauge& busy_workers;
         /** Submit-to-result milliseconds for jobs that ran. */
         telemetry::Histogram& job_latency_ms;
+        /** The process-wide `cafqa_cache_*_total` series: the `stats`
+         *  verb's `cache` object. */
+        CacheCounters cache;
     };
     static Telemetry make_telemetry();
 
-    /** Register/clear the scrape-time callback gauges (queue depth,
-     *  cache residency). Their lock acquisitions under `metrics_mutex`
-     *  are the declared `metrics_mutex -> ...` manifest edges. */
+    /** Register/clear the scrape-time queue-depth gauge. Its
+     *  `queue_mutex` acquisition under `metrics_mutex` is the declared
+     *  `metrics_mutex -> queue_mutex` manifest edge. */
     void register_callback_gauges();
     void clear_callback_gauges();
 
@@ -215,7 +201,6 @@ class JobServer
     bool started_ = false;
 
     JobQueue queue_;
-    std::shared_ptr<EvaluationCache> cache_;
     std::shared_ptr<ExactEnergyMemo> exact_memo_ =
         std::make_shared<ExactEnergyMemo>();
     Telemetry metrics_;

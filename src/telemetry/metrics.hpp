@@ -223,8 +223,8 @@ class MetricsRegistry
         CAFQA_EXCLUDES(metrics_mutex_);
 
     /**
-     * Gauge whose value is pulled from `fn` at scrape time (queue
-     * depth, cache residency). `fn` runs under `metrics_mutex`, so it
+     * Gauge whose value is pulled from `fn` at scrape time (the job
+     * server's queue depth). `fn` runs under `metrics_mutex`, so it
      * may take its owner's locks — every such acquisition is a
      * scrape-path lock edge and must be declared in the lock-order
      * manifest (`metrics_mutex -> ...`). Re-registering the

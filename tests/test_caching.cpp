@@ -3,7 +3,8 @@
 // cached==uncached parity through the pipeline, LRU eviction and stats
 // accounting, determinism across thread counts (clones share one
 // cache), correctness under concurrent access, exact continuous keys,
-// and byte-packed discrete keys that never alias.
+// byte-packed discrete keys that never alias, and pipelines sharing
+// one cache.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +19,12 @@
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
-#include "core/batch_runner.hpp"
 #include "core/caching_backend.hpp"
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
+#include "core/run_spec.hpp"
 #include "problems/molecule_factory.hpp"
+#include "problems/problem.hpp"
 
 namespace cafqa {
 namespace {
@@ -677,43 +679,55 @@ TEST(CacheStats, JsonRoundTripsEveryCounter)
     EXPECT_EQ(find_json_field(empty_fields, "hit_rate")->value, "0");
 }
 
-TEST(SharedCache, CrossRunSharingIsBitIdenticalAndHits)
+TEST(SharedCache, PipelinesSharingOneCacheAreBitIdenticalAndHit)
 {
-    // Two identical runs over one process-wide cache: the second hits
-    // the first's entries, and both records match the uncached solo
-    // run exactly — the serving cache is a pure memoizer.
-    const RunSpec spec =
-        RunSpec::parse("problem=maxcut:ring-6 warmup=6 iterations=6");
-    const RunRecord solo = execute_run_spec(spec);
+    // Two identical pipelines over one cache: the second hits the
+    // first's entries, and both match an uncached pipeline exactly —
+    // the cache is a pure memoizer.
+    const auto config_of = [](const std::string& text) {
+        const RunSpec spec = RunSpec::parse(text);
+        return make_pipeline_config(spec,
+                                    problems::make_problem(spec.problem));
+    };
+    const auto search_of = [](PipelineConfig config) {
+        CafqaPipeline pipeline(std::move(config));
+        return pipeline.run_clifford_search();
+    };
+    const auto expect_same = [](const CafqaResult& got,
+                                const CafqaResult& want) {
+        EXPECT_EQ(got.best_steps, want.best_steps);
+        EXPECT_EQ(got.best_objective, want.best_objective);
+        EXPECT_EQ(got.best_energy, want.best_energy);
+        EXPECT_EQ(got.history, want.history);
+    };
+    const std::shared_ptr<EvaluationCache> cache = run_cache();
+    const auto shared = [&cache](PipelineConfig config) {
+        config.cache = cache;
+        return config;
+    };
 
-    RunContext context;
-    context.shared_cache =
-        std::make_shared<EvaluationCache>(cache_on());
-    const RunRecord first = execute_run_spec(spec, context);
-    const CacheStats after_first = context.shared_cache->stats();
+    const PipelineConfig ring6 =
+        config_of("problem=maxcut:ring-6 warmup=6 iterations=6");
+    ASSERT_EQ(ring6.cache, nullptr);
+    const CafqaResult solo = search_of(ring6);
+
+    const CafqaResult first = search_of(shared(ring6));
+    const CacheStats after_first = cache->stats();
     EXPECT_GT(after_first.misses, 0u);
 
-    const RunRecord second = execute_run_spec(spec, context);
-    const CacheStats after_second = context.shared_cache->stats();
+    const CafqaResult second = search_of(shared(ring6));
+    const CacheStats after_second = cache->stats();
     EXPECT_GT(after_second.hits, after_first.hits);
-    // Every point of the second run was already materialized.
+    // Every point of the second search was already materialized.
     EXPECT_EQ(after_second.entries, after_first.entries);
-
-    for (const RunRecord* record : {&first, &second}) {
-        EXPECT_EQ(record->best_objective, solo.best_objective);
-        EXPECT_EQ(record->cafqa_energy, solo.cafqa_energy);
-        EXPECT_EQ(record->evaluations_to_best, solo.evaluations_to_best);
-        EXPECT_EQ(record->stop_reason, solo.stop_reason);
-    }
+    expect_same(first, solo);
+    expect_same(second, solo);
 
     // Distinct problems sharing the cache must not alias: a different
-    // instance over the same cache still matches ITS solo run.
-    const RunSpec other =
-        RunSpec::parse("problem=maxcut:ring-8 warmup=6 iterations=6");
-    const RunRecord other_solo = execute_run_spec(other);
-    const RunRecord other_shared = execute_run_spec(other, context);
-    EXPECT_EQ(other_shared.best_objective, other_solo.best_objective);
-    EXPECT_EQ(other_shared.cafqa_energy, other_solo.cafqa_energy);
+    // instance over the same cache still matches its uncached search.
+    const PipelineConfig ring8 =
+        config_of("problem=maxcut:ring-8 warmup=6 iterations=6");
+    expect_same(search_of(shared(ring8)), search_of(ring8));
 }
 
 } // namespace

@@ -35,15 +35,24 @@
 namespace cafqa {
 namespace {
 
-bool
-same_bits(double a, double b)
+/** gtest predicate-formatter: `got` and `want` are evaluated once, so a
+ *  failing stateful call prints the values it compared and advances no
+ *  generator again. */
+::testing::AssertionResult
+same_bits(const char* got_text, const char* want_text, double got,
+          double want)
 {
-    return std::memcmp(&a, &b, sizeof a) == 0;
+    if (std::memcmp(&got, &want, sizeof got) == 0) {
+        return ::testing::AssertionSuccess();
+    }
+    // One Message, so `std::hexfloat` applies to both values.
+    ::testing::Message message;
+    message << got_text << " vs " << want_text << ": got " << std::hexfloat
+            << got << ", want " << want;
+    return ::testing::AssertionFailure(message);
 }
 
-#define EXPECT_SAME_BITS(got, want)                                       \
-    EXPECT_TRUE(same_bits((got), (want)))                                 \
-        << "got " << std::hexfloat << (got) << ", want " << (want)
+#define EXPECT_SAME_BITS(got, want) EXPECT_PRED_FORMAT2(same_bits, got, want)
 
 /** Normalized state with Gaussian random amplitudes. */
 Statevector

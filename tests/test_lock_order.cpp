@@ -96,8 +96,8 @@ using cafqa::MutexLock;
 // bookkeeping) and no reverse edge.
 const char* const kQueue = "queue_mutex";
 const char* const kJobs = "jobs_mutex";
-// The manifest has metrics_mutex -> shard_mutex (a scrape reads the
-// cache residency) and no reverse edge.
+// The manifest has no edge between metrics_mutex and shard_mutex in
+// either direction: a scrape reads no cache state.
 const char* const kMetrics = "metrics_mutex";
 const char* const kShard = "shard_mutex";
 

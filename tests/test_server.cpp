@@ -423,8 +423,9 @@ TEST(JobServerEndToEnd, SubmitResultRoundTrip)
     EXPECT_NE(error.message.find("unknown op"), std::string::npos);
 
     // Stats verb reports the counters, the occupancy view and the
-    // shared cache. The result event is written before the worker
-    // marks itself idle again, so poll briefly for busy to settle.
+    // process-wide cache counters. The result event is written before
+    // the worker marks itself idle again, so poll briefly for busy to
+    // settle.
     Event stats;
     for (int attempt = 0;; ++attempt) {
         client.send_line(stats_line());
@@ -489,9 +490,7 @@ TEST(JobServerEndToEnd, RecordsMatchSoloRuns)
     JobServer server(options);
     server.start();
 
-    // One spec per pipeline path; the `sampled` tune backend is left
-    // out because the shared cache freezes its shot noise, so a served
-    // repeat of a sampled spec differs from a solo run.
+    // One spec per pipeline path.
     const std::vector<RunSpec> specs = {
         RunSpec::parse("problem=tfim:chain-4?h=1 warmup=4 iterations=4 "
                        "tune=4"),
@@ -515,9 +514,13 @@ TEST(JobServerEndToEnd, RecordsMatchSoloRuns)
         // A T-boosted circuit that accepts its T gate, then tuned.
         RunSpec::parse("problem=molecule:H2?bond=2.2 search=anneal seed=0 "
                        "max-t=1 tune=20 warmup=30 iterations=30"),
+        // A stochastic tune: no state a job leaves behind may reach its
+        // shot noise.
+        RunSpec::parse("problem=molecule:H2?bond=2.2 warmup=8 iterations=8 "
+                       "tune=20 tune-backend=sampled"),
     };
-    // Each spec twice: the repeat reads what the first run left in the
-    // shared cache.
+    // Each spec twice: the repeat must not read anything the first run
+    // left behind but the exact-energy memo.
     auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
     std::vector<std::string> served;
     for (std::size_t i = 0; i < 2 * specs.size(); ++i) {
