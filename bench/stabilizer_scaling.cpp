@@ -17,16 +17,17 @@
  * `--quick` forces CI sizing regardless of CAFQA_BENCH_SCALE.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "../tests/reference_tableau.hpp"
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "problems/maxcut.hpp"
 #include "stabilizer/circuit_replay.hpp"
 #include "stabilizer/expectation_engine.hpp"
@@ -302,7 +303,8 @@ write_json(const std::string& path, bool quick,
     std::ofstream out(path);
     out << "{\n  \"bench\": \"stabilizer_scaling\",\n  \"scale\": \""
         << (quick ? "quick" : "paper") << "\",\n  \"threads\": "
-        << ThreadPool::shared().size() << ",\n  \"eval\": [\n";
+        << std::max<std::size_t>(1, std::thread::hardware_concurrency())
+        << ",\n  \"eval\": [\n";
     for (std::size_t i = 0; i < evals.size(); ++i) {
         const EvalRow& r = evals[i];
         out << "    {\"case\": \"" << r.name << "\", \"qubits\": "

@@ -168,17 +168,6 @@ Circuit::rzz(std::size_t a, std::size_t b, double angle)
 }
 
 int
-Circuit::rzz_param(std::size_t a, std::size_t b)
-{
-    check_qubit(a);
-    check_qubit(b);
-    CAFQA_REQUIRE(a != b, "rzz operands equal");
-    const int slot = static_cast<int>(num_params_++);
-    ops_.push_back(GateOp{GateKind::Rzz, a, b, slot, 0.0});
-    return slot;
-}
-
-int
 Circuit::new_param()
 {
     return static_cast<int>(num_params_++);
@@ -202,22 +191,6 @@ Circuit::rx_at(std::size_t q, int slot)
     check_qubit(q);
     check_slot(slot, num_params_);
     ops_.push_back(GateOp{GateKind::Rx, q, 0, slot, 0.0});
-}
-
-void
-Circuit::ry_at(std::size_t q, int slot)
-{
-    check_qubit(q);
-    check_slot(slot, num_params_);
-    ops_.push_back(GateOp{GateKind::Ry, q, 0, slot, 0.0});
-}
-
-void
-Circuit::rz_at(std::size_t q, int slot)
-{
-    check_qubit(q);
-    check_slot(slot, num_params_);
-    ops_.push_back(GateOp{GateKind::Rz, q, 0, slot, 0.0});
 }
 
 void

@@ -86,7 +86,6 @@ class Circuit
     int rx_param(std::size_t q);
     int ry_param(std::size_t q);
     int rz_param(std::size_t q);
-    int rzz_param(std::size_t a, std::size_t b);
 
     /** Allocate a parameter slot without attaching a gate (for shared
      *  parameters, e.g. QAOA layer angles). */
@@ -94,8 +93,6 @@ class Circuit
 
     /** Rotations bound to an existing slot (shared parameters). */
     void rx_at(std::size_t q, int slot);
-    void ry_at(std::size_t q, int slot);
-    void rz_at(std::size_t q, int slot);
     void rzz_at(std::size_t a, std::size_t b, int slot);
 
     /** Append another circuit's gates (parameter slots are shifted). */

@@ -152,10 +152,4 @@ Rng::sample_without_replacement(std::size_t n, std::size_t k,
     out.resize(k);
 }
 
-std::vector<std::size_t>
-Rng::permutation(std::size_t n)
-{
-    return sample_without_replacement(n, n);
-}
-
 } // namespace cafqa

@@ -124,9 +124,6 @@ class Rng
     void sample_without_replacement(std::size_t n, std::size_t k,
                                     std::vector<std::size_t>& out);
 
-    /** Fisher-Yates shuffle of an index vector [0, n). */
-    std::vector<std::size_t> permutation(std::size_t n);
-
     /** Skips `n` engine outputs: `n` `uniform_real` draws. */
     void discard(std::uint64_t n) { engine_.discard(n); }
 

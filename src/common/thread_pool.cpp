@@ -175,11 +175,4 @@ ThreadPool::parallel_for(
     }
 }
 
-ThreadPool&
-ThreadPool::shared()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
 } // namespace cafqa

@@ -49,8 +49,8 @@ class ThreadPool
      * first exception thrown by any invocation is rethrown here.
      *
      * Safe to call from several threads at once — concurrent jobs are
-     * serialized, one at a time (relevant for the shared() pool, which
-     * every default-configured search funnels through). A call from one
+     * serialized, one at a time (the arms of a portfolio search share
+     * their pipeline's pool this way). A call from one
      * of this pool's own workers (a job that reaches a pooled kernel)
      * runs every index inline on that worker, passing its own worker
      * id, and lets any exception propagate.
@@ -59,9 +59,6 @@ class ThreadPool
                       const std::function<void(std::size_t worker,
                                                std::size_t index)>& fn)
         CAFQA_EXCLUDES(pool_mutex_);
-
-    /** Process-wide default pool, sized to the hardware. */
-    static ThreadPool& shared();
 
   private:
     void worker_loop(std::size_t worker) CAFQA_EXCLUDES(pool_mutex_);

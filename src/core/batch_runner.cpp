@@ -233,14 +233,7 @@ BatchRunner::run(const std::vector<RunSpec>& specs)
         return records;
     }
 
-    // A dedicated pool when a concurrency bound was asked for, else
-    // the process-wide shared pool.
-    std::unique_ptr<ThreadPool> own_pool;
-    if (options_.concurrency > 0) {
-        own_pool = std::make_unique<ThreadPool>(options_.concurrency);
-    }
-    ThreadPool& pool =
-        own_pool ? *own_pool : ThreadPool::shared();
+    ThreadPool pool(options_.concurrency);
 
     Mutex observer_mutex{"observer_mutex"};
     pool.parallel_for(specs.size(), [&](std::size_t worker,
@@ -248,12 +241,10 @@ BatchRunner::run(const std::vector<RunSpec>& specs)
         (void)worker;
         RunSpec spec = specs[index];
         if (spec.threads == 0) {
-            // The batch fan-out may be running on the shared pool, where
-            // a run's nested parallel_for would run inline on this one
-            // worker; give the run its own (small) pool instead, so it
-            // keeps `run_threads` of parallelism. Thread count never
-            // changes results — evaluation batching is
-            // trajectory-preserving.
+            // Runs already go side by side; a hardware-sized pool per
+            // run would oversubscribe the cores, so the run gets a pool
+            // of `run_threads`. Thread count never changes results —
+            // evaluation batching is trajectory-preserving.
             spec.threads = options_.run_threads;
         }
         if (warm_start_) {

@@ -136,15 +136,15 @@ RunRecord execute_run_spec(const RunSpec& spec,
 /** Batch execution controls. */
 struct BatchOptions
 {
-    /** Concurrent runs; 0 uses the process-wide shared pool (sized to
-     *  the hardware), otherwise a dedicated pool of this size. */
+    /** Concurrent runs: the size of the pool `run` builds for the
+     *  batch; 0 sizes it to the hardware. */
     std::size_t concurrency = 0;
     /**
      * Worker threads given to each run whose spec leaves `threads` at
-     * 0. The batch fan-out itself may occupy the shared pool, where a
-     * run's own parallel_for would run inline on its one worker, so 0
-     * is re-mapped to this per-run pool size; 1 (the default) keeps
-     * every core busy running whole specs side by side.
+     * 0. Runs already execute side by side, and a hardware-sized pool
+     * per run would oversubscribe the cores, so 0 is re-mapped to this
+     * per-run pool size; 1 (the default) keeps every core busy
+     * running whole specs side by side.
      */
     std::size_t run_threads = 1;
 };

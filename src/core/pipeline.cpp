@@ -147,9 +147,6 @@ CafqaPipeline::stage_backend_config(std::string kind, Circuit ansatz) const
 ThreadPool&
 CafqaPipeline::pool()
 {
-    if (config_.threads == 0) {
-        return ThreadPool::shared();
-    }
     if (!own_pool_) {
         own_pool_ = std::make_unique<ThreadPool>(config_.threads);
     }

@@ -35,8 +35,8 @@
  * internals carry clang thread-safety annotations
  * (`common/thread_safety.hpp`), and observer callbacks fire on the
  * calling thread in deterministic order. Run CONCURRENT pipelines by
- * giving each its own object — the shared registries and the shared()
- * pool they touch are internally synchronized.
+ * giving each its own object — each owns its pool, and the shared
+ * registries they touch are internally synchronized.
  */
 #ifndef CAFQA_CORE_PIPELINE_HPP
 #define CAFQA_CORE_PIPELINE_HPP
@@ -213,8 +213,8 @@ struct PipelineConfig
      *  "statevector" or "sampled" tune expectation and, on the
      *  "statevector" tune backend, for SPSA's two gradient probes;
      *  `kernel_pool()` hands the same pool to the exact
-     *  solve. 0 uses the process-wide shared pool (sized to the
-     *  hardware). Results never depend on the count, to the bit. */
+     *  solve. The pipeline owns the pool; 0 sizes it to the
+     *  hardware. Results never depend on the count, to the bit. */
     std::size_t threads = 0;
     /** Registry kind of the discrete search backend. */
     std::string search_backend = "clifford";

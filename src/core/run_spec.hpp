@@ -72,7 +72,7 @@ struct RunSpec
     std::size_t budget = 0;
     /** Target-value early exit for every stage. */
     std::optional<double> target_energy;
-    /** Worker threads (0 = the process-wide shared pool): batched
+    /** Worker threads of the run's own pool (0 = the hardware): batched
      *  search candidates, SPSA's probes and the slices of each
      *  statevector expectation and of the exact solve's matvecs. The
      *  record is the same to the bit for every count. */

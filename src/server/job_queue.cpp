@@ -25,11 +25,20 @@ JobQueue::JobQueue(std::size_t capacity)
       popped_metric_(telemetry::MetricsRegistry::instance().counter(
           "cafqa_server_jobs_popped_total", {},
           "Jobs handed to a worker from the server queue")),
+      depth_metric_(telemetry::MetricsRegistry::instance().gauge(
+          "cafqa_server_queue_depth", {},
+          "Jobs admitted but not yet handed to a worker")),
       queue_wait_metric_(telemetry::MetricsRegistry::instance().histogram(
           "cafqa_server_queue_wait_ms", {},
           "Milliseconds a job spent queued before a worker picked it up"))
 {
     CAFQA_REQUIRE(capacity_ > 0, "job queue capacity must be positive");
+}
+
+JobQueue::~JobQueue()
+{
+    // No lock: nothing else may touch a queue that is being destroyed.
+    depth_metric_.add(-static_cast<double>(size_));
 }
 
 Admit
@@ -50,6 +59,8 @@ JobQueue::push(Job job)
         }
         it->second.push_back(std::move(job));
         ++size_;
+        // Under the lock, so a racing pop's -1 never lands first.
+        depth_metric_.add(1.0);
     }
     pushed_metric_.add();
     ready_.notify_one();
@@ -100,6 +111,7 @@ JobQueue::pop_locked()
     Job job = std::move(fifo.front());
     fifo.pop_front();
     --size_;
+    depth_metric_.add(-1.0);
     advance_cursor_locked(slot, fifo.empty());
     return job;
 }

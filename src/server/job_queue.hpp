@@ -71,6 +71,8 @@ class JobQueue
   public:
     /** Throws std::invalid_argument on zero capacity. */
     explicit JobQueue(std::size_t capacity);
+    /** Takes the jobs still queued off `cafqa_server_queue_depth`. */
+    ~JobQueue();
 
     /** Admit `job` under the capacity bound. Never blocks. */
     Admit push(Job job);
@@ -111,6 +113,10 @@ class JobQueue
      *  operations take no lock beyond `queue_mutex_`. */
     telemetry::Counter& pushed_metric_;
     telemetry::Counter& popped_metric_;
+    /** `cafqa_server_queue_depth`: +1 per admitted push, -1 per
+     *  `pop_locked`, minus what is left when the queue dies, so the
+     *  process-wide gauge sums the depths of the live queues. */
+    telemetry::Gauge& depth_metric_;
     telemetry::Histogram& queue_wait_metric_;
     mutable Mutex queue_mutex_{"queue_mutex"};
     CondVar ready_;

@@ -348,7 +348,6 @@ JobServer::start()
         fail_errno("listen");
     }
 
-    register_callback_gauges();
     started_ = true;
     live_workers_.store(options_.workers);
     threads_.reserve(options_.workers + 1);
@@ -504,28 +503,6 @@ JobServer::handle_lines(const std::shared_ptr<Connection>& connection)
 }
 
 void
-JobServer::register_callback_gauges()
-{
-    auto& registry = telemetry::MetricsRegistry::instance();
-    // The callback runs under `metrics_mutex` at scrape time and takes
-    // the queue's lock — the `metrics_mutex -> queue_mutex` edge in the
-    // lock-order manifest.
-    registry.set_callback_gauge(
-        "cafqa_server_queue_depth", {},
-        [this] { return static_cast<double>(queue_.size()); },
-        "Jobs admitted but not yet handed to a worker");
-}
-
-void
-JobServer::clear_callback_gauges()
-{
-    // The registry outlives this server (it is process-wide); a scrape
-    // after teardown must not call into freed state.
-    auto& registry = telemetry::MetricsRegistry::instance();
-    registry.clear_callback_gauge("cafqa_server_queue_depth", {});
-}
-
-void
 JobServer::handle_line(const std::shared_ptr<Connection>& connection,
                        const std::string& line)
 {
@@ -588,9 +565,8 @@ JobServer::handle_line(const std::shared_ptr<Connection>& connection,
         break;
       case Op::Metrics: {
         metrics_.metrics_requests.add();
-        // No named lock is held here (I/O thread): the scrape takes
-        // metrics_mutex and, inside the callback gauge, queue_mutex —
-        // the declared manifest edge.
+        // No named lock is held here (I/O thread); the scrape takes
+        // only metrics_mutex, a leaf.
         auto& registry = telemetry::MetricsRegistry::instance();
         connection->post(
             event_metrics(telemetry::wall_timestamp_seconds(),
@@ -697,9 +673,9 @@ JobServer::process_job(Job& job)
 
     RunSpec spec = job.spec;
     if (spec.threads == 0) {
-        // Workers already run whole jobs side by side; a job leaning on
-        // the process-shared pool would fight its siblings for it (same
-        // rationale as BatchOptions::run_threads).
+        // Workers already run whole jobs side by side; a job with a
+        // hardware-sized pool of its own would fight its siblings for
+        // the cores (same rationale as BatchOptions::run_threads).
         spec.threads = options_.run_threads;
     }
     RunContext context;
@@ -788,11 +764,6 @@ JobServer::wait()
         while (!drain_.has_value()) {
             shutdown_cv_.wait(lock);
         }
-    }
-    // Unhook the scrape-time callbacks outside teardown_mutex_ (an edge
-    // into metrics_mutex would be an ordering constraint for nothing).
-    if (started_) {
-        clear_callback_gauges();
     }
     MutexLock teardown(teardown_mutex_);
     if (finished_) {

@@ -188,12 +188,6 @@ class JobServer
     };
     static Telemetry make_telemetry();
 
-    /** Register/clear the scrape-time queue-depth gauge. Its
-     *  `queue_mutex` acquisition under `metrics_mutex` is the declared
-     *  `metrics_mutex -> queue_mutex` manifest edge. */
-    void register_callback_gauges();
-    void clear_callback_gauges();
-
     ServerOptions options_;
     int listen_fd_ = -1;
     int wake_pipe_[2] = {-1, -1};

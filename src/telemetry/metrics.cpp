@@ -150,8 +150,8 @@ label_block(const Labels& labels, const std::string& extra_key = {},
     return out;
 }
 
-/** A finite double rendered for exposition/JSON (callbacks could in
- *  principle return junk; clamp it to 0 instead of emitting "nan"). */
+/** A finite double rendered for exposition/JSON (a gauge can be set
+ *  to junk; clamp it to 0 instead of emitting "nan"). */
 std::string
 render_real(double value)
 {
@@ -425,9 +425,6 @@ MetricsRegistry::gauge(const std::string& name, const Labels& labels,
     MutexLock lock(metrics_mutex_);
     Series& series =
         series_locked(family_locked(name, Kind::Gauge, help), labels);
-    CAFQA_REQUIRE(!series.callback,
-                  "metric \"" + name +
-                      "\" is a callback gauge for these labels");
     if (!series.gauge) {
         series.gauge = std::make_unique<Gauge>();
     }
@@ -445,43 +442,6 @@ MetricsRegistry::histogram(const std::string& name, const Labels& labels,
         series.histogram = std::make_unique<Histogram>();
     }
     return *series.histogram;
-}
-
-void
-MetricsRegistry::set_callback_gauge(const std::string& name,
-                                    const Labels& labels,
-                                    std::function<double()> fn,
-                                    const std::string& help)
-{
-    CAFQA_REQUIRE(fn != nullptr, "callback gauge needs a callable");
-    MutexLock lock(metrics_mutex_);
-    Series& series =
-        series_locked(family_locked(name, Kind::Gauge, help), labels);
-    CAFQA_REQUIRE(!series.gauge,
-                  "metric \"" + name +
-                      "\" is a plain gauge for these labels");
-    series.callback = std::move(fn);
-}
-
-void
-MetricsRegistry::clear_callback_gauge(const std::string& name,
-                                      const Labels& labels)
-{
-    MutexLock lock(metrics_mutex_);
-    const auto family = families_.find(name);
-    if (family == families_.end()) {
-        return;
-    }
-    const auto series =
-        family->second.series.find(label_block(sorted_labels(labels)));
-    if (series == family->second.series.end() ||
-        !series->second.callback) {
-        return;
-    }
-    family->second.series.erase(series);
-    if (family->second.series.empty()) {
-        families_.erase(family);
-    }
 }
 
 std::string
@@ -507,12 +467,6 @@ MetricsRegistry::prometheus() const
             } else if (series.gauge) {
                 out += name + block + " " +
                        render_real(series.gauge->value()) + "\n";
-            } else if (series.callback) {
-                // Scrape-path callback: runs under metrics_mutex, so
-                // any lock it takes is a declared
-                // `metrics_mutex -> ...` manifest edge.
-                out += name + block + " " +
-                       render_real(series.callback()) + "\n";
             } else if (series.histogram) {
                 const auto counts = series.histogram->bucket_counts();
                 std::uint64_t cumulative = 0;
@@ -561,8 +515,6 @@ MetricsRegistry::json() const
                 out += std::to_string(series.counter->value());
             } else if (series.gauge) {
                 out += render_real(series.gauge->value());
-            } else if (series.callback) {
-                out += render_real(series.callback());
             } else if (series.histogram) {
                 const Histogram& h = *series.histogram;
                 out += "{\"count\":" + std::to_string(h.count()) +
@@ -571,8 +523,6 @@ MetricsRegistry::json() const
                        ",\"p90\":" + render_real(h.percentile(0.90)) +
                        ",\"p95\":" + render_real(h.percentile(0.95)) +
                        ",\"p99\":" + render_real(h.percentile(0.99)) + "}";
-            } else {
-                out += "0";
             }
         }
     }

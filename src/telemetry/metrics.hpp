@@ -11,10 +11,11 @@
  * atomic RMW — counters are sharded across per-thread slots so two
  * threads bumping the same counter do not ping-pong a cache line — and
  * the shards are merged only on scrape. `metrics_mutex` is taken only
- * to register a metric or to scrape. Because of that split, the one
- * rule call sites must follow is: NEVER call the registering accessors
- * (`counter()`, `gauge()`, `histogram()`, `set_callback_gauge()`)
- * while holding another named `cafqa::Mutex` — fetch the references up
+ * to register a metric or to scrape, and a scrape only reads atomics,
+ * so `metrics_mutex` is a leaf of the lock order. Because of that
+ * split, the one rule call sites must follow is: NEVER call the
+ * registering accessors (`counter()`, `gauge()`, `histogram()`) while
+ * holding another named `cafqa::Mutex` — fetch the references up
  * front (constructor, function entry before any lock) and keep them;
  * the recording calls themselves are lock-free and safe anywhere,
  * including under locks and inside signal-adjacent paths.
@@ -36,7 +37,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -197,9 +197,9 @@ class TraceSpan
  * deterministic tests. Metric names follow the Prometheus grammar
  * (`[a-zA-Z_:][a-zA-Z0-9_:]*`); a name registered twice with
  * different types throws. Returned references stay valid for the
- * registry's lifetime (metrics are never removed — only callback
- * gauges, whose owners outlive no scrape they are part of, can be
- * cleared).
+ * registry's lifetime: no series is ever removed, and the registry
+ * holds nothing that points back into its callers, so it may outlive
+ * every object that reports into it.
  */
 class MetricsRegistry
 {
@@ -220,24 +220,6 @@ class MetricsRegistry
     Histogram& histogram(const std::string& name,
                          const Labels& labels = {},
                          const std::string& help = {})
-        CAFQA_EXCLUDES(metrics_mutex_);
-
-    /**
-     * Gauge whose value is pulled from `fn` at scrape time (the job
-     * server's queue depth). `fn` runs under `metrics_mutex`, so it
-     * may take its owner's locks — every such acquisition is a
-     * scrape-path lock edge and must be declared in the lock-order
-     * manifest (`metrics_mutex -> ...`). Re-registering the
-     * same series replaces the callback; owners whose lifetime ends
-     * before the process (a stopped server) MUST `clear_callback_gauge`
-     * before dying or a later scrape calls into freed state.
-     */
-    void set_callback_gauge(const std::string& name, const Labels& labels,
-                            std::function<double()> fn,
-                            const std::string& help = {})
-        CAFQA_EXCLUDES(metrics_mutex_);
-    void clear_callback_gauge(const std::string& name,
-                              const Labels& labels)
         CAFQA_EXCLUDES(metrics_mutex_);
 
     /** Prometheus text exposition (families sorted by name, series by
@@ -261,7 +243,6 @@ class MetricsRegistry
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
-        std::function<double()> callback;
     };
 
     struct Family

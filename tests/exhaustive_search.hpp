@@ -8,7 +8,7 @@
 namespace cafqa {
 
 /** Ascending scan of all 4^n step assignments of `ansatz` (coordinate 0
- *  fastest), fanned out over `threads` workers (0 = shared pool). The
+ *  fastest), fanned out over `threads` workers (0 = the hardware). The
  *  budget sits one above the space size, so the scan always completes
  *  with `StopReason::SpaceExhausted`. */
 inline CafqaResult

@@ -242,7 +242,8 @@ TEST(RunSpec, ThreadCountNeverChangesTheRecord)
     // LiH and the sampled H6 tune are the specs the CI smoke step
     // diffs; tfim:chain-14 is large enough that the tune's expectations
     // and the exact solve's matvecs split across the pool, and H6's
-    // sampled tune splits its measurement groups.
+    // sampled tune splits its measurement groups. 0 builds the run's
+    // own pool sized to the hardware.
     for (const char* text :
          {"problem=molecule:LiH?bond=2.4 search=anneal tune=20 exact=1",
           "problem=tfim:chain-14 search=anneal warmup=20 iterations=20 "
@@ -252,7 +253,7 @@ TEST(RunSpec, ThreadCountNeverChangesTheRecord)
         SCOPED_TRACE(text);
         const RunSpec base = RunSpec::parse(text);
         std::string want;
-        for (const std::size_t threads : {1, 2, 3}) {
+        for (const std::size_t threads : {1, 2, 3, 0}) {
             RunSpec spec = base;
             spec.threads = threads;
             RunRecord record = execute_run_spec(spec);

@@ -549,8 +549,8 @@ TEST(ThreadPool, PropagatesTheFirstException)
 TEST(ThreadPool, ConcurrentCallersAreSerializedNotLost)
 {
     // Several threads funneling jobs through ONE pool at once: every
-    // job must run to completion with nothing dropped (the shared()
-    // pool sees exactly this from concurrent searches).
+    // job must run to completion with nothing dropped (a pipeline's
+    // pool sees exactly this from the arms of a portfolio search).
     ThreadPool pool(3);
     constexpr std::size_t kCallers = 4;
     constexpr std::size_t kPerJob = 100;

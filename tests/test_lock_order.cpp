@@ -96,8 +96,8 @@ using cafqa::MutexLock;
 // bookkeeping) and no reverse edge.
 const char* const kQueue = "queue_mutex";
 const char* const kJobs = "jobs_mutex";
-// The manifest has no edge between metrics_mutex and shard_mutex in
-// either direction: a scrape reads no cache state.
+// metrics_mutex is in no manifest edge: a scrape reads only atomics, so
+// it is a leaf.
 const char* const kMetrics = "metrics_mutex";
 const char* const kShard = "shard_mutex";
 
@@ -138,6 +138,16 @@ TEST(LockOrderRuntime, InvertedAcquisitionAbortsWithEdgeNamed)
         },
         "cafqa lock-order violation: acquisition while holding: "
         "\"shard_mutex\" -> \"metrics_mutex\" has no edge");
+    // Nor may anything be taken under the leaf metrics_mutex.
+    EXPECT_DEATH(
+        {
+            Mutex metrics{kMetrics};
+            Mutex queue{kQueue};
+            MutexLock outer(metrics);
+            MutexLock inner(queue);
+        },
+        "cafqa lock-order violation: acquisition while holding: "
+        "\"metrics_mutex\" -> \"queue_mutex\" has no edge");
 }
 
 TEST(LockOrderRuntime, ManualLockPathIsCheckedToo)

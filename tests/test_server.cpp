@@ -25,6 +25,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -376,6 +378,39 @@ TEST(JobQueue, DrainNowFlushesEverythingFairly)
     EXPECT_EQ(queue.size(), 0u);
 }
 
+TEST(JobQueue, DepthGaugeSumsTheLiveQueues)
+{
+    // `cafqa_server_queue_depth` is one process-wide gauge: the jobs of
+    // every live queue add up in it, and each way a job leaves a queue
+    // (pop, drain_now, the queue's destruction) takes it back off.
+    const auto depth = [] {
+        return telemetry::find_prometheus_sample(
+            telemetry::MetricsRegistry::instance().prometheus(),
+            "cafqa_server_queue_depth");
+    };
+    auto first = std::make_unique<JobQueue>(8);
+    JobQueue second(2);
+    const std::optional<double> start = depth();
+    ASSERT_TRUE(start.has_value());
+    first->push(make_job("A", "a1"));
+    first->push(make_job("B", "b1"));
+    first->push(make_job("A", "a2"));
+    second.push(make_job("C", "c1"));
+    second.push(make_job("C", "c2"));
+    EXPECT_EQ(second.push(make_job("C", "c3")), Admit::QueueFull);
+    EXPECT_EQ(depth(), *start + 5.0);
+
+    first->pop();
+    EXPECT_EQ(depth(), *start + 4.0);
+    EXPECT_EQ(second.drain_now().size(), 2u);
+    EXPECT_EQ(depth(), *start + 2.0);
+    second.close();
+    EXPECT_EQ(second.push(make_job("C", "c4")), Admit::Draining);
+    EXPECT_EQ(depth(), *start + 2.0);
+    first.reset(); // two jobs still queued
+    EXPECT_EQ(depth(), *start);
+}
+
 // --------------------------------------------------- end-to-end socket
 
 /** Read events until `predicate` consumes one; collects everything by
@@ -474,13 +509,13 @@ TEST(JobServerEndToEnd, SubmitResultRoundTrip)
     server.shutdown(true);
     server.wait();
 
-    // After wait() the server has unhooked its callback gauges: a
-    // scrape through the registry must not reach freed server state.
+    // After wait() every job has left the queue, so the queue-depth
+    // gauge is back at 0.
     const std::string post =
         cafqa::telemetry::MetricsRegistry::instance().prometheus();
     EXPECT_EQ(cafqa::telemetry::find_prometheus_sample(
                   post, "cafqa_server_queue_depth"),
-              std::nullopt);
+              0.0);
 }
 
 TEST(JobServerEndToEnd, RecordsMatchSoloRuns)

@@ -264,25 +264,6 @@ TEST(Registry, SnapshotsAreDeterministic)
     EXPECT_EQ(first.json(), first.json());
 }
 
-TEST(Registry, CallbackGaugeScrapesAndClears)
-{
-    MetricsRegistry registry;
-    double depth = 4.0;
-    registry.set_callback_gauge("cafqa_cb_depth", {},
-                                [&depth] { return depth; }, "Depth");
-    EXPECT_EQ(find_prometheus_sample(registry.prometheus(),
-                                     "cafqa_cb_depth"),
-              4.0);
-    depth = 9.0;
-    EXPECT_EQ(find_prometheus_sample(registry.prometheus(),
-                                     "cafqa_cb_depth"),
-              9.0) << "callback gauges are pulled at scrape time";
-    registry.clear_callback_gauge("cafqa_cb_depth", {});
-    EXPECT_FALSE(find_prometheus_sample(registry.prometheus(),
-                                        "cafqa_cb_depth")
-                     .has_value());
-}
-
 TEST(Enabled, DisabledRecordingIsANoOp)
 {
     ASSERT_TRUE(enabled()) << "tests assume the default-on switch";
